@@ -19,7 +19,15 @@ dephasing of each Rydberg level at ``dephasing`` (a proxy for laser
 linewidth and transit broadening). A single zero-velocity class is modeled;
 Doppler averaging is out of scope.
 
-The steady state solves the vectorized Liouvillian with a trace constraint.
+The Liouvillian is linear in the ten ``LadderSystem`` fields, so it is
+summed from a basis of ten constant 16x16 superoperators built at import.
+:func:`steady_state` rescales each system by its largest rate, replaces the
+ground-population row (redundant under trace preservation) by the unit-trace
+row, and inverts the square systems in batches of fixed size. The first
+column of each inverse is the steady state; the inverse also gives the
+1-norm condition number, which flags non-unique steady states. Scalar calls
+and sweeps share this one path.
+
 The beat note produced by mixing a weak signal with the LO is modeled
 quasi-statically: its amplitude is the derivative of the probe absorption
 with respect to the microwave Rabi frequency at the LO operating point
@@ -29,9 +37,10 @@ with respect to the microwave Rabi frequency at the LO operating point
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import DegenerateSystemError, DomainError, RegimeError, SolverError
 
@@ -45,6 +54,9 @@ __all__ = [
 ]
 
 _RESIDUAL_LIMIT = 1e-9
+# A 1-norm condition number above this leaves fewer than one significant
+# digit in a 16x16 solve: the steady state is numerically not unique.
+_CONDITION_LIMIT = 1.0 / (16.0 * np.finfo(float).eps)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -65,10 +77,14 @@ class LadderSystem:
     dephasing: float = _TWO_PI * 100e3
 
     def __post_init__(self) -> None:
-        for name in ("probe_rabi", "coupling_rabi", "mw_rabi"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("decay_r1", "decay_r2", "dephasing"):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value}")
+        for name in (
+            "probe_rabi", "coupling_rabi", "mw_rabi",
+            "decay_r1", "decay_r2", "dephasing",
+        ):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.decay_e <= 0:
@@ -81,101 +97,168 @@ class DensityMatrixSolution:
 
     ``residual_norm`` is measured after rescaling all system rates by their
     maximum, so it is dimensionless and comparable across parameter regimes.
+    For a sweep, ``rho`` has shape ``sweep_shape + (4, 4)`` and
+    ``residual_norm`` is an array of shape ``sweep_shape``.
     """
 
     rho: np.ndarray
-    residual_norm: float
+    residual_norm: float | np.ndarray
 
 
-def _lowering(i: int, j: int) -> np.ndarray:
-    op = np.zeros((4, 4), dtype=complex)
+def _unit(i: int, j: int) -> np.ndarray:
+    op = np.zeros((4, 4))
     op[i, j] = 1.0
     return op
 
 
-def _liouvillian(system: LadderSystem, scale: float) -> np.ndarray:
-    """Vectorized Liouvillian (column-major stacking), rates divided by ``scale``."""
-    s = system
-    h = np.zeros((4, 4), dtype=complex)
-    h[1, 1] = -s.probe_detuning
-    h[2, 2] = -(s.probe_detuning + s.coupling_detuning)
-    h[3, 3] = -(s.probe_detuning + s.coupling_detuning + s.mw_detuning)
-    h[0, 1] = h[1, 0] = s.probe_rabi / 2.0
-    h[1, 2] = h[2, 1] = s.coupling_rabi / 2.0
-    h[2, 3] = h[3, 2] = s.mw_rabi / 2.0
-    h /= scale
-
-    collapse = []
-    for rate, (i, j) in (
-        (s.decay_e, (0, 1)),
-        (s.decay_r1, (1, 2)),
-        (s.decay_r2, (2, 3)),
-    ):
-        if rate > 0:
-            collapse.append(math.sqrt(rate / scale) * _lowering(i, j))
-    if s.dephasing > 0:
-        for level in (2, 3):
-            collapse.append(math.sqrt(2.0 * s.dephasing / scale) * _lowering(level, level))
-
-    eye = np.eye(4, dtype=complex)
-    liouv = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for c in collapse:
-        cdc = c.conj().T @ c
-        liouv += np.kron(c.conj(), c)
-        liouv -= 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
-    return liouv
+def _hamiltonian_term(h: np.ndarray) -> np.ndarray:
+    eye = np.eye(4)
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
 
 
-def steady_state(system: LadderSystem) -> DensityMatrixSolution:
-    """Solve the Lindblad steady state of the ladder.
+def _dissipator(c: np.ndarray) -> np.ndarray:
+    eye = np.eye(4)
+    cdc = c.T @ c
+    return np.kron(c, c) - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
 
-    The 16-dimensional null-space problem is augmented with the unit-trace
-    row and solved by least squares. Raises
-    :class:`DegenerateSystemError` when the steady state is not unique
-    (rank-deficient Liouvillian, e.g. an undriven, undamped level) and
-    :class:`SolverError` when the residual exceeds ``1e-9``.
+
+def _liouvillian_basis() -> np.ndarray:
+    """Liouvillian of each ``LadderSystem`` field set to 1 and the others to 0.
+
+    Column-major vectorization: ``vec(A X B) = kron(B.T, A) vec(X)``. The
+    collapse operators are real, so ``conj(c) = c``.
     """
-    s = system
-    scale = max(
-        s.probe_rabi, s.coupling_rabi, s.mw_rabi,
-        abs(s.probe_detuning), abs(s.coupling_detuning), abs(s.mw_detuning),
-        s.decay_e, s.decay_r1, s.decay_r2, s.dephasing,
-    )
-    liouv = _liouvillian(s, scale)
+    terms = {
+        "probe_rabi": _hamiltonian_term((_unit(0, 1) + _unit(1, 0)) / 2.0),
+        "coupling_rabi": _hamiltonian_term((_unit(1, 2) + _unit(2, 1)) / 2.0),
+        "mw_rabi": _hamiltonian_term((_unit(2, 3) + _unit(3, 2)) / 2.0),
+        "probe_detuning": _hamiltonian_term(-np.diag([0.0, 1.0, 1.0, 1.0])),
+        "coupling_detuning": _hamiltonian_term(-np.diag([0.0, 0.0, 1.0, 1.0])),
+        "mw_detuning": _hamiltonian_term(-np.diag([0.0, 0.0, 0.0, 1.0])),
+        "decay_e": _dissipator(_unit(0, 1)),
+        "decay_r1": _dissipator(_unit(1, 2)),
+        "decay_r2": _dissipator(_unit(2, 3)),
+        "dephasing": 2.0 * (_dissipator(_unit(2, 2)) + _dissipator(_unit(3, 3))),
+    }
+    return np.array([terms[name] for name in _FIELDS])
 
-    trace_row = np.zeros((1, 16), dtype=complex)
-    trace_row[0, [0, 5, 10, 15]] = 1.0
-    stacked = np.vstack([liouv, trace_row])
-    rhs = np.zeros(17, dtype=complex)
-    rhs[16] = 1.0
 
-    solution, _, rank, _ = np.linalg.lstsq(stacked, rhs, rcond=None)
-    if rank < 16:
+_FIELDS = tuple(f.name for f in fields(LadderSystem))
+_BASIS = _liouvillian_basis()
+# Row 0 (d rho_gg / dt) is minus the sum of rows 5, 10 and 15 because the
+# Liouvillian preserves the trace, so the unit-trace row replaces it.
+_TRACE_ROW = np.zeros(16)
+_TRACE_ROW[[0, 5, 10, 15]] = 1.0
+# Systems per LAPACK call; bounds the memory of a long sweep.
+_BLOCK = 64
+
+
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """Induced 1-norm (maximum absolute column sum) of each matrix in a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _solve_block(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steady-state vectors and residual norms of a block of scaled rate sets."""
+    liouv = np.tensordot(scaled, _BASIS, axes=1)
+    matrix = liouv.copy()
+    matrix[:, 0, :] = _TRACE_ROW
+    try:
+        inverse = np.linalg.inv(matrix)
+    except np.linalg.LinAlgError as exc:
         raise DegenerateSystemError(
-            f"steady state is not unique (rank {rank} < 16); the level "
+            "steady state is not unique (singular Liouvillian); the level "
             "structure is disconnected or undamped"
+        ) from exc
+    cond = _norm1(matrix) * _norm1(inverse)
+    failed = np.flatnonzero(~(cond <= _CONDITION_LIMIT))
+    if failed.size:
+        raise DegenerateSystemError(
+            f"steady state is not unique (condition number {cond[failed[0]]:.3e} "
+            f"exceeds {_CONDITION_LIMIT:.3e}); the level structure is "
+            "disconnected or undamped"
         )
-
-    residual = float(np.linalg.norm(liouv @ solution))
-    if residual > _RESIDUAL_LIMIT:
+    solution = inverse[:, :, 0]
+    residual = np.linalg.norm(np.einsum("nij,nj->ni", liouv, solution), axis=1)
+    failed = np.flatnonzero(~(residual <= _RESIDUAL_LIMIT))
+    if failed.size:
         raise SolverError(
-            f"steady-state residual {residual:.3e} exceeds {_RESIDUAL_LIMIT:g}"
+            f"steady-state residual {residual[failed[0]]:.3e} exceeds "
+            f"{_RESIDUAL_LIMIT:g}"
         )
-    rho = solution.reshape((4, 4), order="F")
-    return DensityMatrixSolution(rho=rho, residual_norm=residual)
+    return solution, residual
 
 
-def probe_absorption(system: LadderSystem) -> float:
+def steady_state(
+    system: LadderSystem,
+    *,
+    probe_detuning: ArrayLike | None = None,
+    mw_rabi: ArrayLike | None = None,
+) -> DensityMatrixSolution:
+    """Solve the Lindblad steady state of the ladder, or of a sweep of it.
+
+    ``probe_detuning`` and ``mw_rabi`` (rad/s) optionally replace the
+    corresponding field of ``system`` by an array; the arrays broadcast
+    together and the solution carries their shape, followed by ``(4, 4)``
+    for ``rho``. Without them the result is a single ``(4, 4)`` matrix.
+
+    Each system is rescaled by its largest rate, its Liouvillian is summed
+    from a fixed basis of superoperators, the ground-population row is
+    replaced by the unit-trace row, and the square systems are inverted in
+    blocks. Raises :class:`DomainError` for a non-finite or negative swept
+    value, :class:`DegenerateSystemError` when a steady state is not unique
+    (singular or numerically singular system, e.g. an undriven, undamped
+    level) and :class:`SolverError` when a residual exceeds ``1e-9``.
+    """
+    sweep = {
+        name: np.asarray(values, dtype=float)
+        for name, values in (("probe_detuning", probe_detuning), ("mw_rabi", mw_rabi))
+        if values is not None
+    }
+    for name, values in sweep.items():
+        if not np.isfinite(values).all():
+            raise DomainError(f"swept {name} must be finite")
+    if "mw_rabi" in sweep and (sweep["mw_rabi"] < 0).any():
+        raise DomainError("swept mw_rabi must be >= 0")
+    shape = np.broadcast_shapes(*(values.shape for values in sweep.values()))
+
+    params = np.empty(shape + (len(_FIELDS),))
+    for i, name in enumerate(_FIELDS):
+        params[..., i] = sweep.get(name, getattr(system, name))
+    params = params.reshape(-1, len(_FIELDS))
+    scaled = params / np.abs(params).max(axis=1, keepdims=True)
+
+    solution = np.empty((len(params), 16), dtype=complex)
+    residual = np.empty(len(params))
+    for lo in range(0, len(params), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        solution[block], residual[block] = _solve_block(scaled[block])
+
+    rho = solution.reshape(shape + (4, 4)).swapaxes(-1, -2)
+    residual = residual.reshape(shape)
+    return DensityMatrixSolution(
+        rho=rho, residual_norm=float(residual) if residual.ndim == 0 else residual
+    )
+
+
+def probe_absorption(
+    system: LadderSystem,
+    *,
+    probe_detuning: ArrayLike | None = None,
+    mw_rabi: ArrayLike | None = None,
+) -> float | np.ndarray:
     """Probe absorption, normalized to the resonant two-level value.
 
     Returns ``Im(rho_ge) * decay_e / probe_rabi``, which is 1 for a weak
     resonant probe with no coupling or microwave field and 0 under ideal
-    transparency.
+    transparency. ``probe_detuning`` and ``mw_rabi`` sweep the system as in
+    :func:`steady_state`; with a sweep the result is an array of its shape.
     """
     if system.probe_rabi <= 0:
         raise DomainError("probe_rabi must be > 0 to define probe absorption")
-    rho = steady_state(system).rho
-    return float(rho[0, 1].imag * system.decay_e / system.probe_rabi)
+    rho = steady_state(system, probe_detuning=probe_detuning, mw_rabi=mw_rabi).rho
+    absorption = rho[..., 0, 1].imag * system.decay_e / system.probe_rabi
+    return float(absorption) if absorption.ndim == 0 else absorption
 
 
 def at_splitting(system: LadderSystem, probe_sweep: np.ndarray) -> float:
@@ -198,9 +281,7 @@ def at_splitting(system: LadderSystem, probe_sweep: np.ndarray) -> float:
     if detunings.ndim != 1 or detunings.size < 5:
         raise DomainError("probe_sweep must be a 1-D array of at least 5 detunings")
 
-    absorption = np.array(
-        [probe_absorption(replace(system, probe_detuning=d)) for d in detunings]
-    )
+    absorption = probe_absorption(system, probe_detuning=detunings)
 
     minima = []
     for i in range(1, detunings.size - 1):
@@ -240,6 +321,5 @@ def heterodyne_gain(system: LadderSystem) -> float:
             f"mw_rabi = {lo:.3e} rad/s is too small for the finite-difference "
             f"step {h:.3e} rad/s"
         )
-    upper = probe_absorption(replace(system, mw_rabi=lo + h))
-    lower = probe_absorption(replace(system, mw_rabi=lo - h))
-    return (upper - lower) / (2.0 * h)
+    upper, lower = probe_absorption(system, mw_rabi=[lo + h, lo - h])
+    return float((upper - lower) / (2.0 * h))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
@@ -297,13 +296,8 @@ def _run_eit(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Pat
     span = params["probe_span"]
     detunings = np.linspace(-span, span, params["points"]) * 2.0 * math.pi
     ladder = config.ladder
-    rows = [
-        (
-            d / (2.0 * math.pi * 1e6),
-            probe_absorption(replace(ladder, probe_detuning=float(d))),
-        )
-        for d in detunings
-    ]
+    absorption = probe_absorption(ladder, probe_detuning=detunings)
+    rows = list(zip(detunings / (2.0 * math.pi * 1e6), absorption))
     path = out_dir / "eit.csv"
     two_pi = 2.0 * math.pi
     meta = _meta(config, "eit") + [

@@ -100,6 +100,20 @@ class TestSteadyState:
             LadderSystem(probe_rabi=-1.0, coupling_rabi=0.0, mw_rabi=0.0)
         with pytest.raises(DomainError):
             LadderSystem(probe_rabi=0.0, coupling_rabi=0.0, mw_rabi=0.0, decay_e=0.0)
+        for name in ("dephasing", "decay_e", "probe_detuning"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError, match=name):
+                    replace(PAPER_LIKE, **{name: value})
+
+    def test_invalid_swept_values_rejected(self):
+        for sweep in (
+            {"probe_detuning": [0.0, math.nan]},
+            {"probe_detuning": [math.inf]},
+            {"mw_rabi": [GAMMA_E, -math.inf]},
+            {"mw_rabi": [-1.0]},
+        ):
+            with pytest.raises(DomainError):
+                steady_state(PAPER_LIKE, **sweep)
 
 
 def _random_system(rng):

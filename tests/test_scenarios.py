@@ -179,6 +179,21 @@ class TestCli:
         )
         assert main(["eit", "--config", str(cfg), "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize(
+        "yaml_text, codes",
+        [
+            ("ladder:\n  dephasing_khz: .nan\n", {2}),
+            ("ladder:\n  decay_e_mhz: .inf\n", {2}),
+            ("scenarios:\n  eit:\n    probe_span_mhz: .inf\n", {2, 4}),
+        ],
+    )
+    def test_non_finite_ladder_input_is_named_error(self, tmp_path, capsys, yaml_text, codes):
+        cfg = tmp_path / "non_finite.yaml"
+        cfg.write_text(yaml_text)
+        assert main(["eit", "--config", str(cfg), "--out", str(tmp_path)]) in codes
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "eit.csv").exists()
+
     def test_seed_recorded(self, tmp_path):
         assert main(["plan", "--out", str(tmp_path), "--seed", "99"]) == 0
         manifest = json.loads((tmp_path / "plan_manifest.json").read_text())
