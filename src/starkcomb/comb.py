@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import CoverageError, DomainError, PlannerError
 from .field_map import FieldProfile, transition_frequency_at
 from .stark import RydbergTransition
@@ -23,6 +25,7 @@ __all__ = [
     "place_cells",
     "assign_channel",
     "coverage_union",
+    "nearest_line_index",
 ]
 
 # A single cell receives +/- 5 MHz around its line; comb spacing of twice
@@ -246,17 +249,29 @@ def assign_channel(
             f"signal at {signal_frequency} Hz outside covered band "
             f"[{lines[0] - half_width}, {lines[-1] + half_width}] Hz"
         )
-    index = _nearest_line_index(lines, comb.line_spacing, signal_frequency)
+    index = int(nearest_line_index(lines, signal_frequency))
     return index, signal_frequency - lines[index]
 
 
-def _nearest_line_index(
-    lines: list[float], spacing: float, frequency: float
-) -> int:
-    # ceil(t - 0.5) rounds to nearest with exact midpoints going down.
-    t = (frequency - lines[0]) / spacing
-    index = math.ceil(t - 0.5)
-    return min(max(index, 0), len(lines) - 1)
+def nearest_line_index(lines, frequencies) -> np.ndarray:
+    """Index of the line nearest to each frequency; ties go to the lower index.
+
+    ``lines`` must be sorted ascending. The answer equals the first minimum
+    of ``|frequency - lines|`` over all lines, evaluated in floating point.
+    """
+    lines = np.asarray(lines, dtype=float)
+    frequencies = np.asarray(frequencies, dtype=float)
+    # Start at the first line at or above the frequency and step down while
+    # the line below is no farther: distances to lower lines never grow
+    # towards the frequency, but can round to equal values (or lines repeat).
+    index = np.minimum(np.searchsorted(lines, frequencies), lines.size - 1)
+    while True:
+        down = (index > 0) & (
+            np.abs(frequencies - lines[index - 1]) <= np.abs(frequencies - lines[index])
+        )
+        if not down.any():
+            return index
+        index = index - down
 
 
 def coverage_union(

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .bloch import LadderSystem
 from .comb import FrequencyComb
 from .errors import ConfigError, StarkCombError
 from .field_map import FieldProfile, fit_profile
-from .receiver import ChannelResponse, calibrate_noise_floor, far_field_strength
+from .receiver import ChannelResponse, beat_signal_power, channel_columns, far_field_strength
 from .stark import RydbergTransition
 
 __all__ = [
@@ -88,10 +89,20 @@ def _get(section: dict, key: str, path: str):
     return section[key]
 
 
+def _is_number(value) -> bool:
+    """A finite int or float (booleans excluded)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _number(section: dict, key: str, path: str) -> float:
     value = _get(section, key, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
+    if not _is_number(value):
+        raise ConfigError(f"{path}.{key} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -201,11 +212,7 @@ def _build_profile(data: dict, transition: RydbergTransition) -> FieldProfile:
     offset = _non_negative(section, "offset_cm", "profile")
     exponent = section.get("decay_exponent")
     if exponent is not None:
-        if not isinstance(exponent, (int, float)) or exponent <= 0:
-            raise ConfigError(
-                f"profile.decay_exponent must be > 0 when given, got {exponent!r}"
-            )
-        exponent = float(exponent)
+        exponent = _positive(section, "decay_exponent", "profile")
     try:
         return fit_profile(
             anchors, transition, offset=offset, decay_exponent=exponent
@@ -219,9 +226,7 @@ def _build_comb(data: dict) -> FrequencyComb:
     count = _integer(section, "line_count", "comb")
     per_line = section.get("per_line_power_dbm")
     if per_line is not None:
-        if not isinstance(per_line, list) or not all(
-            isinstance(p, (int, float)) and not isinstance(p, bool) for p in per_line
-        ):
+        if not isinstance(per_line, list) or not all(map(_is_number, per_line)):
             raise ConfigError("comb.per_line_power_dbm must be a list of numbers")
         if len(per_line) != count:
             raise ConfigError(
@@ -271,7 +276,7 @@ def _build_channel_defaults(data: dict) -> tuple[ChannelDefaults, float]:
     if (
         not isinstance(endpoints, list)
         or len(endpoints) != 2
-        or not all(isinstance(g, (int, float)) and g > 0 for g in endpoints)
+        or not all(_is_number(g) and g > 0 for g in endpoints)
     ):
         raise ConfigError(
             "channel.gain_scale_endpoints must be two positive numbers "
@@ -303,27 +308,25 @@ def build_channels(
     floor is then set so it detects exactly its target field.
     """
     center = (line_count - 1) / 2.0
-    channels = []
-    for k in range(line_count):
-        t = abs(k - center) / center if line_count > 1 else 0.0
-        gain = defaults.gain_scale_endpoints[0] + t * (
-            defaults.gain_scale_endpoints[1] - defaults.gain_scale_endpoints[0]
-        )
-        target = defaults.center_e_det + t * (
-            defaults.edge_e_det - defaults.center_e_det
-        )
-        base = ChannelResponse(
-            peak_power=defaults.peak_power,
-            reference_field=defaults.reference_field,
-            half_width_3db=defaults.half_width_3db,
-            rolloff_order=defaults.rolloff_order,
-            noise_floor=defaults.peak_power - 200.0,
-            gain_scale=gain,
-        )
-        channels.append(
-            calibrate_noise_floor(base, target, defaults.reference_detuning)
-        )
-    return tuple(channels)
+    ts = [abs(k - center) / center if line_count > 1 else 0.0 for k in range(line_count)]
+    g0, g1 = defaults.gain_scale_endpoints
+    e0, e1 = defaults.center_e_det, defaults.edge_e_det
+    gains = [g0 + t * (g1 - g0) for t in ts]
+    channel = partial(
+        ChannelResponse,
+        peak_power=defaults.peak_power,
+        reference_field=defaults.reference_field,
+        half_width_3db=defaults.half_width_3db,
+        rolloff_order=defaults.rolloff_order,
+    )
+    bases = [channel(noise_floor=defaults.peak_power - 200.0, gain_scale=g) for g in gains]
+    # Each floor is the signal power of the channel's target field, as in
+    # calibrate_noise_floor, for all channels in one array call.
+    targets = [e0 + t * (e1 - e0) for t in ts]
+    floors = beat_signal_power(channel_columns(bases), targets, defaults.reference_detuning)
+    return tuple(
+        channel(noise_floor=f, gain_scale=g) for g, f in zip(gains, floors.tolist())
+    )
 
 
 def _build_ladder(data: dict) -> LadderSystem:
@@ -396,12 +399,9 @@ def _validate_scenarios(data: dict) -> dict:
 
 
 def _optional_field(section: dict, path: str) -> float | None:
-    value = section.get("field_v_cm")
-    if value is None:
+    if section.get("field_v_cm") is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-        raise ConfigError(f"{path}.field_v_cm must be >= 0 or null, got {value!r}")
-    return float(value)
+    return _non_negative(section, "field_v_cm", path)
 
 
 def _build(data: dict) -> ReceiverConfig:

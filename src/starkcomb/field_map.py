@@ -120,6 +120,11 @@ def fit_profile(
     pts = sorted(anchors, key=lambda a: a[0])
     if len(pts) == 0:
         raise UnderdeterminedError("at least one anchor is required")
+    if not (np.isfinite(pts).all() and pts[0][0] + offset > 0):
+        raise InfeasibleProfileError(
+            f"anchors must be finite with position + offset > 0, got {pts} "
+            f"and offset {offset} cm"
+        )
     for i in range(len(pts) - 1):
         if pts[i][0] == pts[i + 1][0]:
             raise UnderdeterminedError(

@@ -12,18 +12,23 @@ principles quantities; they are chosen to reproduce measured numbers (peak
 beat power, minimum detectable field) and the small-signal physics is
 justified separately by :mod:`starkcomb.bloch`.
 
+The beat functions take scalar or array fields and detunings, and a
+:class:`ChannelResponse` or per-point channel columns gathered from several;
+:func:`stitched_response` evaluates a whole stimulus in one array pass.
+
 All fields are in V/cm, powers in dBm, frequencies in Hz.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass, fields as dataclass_fields, replace
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
-from .comb import CellArrayPlan
+from .comb import CellArrayPlan, nearest_line_index
 from .errors import DomainError, PlannerError
 
 __all__ = [
@@ -36,6 +41,7 @@ __all__ = [
     "beat_power",
     "min_detectable_field",
     "calibrate_noise_floor",
+    "channel_columns",
     "sensitivity",
     "far_field_strength",
     "evaluate_channels",
@@ -61,84 +67,97 @@ class ChannelResponse:
     gain_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.reference_field <= 0:
-            raise DomainError(
-                f"reference_field must be > 0, got {self.reference_field}"
-            )
-        if self.half_width_3db <= 0:
-            raise DomainError(
-                f"half_width_3db must be > 0, got {self.half_width_3db}"
-            )
+        if not 0 < self.reference_field < math.inf:
+            raise DomainError(f"reference_field must be > 0, got {self.reference_field}")
+        if not 0 < self.half_width_3db < math.inf:
+            raise DomainError(f"half_width_3db must be > 0, got {self.half_width_3db}")
         if self.rolloff_order < 1 or int(self.rolloff_order) != self.rolloff_order:
             raise DomainError(
                 f"rolloff_order must be a positive integer, got {self.rolloff_order}"
             )
-        if self.gain_scale <= 0:
+        if not 0 < self.gain_scale < math.inf:
             raise DomainError(f"gain_scale must be > 0, got {self.gain_scale}")
-        if not self.noise_floor < self.peak_power:
+        if not -math.inf < self.noise_floor < self.peak_power < math.inf:
             raise DomainError(
                 f"noise_floor ({self.noise_floor} dBm) must be below "
-                f"peak_power ({self.peak_power} dBm)"
+                f"peak_power ({self.peak_power} dBm), both finite"
             )
 
 
-def rolloff(channel: ChannelResponse, delta_f: float) -> float:
+def channel_columns(
+    responses: Sequence[ChannelResponse], index=slice(None)
+) -> SimpleNamespace:
+    """The channels' parameters as arrays, entry j from ``responses[index[j]]``;
+    the beat functions accept it wherever they accept a ChannelResponse."""
+    names = [f.name for f in dataclass_fields(ChannelResponse)]
+    table = np.array([list(vars(r).values()) for r in responses], dtype=float)
+    return SimpleNamespace(**dict(zip(names, table[index].T)))
+
+
+def _finite(name: str, values, positive: bool = False) -> np.ndarray:
+    # Written so that NaN fails the check.
+    values = np.asarray(values, dtype=float)
+    ok = (values > 0 if positive else values >= 0) & (values < np.inf)
+    if not ok.all():
+        raise DomainError(
+            f"{name} must be finite and {'>' if positive else '>='} 0, "
+            f"got {values[~ok][0]}"
+        )
+    return values
+
+
+def rolloff(channel: ChannelResponse, delta_f):
     """Power response |H(delta_f)|^2, exactly 1/2 at the 3 dB half-width."""
-    x = abs(delta_f) / channel.half_width_3db
+    x = np.abs(delta_f) / channel.half_width_3db
     return 1.0 / (1.0 + x ** (2 * channel.rolloff_order))
 
 
-def beat_signal_power(channel: ChannelResponse, field: float, delta_f: float) -> float:
+def _gain_db(channel: ChannelResponse, lead_db, delta_f):
+    # The one dB sum of the channel model, in this order:
+    # lead + 10 log10 |H(delta_f)|^2 + 20 log10 gain_scale.
+    # A rolloff that underflows to 0 far off line gives -inf dB.
+    with np.errstate(divide="ignore", over="ignore"):
+        return (
+            lead_db
+            + 10.0 * np.log10(rolloff(channel, delta_f))
+            + 20.0 * np.log10(channel.gain_scale)
+        )
+
+
+def beat_signal_power(channel: ChannelResponse, field, delta_f):
     """Beat-note signal power in dBm before noise flooring (``field`` > 0)."""
-    if field <= 0:
-        raise DomainError(f"field must be > 0 for the pre-floor power, got {field}")
-    return (
-        channel.peak_power
-        + 20.0 * math.log10(field / channel.reference_field)
-        + 10.0 * math.log10(rolloff(channel, delta_f))
-        + 20.0 * math.log10(channel.gain_scale)
-    )
+    field = _finite("field", field, positive=True)
+    lead = channel.peak_power + 20.0 * np.log10(field / channel.reference_field)
+    return _gain_db(channel, lead, delta_f)[()]
 
 
-def beat_power(channel: ChannelResponse, field: float, delta_f: float) -> float:
+def beat_power(channel: ChannelResponse, field, delta_f):
     """Observed beat power in dBm: signal power-summed with the noise floor.
 
     A zero field returns the noise floor exactly.
     """
-    if field < 0:
-        raise DomainError(f"field must be >= 0, got {field}")
-    if field == 0:
-        return channel.noise_floor
-    s = beat_signal_power(channel, field, delta_f)
-    return 10.0 * math.log10(
-        10.0 ** (s / 10.0) + 10.0 ** (channel.noise_floor / 10.0)
-    )
+    field = _finite("field", field)
+    # A zero field is evaluated at the reference field, then replaced.
+    positive = np.where(field > 0, field, channel.reference_field)
+    s = beat_signal_power(channel, positive, delta_f)
+    power = 10.0 * np.log10(10.0 ** (s / 10.0) + 10.0 ** (channel.noise_floor / 10.0))
+    return np.where(field == 0, channel.noise_floor, power)[()]
 
 
-def min_detectable_field(channel: ChannelResponse, delta_f: float = 0.0) -> float:
+def min_detectable_field(channel: ChannelResponse, delta_f=0.0):
     """Field (V/cm) whose beat signal power equals the noise floor."""
-    exponent = (
-        channel.noise_floor
-        - channel.peak_power
-        - 10.0 * math.log10(rolloff(channel, delta_f))
-        - 20.0 * math.log10(channel.gain_scale)
-    ) / 20.0
-    return channel.reference_field * 10.0**exponent
+    # The reference field's signal sits margin dB above the floor.
+    margin = _gain_db(channel, channel.peak_power - channel.noise_floor, delta_f)
+    return channel.reference_field * 10.0 ** (-margin / 20.0)
 
 
 def calibrate_noise_floor(
     channel: ChannelResponse, target_field: float, delta_f: float = 0.0
 ) -> ChannelResponse:
     """Channel with its noise floor set so ``min_detectable_field`` hits the target."""
-    if target_field <= 0:
-        raise DomainError(f"target_field must be > 0, got {target_field}")
-    floor = (
-        channel.peak_power
-        + 20.0 * math.log10(target_field / channel.reference_field)
-        + 10.0 * math.log10(rolloff(channel, delta_f))
-        + 20.0 * math.log10(channel.gain_scale)
+    return replace(
+        channel, noise_floor=float(beat_signal_power(channel, target_field, delta_f))
     )
-    return replace(channel, noise_floor=floor)
 
 
 def sensitivity(e_det: float, measurement_time: float) -> float:
@@ -175,99 +194,88 @@ def far_field_strength(
     return perturbation * math.sqrt(30.0 * power * gain) / distance
 
 
-@dataclass(frozen=True)
+def _stimulus(frequencies, fields) -> tuple[np.ndarray, np.ndarray]:
+    # Read-only 1-D float arrays; a scalar field applies to every frequency.
+    frequencies = np.array(frequencies, dtype=float, ndmin=1)
+    if frequencies.ndim != 1 or not frequencies.size:
+        raise DomainError("stimulus needs a non-empty 1-D array of frequencies")
+    fields = np.array(np.broadcast_to(fields, frequencies.shape), dtype=float)
+    _finite("signal frequency", frequencies, positive=True)
+    _finite("field", fields)
+    frequencies.flags.writeable = fields.flags.writeable = False
+    return frequencies, fields
+
+
+@dataclass(frozen=True, eq=False)
 class SignalScenario:
     """Input microwave stimulus: a tone list or a linear frequency sweep.
 
-    ``analysis_span`` records the spectrum-analyzer span around each beat
-    (metadata only); ``measurement_time`` enters the sensitivity formula.
+    ``frequencies`` (Hz) and ``fields`` (V/cm) are equal-length read-only
+    arrays in evaluation order. Build them with :meth:`tone_list` or
+    :meth:`linear_sweep`.
     """
 
     kind: str
-    tones: tuple[tuple[float, float], ...] = ()
-    sweep: tuple[float, float, int, float] | None = None
-    analysis_span: float = 5e6
-    measurement_time: float = 0.1
+    frequencies: np.ndarray = ()
+    fields: np.ndarray = ()
 
     def __post_init__(self) -> None:
         if self.kind not in ("tone-list", "linear-sweep"):
             raise DomainError(f"unknown scenario kind {self.kind!r}")
-        if self.kind == "tone-list":
-            if not self.tones:
-                raise DomainError("tone-list scenario requires at least one tone")
-            for f, e in self.tones:
-                if f <= 0:
-                    raise DomainError(f"tone frequency must be > 0, got {f}")
-                if e < 0:
-                    raise DomainError(f"tone field must be >= 0, got {e}")
-        else:
-            if self.sweep is None:
-                raise DomainError("linear-sweep scenario requires sweep parameters")
-            start, stop, points, field_ = self.sweep
-            if start <= 0 or stop <= 0:
-                raise DomainError("sweep frequencies must be > 0")
-            if not start < stop:
-                raise DomainError(
-                    f"sweep start must be below stop, got [{start}, {stop}]"
-                )
-            if points < 2:
-                raise DomainError(f"sweep needs at least 2 points, got {points}")
-            if field_ < 0:
-                raise DomainError(f"sweep field must be >= 0, got {field_}")
+        frequencies, fields = _stimulus(self.frequencies, self.fields)
+        object.__setattr__(self, "frequencies", frequencies)
+        object.__setattr__(self, "fields", fields)
 
     @classmethod
-    def tone_list(
-        cls, tones: Sequence[tuple[float, float]], **kwargs
-    ) -> "SignalScenario":
-        return cls(kind="tone-list", tones=tuple(tones), **kwargs)
+    def tone_list(cls, tones, fields=None) -> "SignalScenario":
+        """Tones from a sequence of ``(frequency, field)`` pairs, or from a
+        frequency array and a field array (or one field for every tone)."""
+        if fields is None:
+            tones, fields = np.asarray(tones, dtype=float).reshape(len(tones), 2).T
+        return cls("tone-list", tones, fields)
 
     @classmethod
     def linear_sweep(
-        cls, start: float, stop: float, points: int, field: float, **kwargs
+        cls, start: float, stop: float, points: int, field: float
     ) -> "SignalScenario":
-        return cls(kind="linear-sweep", sweep=(start, stop, points, field), **kwargs)
-
-    def points(self) -> Iterator[tuple[float, float]]:
-        """Yield (frequency, field) pairs in deterministic order."""
-        if self.kind == "tone-list":
-            yield from self.tones
-        else:
-            start, stop, n, field_ = self.sweep
-            for f in np.linspace(start, stop, n):
-                yield float(f), field_
+        if not 0 < start < stop < math.inf:
+            raise DomainError(f"sweep needs 0 < start < stop < inf, got [{start}, {stop}]")
+        if not points >= 2:
+            raise DomainError(f"sweep needs at least 2 points, got {points}")
+        return cls("linear-sweep", np.linspace(start, stop, points), field)
 
 
-@dataclass(frozen=True)
-class BeatRow:
-    """One evaluated signal frequency routed to its nearest channel."""
+# One evaluated signal frequency routed to a channel: the record type of
+# ``BeatSpectrum.rows`` and of ``evaluate_channels``.
+BeatRow = np.dtype(
+    [
+        ("signal_frequency", float),
+        ("channel_index", np.int64),
+        ("delta_f", float),
+        ("beat_power", float),
+        ("above_noise", bool),
+        ("in_band", bool),
+    ]
+)
 
-    signal_frequency: float
-    channel_index: int
-    delta_f: float
-    beat_power: float
-    above_noise: bool
-    in_band: bool
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeatSpectrum:
-    """Beat powers for a stimulus, one row per evaluated frequency."""
+    """Beat powers for a stimulus: a :data:`BeatRow` record array, one row
+    per evaluated frequency; ``rows.beat_power`` etc. are its columns."""
 
-    rows: tuple[BeatRow, ...]
-
-
-def _nearest_entry(lines: Sequence[float], frequency: float) -> int:
-    # Brute-force nearest line; ties resolve to the lower index.
-    best = 0
-    best_dist = abs(frequency - lines[0])
-    for i in range(1, len(lines)):
-        d = abs(frequency - lines[i])
-        if d < best_dist:
-            best, best_dist = i, d
-    return best
+    rows: np.recarray
 
 
-def _check_plan(plan: CellArrayPlan, responses: Sequence[ChannelResponse]) -> None:
+def _evaluate(
+    plan: CellArrayPlan,
+    responses: Sequence[ChannelResponse],
+    frequencies: np.ndarray,
+    fields: np.ndarray,
+    index: np.ndarray | None = None,
+) -> np.recarray:
+    # Point j is read out on plan entry index[j], by default the entry of its
+    # nearest line; every point is evaluated in one array pass.
     if not plan.entries:
         raise PlannerError("plan has no entries")
     if len(responses) != len(plan.entries):
@@ -275,24 +283,24 @@ def _check_plan(plan: CellArrayPlan, responses: Sequence[ChannelResponse]) -> No
             f"got {len(responses)} channel responses for {len(plan.entries)} "
             "plan entries"
         )
-
-
-def _row(
-    channel: ChannelResponse,
-    index: int,
-    frequency: float,
-    delta_f: float,
-    field: float,
-) -> BeatRow:
-    power = beat_power(channel, field, delta_f)
-    above = field > 0 and field >= min_detectable_field(channel, delta_f)
-    return BeatRow(
-        signal_frequency=frequency,
-        channel_index=index,
-        delta_f=delta_f,
-        beat_power=power,
-        above_noise=above,
-        in_band=abs(delta_f) <= channel.half_width_3db,
+    lines = np.array([e.line_frequency for e in plan.entries], dtype=float)
+    if not np.all(np.diff(lines) >= 0):
+        raise PlannerError("plan entries must be ordered by ascending line frequency")
+    if index is None:
+        index = nearest_line_index(lines, frequencies)
+    frequencies, fields, index = np.broadcast_arrays(frequencies, fields, index)
+    channel = channel_columns(responses, index)
+    delta_f = frequencies - lines[index]
+    return np.rec.fromarrays(
+        [
+            frequencies,
+            np.array([e.line_index for e in plan.entries], dtype=np.int64)[index],
+            delta_f,
+            beat_power(channel, fields, delta_f),
+            (fields > 0) & (fields >= min_detectable_field(channel, delta_f)),
+            np.abs(delta_f) <= channel.half_width_3db,
+        ],
+        dtype=BeatRow,
     )
 
 
@@ -301,13 +309,10 @@ def evaluate_channels(
     responses: Sequence[ChannelResponse],
     frequency: float,
     field: float,
-) -> tuple[BeatRow, ...]:
+) -> np.recarray:
     """Beat response of every channel to a single tone (isolation checks)."""
-    _check_plan(plan, responses)
-    return tuple(
-        _row(responses[i], e.line_index, frequency, frequency - e.line_frequency, field)
-        for i, e in enumerate(plan.entries)
-    )
+    index = np.arange(len(plan.entries))
+    return _evaluate(plan, responses, *_stimulus(frequency, field), index)
 
 
 def stitched_response(
@@ -323,18 +328,6 @@ def stitched_response(
     the stitched broadband curve. Frequencies outside every channel's 3 dB
     band are still evaluated but flagged ``in_band = False``.
     """
-    _check_plan(plan, responses)
-    lines = [e.line_frequency for e in plan.entries]
-    rows = []
-    for frequency, field in scenario.points():
-        i = _nearest_entry(lines, frequency)
-        rows.append(
-            _row(
-                responses[i],
-                plan.entries[i].line_index,
-                frequency,
-                frequency - lines[i],
-                field,
-            )
-        )
-    return BeatSpectrum(rows=tuple(rows))
+    return BeatSpectrum(
+        rows=_evaluate(plan, responses, scenario.frequencies, scenario.fields)
+    )

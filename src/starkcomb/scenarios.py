@@ -25,6 +25,7 @@ from .config import ReceiverConfig, build_channels
 from .errors import ConfigError, InfeasiblePlanError
 from .field_map import field_at, transition_frequency_at
 from .receiver import (
+    BeatSpectrum,
     SignalScenario,
     min_detectable_field,
     sensitivity,
@@ -41,25 +42,37 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".10g")
+    if isinstance(value, float):
+        return format(value, ".10g")
     return str(value)
+
+
+def _text_column(values) -> tuple[str, list]:
+    # One printf conversion and the Python values for one CSV column;
+    # '%.10g' % x prints a Python float exactly as format(x, '.10g').
+    values = np.asarray(values)
+    if values.dtype.kind == "b":
+        return "%s", np.where(values, "true", "false").tolist()
+    if values.dtype.kind in "iu":
+        return "%d", values.tolist()
+    if values.dtype.kind == "f":
+        return "%.10g", values.tolist()
+    return "%s", [_fmt(v) for v in values.tolist()]
 
 
 def _write_csv(
     path: Path,
     meta: Sequence[tuple[str, object]],
-    columns: Sequence[str],
-    rows: Sequence[Sequence],
+    columns: dict[str, object],
     timestamp: bool,
 ) -> None:
+    """Write a CSV from named, equal-length columns (arrays or sequences)."""
     lines = [f"# {key}: {_fmt(value)}" for key, value in meta]
     if timestamp:
         lines.append(f"# generated_at: {datetime.now(timezone.utc).isoformat()}")
     lines.append(",".join(columns))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    conversions, values = zip(*map(_text_column, columns.values()))
+    lines.extend(map(",".join(conversions).__mod__, zip(*values)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -91,11 +104,11 @@ def _meta(config: ReceiverConfig, name: str) -> list[tuple[str, object]]:
     ]
 
 
-def _plan(config: ReceiverConfig) -> CellArrayPlan:
+def _plan(config: ReceiverConfig, comb: FrequencyComb | None = None) -> CellArrayPlan:
     plan = place_cells(
         config.profile,
         config.transition,
-        config.comb,
+        comb or config.comb,
         tol=config.placement_tolerance,
         min_gap=config.min_gap,
     )
@@ -107,62 +120,63 @@ def _plan(config: ReceiverConfig) -> CellArrayPlan:
     return plan
 
 
-def _beat_rows(spectrum) -> list[tuple]:
-    return [
-        (
-            row.signal_frequency / 1e9,
-            row.channel_index,
-            row.delta_f / 1e3,
-            row.beat_power,
-            row.above_noise,
-        )
-        for row in spectrum.rows
-    ]
+def _sweep(
+    config: ReceiverConfig, params: dict, plan: CellArrayPlan, channels
+) -> tuple[float, BeatSpectrum]:
+    """The swept field (the reference field unless set) and the stitched response."""
+    field = params["field"]
+    if field is None:
+        field = config.channel_defaults.reference_field
+    scenario = SignalScenario.linear_sweep(
+        params["start"], params["stop"], params["points"], field
+    )
+    return field, stitched_response(plan, channels, scenario)
 
 
-_BEAT_COLUMNS = ("signal_GHz", "channel_index", "delta_f_kHz", "beat_dBm", "above_noise")
+def _beat_columns(spectrum: BeatSpectrum) -> dict[str, np.ndarray]:
+    rows = spectrum.rows
+    return {
+        "signal_GHz": rows.signal_frequency / 1e9,
+        "channel_index": rows.channel_index,
+        "delta_f_kHz": rows.delta_f / 1e3,
+        "beat_dBm": rows.beat_power,
+        "above_noise": rows.above_noise,
+    }
 
 
 def _run_plan(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Path]:
     plan = _plan(config)
     plan_path = out_dir / "plan.csv"
-    rows = []
-    for entry, nxt in zip(plan.entries, (*plan.entries[1:], None)):
-        spacing = entry.position - nxt.position if nxt is not None else None
-        rows.append(
-            (
-                entry.line_index,
-                entry.line_frequency / 1e9,
-                entry.position,
-                entry.lo_power,
-                spacing,
-            )
-        )
+    positions = [e.position for e in plan.entries]
     _write_csv(
         plan_path,
         _meta(config, "plan")
         + [("min_spacing_cm", plan.min_spacing), ("feasible", plan.feasible)],
-        ("line_index", "line_GHz", "position_cm", "lo_power_dBm", "spacing_to_next_cm"),
-        rows,
+        {
+            "line_index": [e.line_index for e in plan.entries],
+            "line_GHz": [e.line_frequency / 1e9 for e in plan.entries],
+            "position_cm": positions,
+            "lo_power_dBm": [e.lo_power for e in plan.entries],
+            "spacing_to_next_cm": [a - b for a, b in zip(positions, positions[1:])]
+            + [None],
+        },
         timestamp,
     )
 
     profile_path = out_dir / "field_profile.csv"
     lo, hi = config.profile.valid_range
-    xs = np.linspace(lo, hi, 241)
-    profile_rows = [
-        (
-            x,
-            field_at(config.profile, float(x)),
-            transition_frequency_at(config.profile, config.transition, float(x)) / 1e9,
-        )
-        for x in xs
-    ]
+    xs = np.linspace(lo, hi, 241).tolist()
     _write_csv(
         profile_path,
         _meta(config, "plan"),
-        ("x_cm", "field_V_per_cm", "transition_GHz"),
-        profile_rows,
+        {
+            "x_cm": xs,
+            "field_V_per_cm": [field_at(config.profile, x) for x in xs],
+            "transition_GHz": [
+                transition_frequency_at(config.profile, config.transition, x) / 1e9
+                for x in xs
+            ],
+        },
         timestamp,
     )
     return [plan_path, profile_path]
@@ -171,20 +185,12 @@ def _run_plan(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Pa
 def _run_response(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Path]:
     plan = _plan(config)
     params = config.scenarios["response"]
-    field = params["field"]
-    if field is None:
-        field = config.channel_defaults.reference_field
-    scenario = SignalScenario.linear_sweep(
-        params["start"], params["stop"], params["points"], field,
-        measurement_time=config.measurement_time,
-    )
-    spectrum = stitched_response(plan, config.channels, scenario)
+    field, spectrum = _sweep(config, params, plan, config.channels)
     path = out_dir / "response.csv"
     _write_csv(
         path,
         _meta(config, "response") + [("field_V_per_cm", field)],
-        _BEAT_COLUMNS,
-        _beat_rows(spectrum),
+        _beat_columns(spectrum),
         timestamp,
     )
     return [path]
@@ -198,23 +204,20 @@ def _run_linearity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> li
         params["points"],
     )
     delta = config.channel_defaults.reference_detuning
-    rows = []
-    for entry in plan.entries:
-        scenario = SignalScenario.tone_list(
-            [(entry.line_frequency + delta, float(e)) for e in fields],
-            measurement_time=config.measurement_time,
-        )
-        spectrum = stitched_response(plan, config.channels, scenario)
-        for e, row in zip(fields, spectrum.rows):
-            rows.append(
-                (entry.line_index, entry.line_frequency / 1e9, e, row.beat_power)
-            )
+    # Every field on every line, line-major, in one stitched call.
+    lines = np.repeat([e.line_frequency for e in plan.entries], fields.size)
+    scenario = SignalScenario.tone_list(lines + delta, np.tile(fields, len(plan.entries)))
+    spectrum = stitched_response(plan, config.channels, scenario)
     path = out_dir / "linearity.csv"
     _write_csv(
         path,
         _meta(config, "linearity") + [("delta_f_kHz", delta / 1e3)],
-        ("channel_index", "line_GHz", "field_V_per_cm", "beat_dBm"),
-        rows,
+        {
+            "channel_index": np.repeat([e.line_index for e in plan.entries], fields.size),
+            "line_GHz": lines / 1e9,
+            "field_V_per_cm": scenario.fields,
+            "beat_dBm": spectrum.rows.beat_power,
+        },
         timestamp,
     )
     return [path]
@@ -223,13 +226,7 @@ def _run_linearity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> li
 def _run_sensitivity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Path]:
     plan = _plan(config)
     delta = config.channel_defaults.reference_detuning
-    rows = []
-    for entry, channel in zip(plan.entries, config.channels):
-        e_det = min_detectable_field(channel, delta)
-        s = sensitivity(e_det, config.measurement_time)
-        rows.append(
-            (entry.line_index, entry.line_frequency / 1e9, e_det * 1e9, s * 1e9)
-        )
+    e_det = [min_detectable_field(channel, delta) for channel in config.channels]
     path = out_dir / "sensitivity.csv"
     _write_csv(
         path,
@@ -238,8 +235,14 @@ def _run_sensitivity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> 
             ("delta_f_kHz", delta / 1e3),
             ("measurement_time_s", config.measurement_time),
         ],
-        ("channel_index", "line_GHz", "E_det_nV_per_cm", "sensitivity_nV_cm_Hz"),
-        rows,
+        {
+            "channel_index": [e.line_index for e in plan.entries],
+            "line_GHz": [e.line_frequency / 1e9 for e in plan.entries],
+            "E_det_nV_per_cm": [e * 1e9 for e in e_det],
+            "sensitivity_nV_cm_Hz": [
+                sensitivity(e, config.measurement_time) * 1e9 for e in e_det
+            ],
+        },
         timestamp,
     )
     return [path]
@@ -254,27 +257,9 @@ def _run_sweep2cell(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> l
         line_count=2,
         total_power=config.comb.total_power,
     )
-    plan = place_cells(
-        config.profile,
-        config.transition,
-        comb,
-        tol=config.placement_tolerance,
-        min_gap=config.min_gap,
-    )
-    if not plan.feasible:
-        raise InfeasiblePlanError(
-            f"two-cell spacing {plan.min_spacing:.4g} cm is below the required "
-            f"gap {config.min_gap:.4g} cm"
-        )
+    plan = _plan(config, comb)
     channels = build_channels(config.channel_defaults, 2)
-    field = params["field"]
-    if field is None:
-        field = config.channel_defaults.reference_field
-    scenario = SignalScenario.linear_sweep(
-        params["start"], params["stop"], params["points"], field,
-        measurement_time=config.measurement_time,
-    )
-    spectrum = stitched_response(plan, channels, scenario)
+    field, spectrum = _sweep(config, params, plan, channels)
     path = out_dir / "sweep2cell.csv"
     _write_csv(
         path,
@@ -284,8 +269,7 @@ def _run_sweep2cell(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> l
             ("position_low_line_cm", plan.entries[0].position),
             ("position_high_line_cm", plan.entries[1].position),
         ],
-        _BEAT_COLUMNS,
-        _beat_rows(spectrum),
+        _beat_columns(spectrum),
         timestamp,
     )
     return [path]
@@ -297,7 +281,6 @@ def _run_eit(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Pat
     detunings = np.linspace(-span, span, params["points"]) * 2.0 * math.pi
     ladder = config.ladder
     absorption = probe_absorption(ladder, probe_detuning=detunings)
-    rows = list(zip(detunings / (2.0 * math.pi * 1e6), absorption))
     path = out_dir / "eit.csv"
     two_pi = 2.0 * math.pi
     meta = _meta(config, "eit") + [
@@ -312,7 +295,11 @@ def _run_eit(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Pat
         ("decay_r2_MHz", ladder.decay_r2 / two_pi / 1e6),
         ("dephasing_MHz", ladder.dephasing / two_pi / 1e6),
     ]
-    _write_csv(path, meta, ("probe_detuning_MHz", "absorption"), rows, timestamp)
+    columns = {
+        "probe_detuning_MHz": detunings / (2.0 * math.pi * 1e6),
+        "absorption": absorption,
+    }
+    _write_csv(path, meta, columns, timestamp)
     return [path]
 
 

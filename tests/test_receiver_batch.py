@@ -1,0 +1,283 @@
+"""The array receiver against the per-point loop it replaced."""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import starkcomb.scenarios
+from starkcomb import (
+    CellArrayPlan,
+    ChannelResponse,
+    DomainError,
+    PlanEntry,
+    PlannerError,
+    SignalScenario,
+    beat_power,
+    default_config,
+    evaluate_channels,
+    run_scenario,
+    stitched_response,
+)
+from starkcomb.comb import nearest_line_index
+
+# SHA-256 of the default data products written by the per-point receiver.
+DEFAULT_SHA256 = {
+    "response": "670995cde2587b0802604212ac39f2243fa9b73ea1d0efbb9406b17c3f3f2118",
+    "linearity": "2df1f0bdfb538f1b88be33f4e04b4d5dfaa2b01bea887ecf1416196663854788",
+    "sweep2cell": "fa374ed2ca7d678a487cb75f4de9a9759fe645f3ae861a20cffe7a413676771d",
+}
+
+
+# ---------------------------------------------------------------- reference
+# One point at a time: brute-force routing and scalar math-module beats.
+
+
+def _nearest_entry(lines, frequency):
+    # Brute-force nearest line; ties resolve to the lower index.
+    best = 0
+    best_dist = abs(frequency - lines[0])
+    for i in range(1, len(lines)):
+        d = abs(frequency - lines[i])
+        if d < best_dist:
+            best, best_dist = i, d
+    return best
+
+
+def _rolloff(channel, delta_f):
+    x = abs(delta_f) / channel.half_width_3db
+    return 1.0 / (1.0 + x ** (2 * channel.rolloff_order))
+
+
+def _beat_power(channel, field, delta_f):
+    if field == 0:
+        return channel.noise_floor
+    s = (
+        channel.peak_power
+        + 20.0 * math.log10(field / channel.reference_field)
+        + 10.0 * math.log10(_rolloff(channel, delta_f))
+        + 20.0 * math.log10(channel.gain_scale)
+    )
+    return 10.0 * math.log10(10.0 ** (s / 10.0) + 10.0 ** (channel.noise_floor / 10.0))
+
+
+def _min_detectable_field(channel, delta_f):
+    exponent = (
+        channel.noise_floor
+        - channel.peak_power
+        - 10.0 * math.log10(_rolloff(channel, delta_f))
+        - 20.0 * math.log10(channel.gain_scale)
+    ) / 20.0
+    return channel.reference_field * 10.0**exponent
+
+
+def _row(channel, index, frequency, delta_f, field):
+    above = field > 0 and field >= _min_detectable_field(channel, delta_f)
+    return (
+        frequency,
+        index,
+        delta_f,
+        _beat_power(channel, field, delta_f),
+        above,
+        abs(delta_f) <= channel.half_width_3db,
+    )
+
+
+def reference_response(plan, responses, frequencies, fields):
+    lines = [e.line_frequency for e in plan.entries]
+    rows = []
+    for frequency, field in zip(frequencies, fields):
+        i = _nearest_entry(lines, frequency)
+        rows.append(
+            _row(responses[i], plan.entries[i].line_index, frequency, frequency - lines[i], field)
+        )
+    return rows
+
+
+def assert_rows_match(rows, expected):
+    assert len(rows) == len(expected)
+    got = list(zip(*(rows[name].tolist() for name in rows.dtype.names)))
+    for row, ref in zip(got, expected):
+        freq, index, delta_f, power, above, in_band = row
+        assert (freq, index, delta_f, above, in_band) == (ref[0], ref[1], ref[2], ref[4], ref[5])
+        assert abs(power - ref[3]) <= 1e-12
+
+
+# ---------------------------------------------------------------- inputs
+
+
+@st.composite
+def receivers(draw):
+    """A plan of 1, 2 or up to 30 ascending lines with unequal channels."""
+    count = draw(st.sampled_from([1, 2]) | st.integers(3, 30))
+    # Whole-Hz lines and half-widths put line +/- half_width exactly on the
+    # band edge. A zero gap repeats a line; the lower index must win ties.
+    start = draw(st.integers(7_900_000_000, 8_300_000_000))
+    gaps = draw(
+        st.lists(
+            st.just(0) | st.integers(1_000, 50_000_000),
+            min_size=count - 1,
+            max_size=count - 1,
+        )
+    )
+    lines = np.cumsum([start, *gaps]).astype(float).tolist()
+    entries = tuple(
+        PlanEntry(line_index=k, line_frequency=f, position=10.0 - 0.1 * k, lo_power=0.0)
+        for k, f in enumerate(lines)
+    )
+    channels = []
+    for _ in range(count):
+        peak = draw(st.floats(-60.0, -20.0))
+        channels.append(
+            ChannelResponse(
+                peak_power=peak,
+                reference_field=draw(st.floats(1e-6, 1e-3)),
+                half_width_3db=float(draw(st.integers(100_000, 20_000_000))),
+                rolloff_order=draw(st.integers(1, 4)),
+                noise_floor=peak - draw(st.floats(5.0, 80.0)),
+                gain_scale=draw(st.floats(0.2, 2.0)),
+            )
+        )
+    plan = CellArrayPlan(entries=entries, min_spacing=0.1, feasible=True)
+    return plan, tuple(channels)
+
+
+def stimuli(plan, channels):
+    """Frequencies on lines, at midpoints, on band edges, inside and outside."""
+    lines = [e.line_frequency for e in plan.entries]
+    lo, hi = lines[0], lines[-1]
+    on_line = st.sampled_from(lines)
+    midpoint = st.integers(0, max(len(lines) - 2, 0)).map(
+        lambda k: (lines[k] + lines[min(k + 1, len(lines) - 1)]) / 2.0
+    )
+    edge = st.tuples(st.integers(0, len(lines) - 1), st.sampled_from([-1.0, 1.0])).map(
+        lambda ks: lines[ks[0]] + ks[1] * channels[ks[0]].half_width_3db
+    )
+    inside = st.floats(lo - 2e7, hi + 2e7)
+    outside = st.floats(1e6, 1e9).flatmap(lambda d: st.sampled_from([lo - d, hi + d]))
+    frequency = on_line | midpoint | edge | inside | outside
+    field = st.just(0.0) | st.floats(-9.0, -2.0).map(lambda p: 10.0**p)
+    return st.lists(st.tuples(frequency, field), min_size=1, max_size=60)
+
+
+# ---------------------------------------------------------------- properties
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), receiver=receivers())
+def test_stitched_response_matches_per_point_loop(data, receiver):
+    plan, channels = receiver
+    tones = data.draw(stimuli(plan, channels))
+    frequencies, fields = (list(column) for column in zip(*tones))
+    spectrum = stitched_response(plan, channels, SignalScenario.tone_list(tones))
+    assert_rows_match(spectrum.rows, reference_response(plan, channels, frequencies, fields))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), receiver=receivers())
+def test_evaluate_channels_matches_per_channel_rows(data, receiver):
+    plan, channels = receiver
+    frequency, field = data.draw(stimuli(plan, channels))[0]
+    expected = [
+        _row(channel, e.line_index, frequency, frequency - e.line_frequency, field)
+        for channel, e in zip(channels, plan.entries)
+    ]
+    assert_rows_match(evaluate_channels(plan, channels, frequency, field), expected)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    lines=st.lists(st.floats(1e10, 1e10 + 1e-4) | st.floats(7e9, 9e9), min_size=1, max_size=30),
+    frequencies=st.lists(st.floats(6e9, 1.1e10), min_size=1, max_size=30),
+)
+def test_router_equals_exhaustive_first_minimum(lines, frequencies):
+    # Lines a few ulps apart make distances round to equal values.
+    lines = np.sort(lines)
+    probes = np.concatenate([frequencies, lines, (lines[:-1] + lines[1:]) / 2.0])
+    expected = [int(np.argmin(np.abs(f - lines))) for f in probes]
+    assert nearest_line_index(lines, probes).tolist() == expected
+
+
+# ---------------------------------------------------------------- guards
+
+
+def test_default_outputs_are_byte_identical(tmp_path):
+    config = default_config()
+    for name, digest in DEFAULT_SHA256.items():
+        path = run_scenario(config, name, tmp_path)[0]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+
+
+def test_linearity_is_one_stitched_call(monkeypatch, tmp_path):
+    config = default_config()
+    calls = []
+
+    def counting(plan, responses, scenario):
+        calls.append(scenario.frequencies.size)
+        return stitched_response(plan, responses, scenario)
+
+    monkeypatch.setattr(starkcomb.scenarios, "stitched_response", counting)
+    run_scenario(config, "linearity", tmp_path)
+    points = config.scenarios["linearity"]["points"]
+    assert calls == [config.comb.line_count * points]
+
+
+def test_spectrum_rows_are_records(plan21, config):
+    scenario = SignalScenario.linear_sweep(8.02e9, 8.24e9, 11, 1e-5)
+    rows = stitched_response(plan21, config.channels, scenario).rows
+    assert len(rows) == 11
+    assert rows[3].beat_power == rows.beat_power[3]
+    assert rows.channel_index.tolist() == [
+        nearest_line_index([e.line_frequency for e in plan21.entries], f)
+        for f in scenario.frequencies
+    ]
+
+
+def test_tone_list_from_arrays_equals_pairs():
+    frequencies = np.array([8.1e9, 8.2e9, 8.15e9])
+    fields = np.array([1e-5, 0.0, 2e-5])
+    from_arrays = SignalScenario.tone_list(frequencies, fields)
+    from_pairs = SignalScenario.tone_list(list(zip(frequencies, fields)))
+    assert np.array_equal(from_arrays.frequencies, from_pairs.frequencies)
+    assert np.array_equal(from_arrays.fields, from_pairs.fields)
+    assert SignalScenario.tone_list(frequencies, 3e-5).fields.tolist() == [3e-5] * 3
+    with pytest.raises(ValueError):
+        from_arrays.frequencies[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SignalScenario.tone_list([(math.nan, 1e-5)]),
+        lambda: SignalScenario.tone_list([(math.inf, 1e-5)]),
+        lambda: SignalScenario.tone_list([(8.1e9, math.nan)]),
+        lambda: SignalScenario.tone_list([(8.1e9, math.inf)]),
+        lambda: SignalScenario.tone_list([8.1e9, 8.2e9], [1e-5, -1e-5]),
+        lambda: SignalScenario.linear_sweep(8.1e9, math.inf, 11, 1e-5),
+        lambda: SignalScenario.linear_sweep(math.nan, 8.2e9, 11, 1e-5),
+        lambda: SignalScenario.linear_sweep(8.1e9, 8.2e9, 11, math.nan),
+        lambda: beat_power(default_config().channels[0], math.nan, 0.0),
+        lambda: beat_power(default_config().channels[0], np.array([1e-5, math.inf]), 0.0),
+    ],
+)
+def test_non_finite_stimulus_rejected(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_non_finite_single_tone_rejected(plan21, config):
+    with pytest.raises(DomainError):
+        evaluate_channels(plan21, config.channels, math.nan, 1e-5)
+    with pytest.raises(DomainError):
+        evaluate_channels(plan21, config.channels, 8.13e9, math.nan)
+
+
+def test_unsorted_plan_rejected(plan21, config):
+    shuffled = CellArrayPlan(
+        entries=plan21.entries[::-1], min_spacing=plan21.min_spacing, feasible=True
+    )
+    with pytest.raises(PlannerError):
+        stitched_response(shuffled, config.channels, SignalScenario.tone_list([(8.13e9, 1e-5)]))

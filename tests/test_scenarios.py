@@ -194,6 +194,40 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "eit.csv").exists()
 
+    @pytest.mark.parametrize(
+        "scenario, yaml_text, output",
+        [
+            ("response", "scenarios:\n  response:\n    field_v_cm: .nan\n", "response.csv"),
+            ("sweep2cell", "scenarios:\n  sweep2cell:\n    field_v_cm: .inf\n", "sweep2cell.csv"),
+            ("eit", "scenarios:\n  eit:\n    probe_span_mhz: .inf\n", "eit.csv"),
+            ("response", "scenarios:\n  response:\n    stop_ghz: .inf\n", "response.csv"),
+            (
+                "plan",
+                "profile:\n  anchors:\n"
+                "    - {position_cm: .nan, transition_frequency_ghz: 8.23}\n"
+                "    - {position_cm: 7.98, transition_frequency_ghz: 8.03}\n",
+                "plan.csv",
+            ),
+            (
+                "plan",
+                "profile:\n  anchors:\n"
+                "    - {position_cm: 0.0, transition_frequency_ghz: 8.23}\n"
+                "    - {position_cm: 7.98, transition_frequency_ghz: 8.03}\n",
+                "plan.csv",
+            ),
+        ],
+    )
+    def test_non_finite_stimulus_exits_2_cleanly(
+        self, tmp_path, capsys, recwarn, scenario, yaml_text, output
+    ):
+        # Rejected at config time: exit 2, a named error, no numpy warnings.
+        cfg = tmp_path / "non_finite.yaml"
+        cfg.write_text(yaml_text)
+        assert main([scenario, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not recwarn.list
+        assert not (tmp_path / output).exists()
+
     def test_seed_recorded(self, tmp_path):
         assert main(["plan", "--out", str(tmp_path), "--seed", "99"]) == 0
         manifest = json.loads((tmp_path / "plan_manifest.json").read_text())
