@@ -42,7 +42,7 @@ from .errors import (
     UnderdeterminedError,
     UnreachableFrequencyError,
 )
-from .field_map import FieldProfile, field_at, fit_profile, transition_frequency_at
+from .field_map import FieldProfile, field_at, fit_profile, position_at, transition_frequency_at
 from .receiver import (
     BeatRow,
     BeatSpectrum,

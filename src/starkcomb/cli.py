@@ -42,13 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--out", type=Path, default=Path("."), help="output directory"
         )
         sub.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="reserved for stochastic noise draws; the deterministic "
-            "model records but ignores it",
-        )
-        sub.add_argument(
             "--timestamp",
             action="store_true",
             help="embed a generation timestamp in CSV headers (breaks "
@@ -61,13 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else default_config()
-        paths = run_scenario(
-            config,
-            args.scenario,
-            args.out,
-            seed=args.seed,
-            timestamp=args.timestamp,
-        )
+        paths = run_scenario(config, args.scenario, args.out, timestamp=args.timestamp)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,9 @@
 """Microwave frequency comb definition, cell placement, and channel routing.
 
 Each comb line acts as a local oscillator for exactly one vapor cell. A cell
-is placed by inverting the position-to-frequency map of the field profile so
-its Stark-shifted transition lands on the line; placement uses bisection,
-which the strictly monotone profile makes unconditionally convergent.
+is placed where its Stark-shifted transition lands on the line. Both maps
+invert in closed form: the quadratic Stark shift gives the field for the line
+frequency, and the power-law field profile gives the position for that field.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoverageError, DomainError, PlannerError
-from .field_map import FieldProfile, transition_frequency_at
-from .stark import RydbergTransition
+from .field_map import FieldProfile, position_at, transition_frequency_at
+from .stark import RydbergTransition, field_for_frequency
 
 __all__ = [
     "FrequencyComb",
@@ -31,9 +31,6 @@ __all__ = [
 # A single cell receives +/- 5 MHz around its line; comb spacing of twice
 # this value makes adjacent channels meet exactly at their 3 dB points.
 DEFAULT_HALF_WIDTH_HZ = 5e6
-
-_BISECTION_MAX_ITER = 200
-_POSITION_TOLERANCE_CM = 1e-9
 
 
 def _equal_split_dbm(total_power: float, count: int) -> float:
@@ -61,8 +58,12 @@ class FrequencyComb:
     total_power: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.line_spacing <= 0:
-            raise DomainError(f"line_spacing must be > 0, got {self.line_spacing}")
+        if not 0 < self.center_frequency < math.inf:
+            raise DomainError(
+                f"center_frequency must be finite and > 0, got {self.center_frequency}"
+            )
+        if not 0 < self.line_spacing < math.inf:
+            raise DomainError(f"line_spacing must be finite and > 0, got {self.line_spacing}")
         if self.line_count < 1:
             raise DomainError(f"line_count must be >= 1, got {self.line_count}")
         if not self.per_line_power:
@@ -83,6 +84,11 @@ class FrequencyComb:
                 )
             object.__setattr__(
                 self, "total_power", _power_sum_dbm(self.per_line_power)
+            )
+        if not all(map(math.isfinite, (self.total_power, *self.per_line_power))):
+            raise DomainError(
+                f"powers must be finite, got total_power {self.total_power} "
+                f"and per_line_power {self.per_line_power}"
             )
 
 
@@ -121,23 +127,23 @@ class CellArrayPlan:
     feasible: bool
 
 
-def _bisect_position(
+def _line_position(
     profile: FieldProfile,
     transition: RydbergTransition,
     target: float,
     tol: float,
+    f_lo: float,
+    f_hi: float,
 ) -> float:
     """Position whose transition frequency matches ``target`` within ``tol`` Hz.
 
-    The bracket is the profile's valid range. Targets within ``tol`` of a
-    range endpoint return that endpoint exactly, so anchor lines map back to
-    their anchor positions. Otherwise bisection tightens the bracket to
-    ``_POSITION_TOLERANCE_CM`` and returns the final bracket midpoint.
+    ``f_lo`` and ``f_hi`` are the transition frequencies at the low and high
+    ends of the valid range. Targets within ``tol`` of one of them return that
+    endpoint exactly, so anchor lines map back to their anchor positions.
+    Otherwise the position is the closed-form inverse, checked against
+    ``tol``.
     """
     lo, hi = profile.valid_range
-    f_lo = transition_frequency_at(profile, transition, lo)
-    f_hi = transition_frequency_at(profile, transition, hi)
-
     if abs(f_lo - target) <= tol:
         return lo
     if abs(f_hi - target) <= tol:
@@ -146,22 +152,14 @@ def _bisect_position(
         raise CoverageError(
             f"line at {target} Hz outside reachable band [{f_hi}, {f_lo}] Hz"
         )
-
-    for _ in range(_BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        f_mid = transition_frequency_at(profile, transition, mid)
-        if f_mid > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _POSITION_TOLERANCE_CM:
-            break
-    mid = 0.5 * (lo + hi)
-    if abs(transition_frequency_at(profile, transition, mid) - target) > tol:
+    x = position_at(profile, field_for_frequency(transition, target))
+    residual = transition_frequency_at(profile, transition, x) - target
+    if not abs(residual) <= tol:
         raise PlannerError(
-            f"bisection failed to reach {tol:g} Hz for line at {target} Hz"
+            f"position {x} cm misses line at {target} Hz by {residual:g} Hz "
+            f"(tolerance {tol:g} Hz)"
         )
-    return mid
+    return x
 
 
 def place_cells(
@@ -187,16 +185,15 @@ def place_cells(
         diameter to enforce real geometry.
     """
     lo, hi = profile.valid_range
-    if not (
-        transition_frequency_at(profile, transition, lo)
-        > transition_frequency_at(profile, transition, hi)
-    ):
+    f_lo = transition_frequency_at(profile, transition, lo)
+    f_hi = transition_frequency_at(profile, transition, hi)
+    if not f_lo > f_hi:
         raise PlannerError("profile is not strictly decreasing over its valid range")
 
     entries = []
     for k, line in enumerate(comb_lines(comb)):
         try:
-            x = _bisect_position(profile, transition, line, tol)
+            x = _line_position(profile, transition, line, tol, f_lo, f_hi)
         except CoverageError as exc:
             raise CoverageError(f"line {k}: {exc}") from exc
         entries.append(

@@ -233,13 +233,16 @@ def _build_comb(data: dict) -> FrequencyComb:
                 f"comb.per_line_power_dbm has {len(per_line)} entries but "
                 f"comb.line_count is {count}"
             )
+    center = _to_hz(_positive(section, "center_frequency_ghz", "comb"), 1e9)
+    spacing = _to_hz(_positive(section, "line_spacing_mhz", "comb"), 1e6)
+    total_power = _number(section, "total_power_dbm", "comb")
     try:
         return FrequencyComb(
-            center_frequency=_to_hz(_positive(section, "center_frequency_ghz", "comb"), 1e9),
-            line_spacing=_to_hz(_positive(section, "line_spacing_mhz", "comb"), 1e6),
+            center_frequency=center,
+            line_spacing=spacing,
             line_count=count,
             per_line_power=tuple(float(p) for p in per_line) if per_line else (),
-            total_power=_number(section, "total_power_dbm", "comb"),
+            total_power=total_power,
         )
     except StarkCombError as exc:
         raise ConfigError(f"comb: {exc}") from exc
@@ -249,16 +252,12 @@ def _build_channel_defaults(data: dict) -> tuple[ChannelDefaults, float]:
     section = _section(data, "channel")
     stimulus = _section(section, "stimulus")
     power_w = 10.0 ** ((_number(stimulus, "power_dbm", "channel.stimulus") - 30.0) / 10.0)
+    gain = _positive(stimulus, "antenna_gain", "channel.stimulus")
+    distance = _positive(stimulus, "distance_m", "channel.stimulus")
+    perturbation = _positive(stimulus, "perturbation_factor", "channel.stimulus")
     try:
-        reference_field = (
-            far_field_strength(
-                power_w,
-                _positive(stimulus, "antenna_gain", "channel.stimulus"),
-                _positive(stimulus, "distance_m", "channel.stimulus"),
-                _positive(stimulus, "perturbation_factor", "channel.stimulus"),
-            )
-            / 100.0  # V/m -> V/cm
-        )
+        # V/m -> V/cm
+        reference_field = far_field_strength(power_w, gain, distance, perturbation) / 100.0
     except StarkCombError as exc:
         raise ConfigError(f"channel.stimulus: {exc}") from exc
 
@@ -331,18 +330,17 @@ def build_channels(
 
 def _build_ladder(data: dict) -> LadderSystem:
     section = _section(data, "ladder")
+    rates = dict(
+        probe_rabi=_positive(section, "probe_rabi_mhz", "ladder") * _TWO_PI * 1e6,
+        coupling_rabi=_non_negative(section, "coupling_rabi_mhz", "ladder") * _TWO_PI * 1e6,
+        mw_rabi=_non_negative(section, "mw_rabi_mhz", "ladder") * _TWO_PI * 1e6,
+        decay_e=_positive(section, "decay_e_mhz", "ladder") * _TWO_PI * 1e6,
+        decay_r1=_non_negative(section, "decay_r1_khz", "ladder") * _TWO_PI * 1e3,
+        decay_r2=_non_negative(section, "decay_r2_khz", "ladder") * _TWO_PI * 1e3,
+        dephasing=_non_negative(section, "dephasing_khz", "ladder") * _TWO_PI * 1e3,
+    )
     try:
-        return LadderSystem(
-            probe_rabi=_positive(section, "probe_rabi_mhz", "ladder") * _TWO_PI * 1e6,
-            coupling_rabi=_non_negative(section, "coupling_rabi_mhz", "ladder")
-            * _TWO_PI
-            * 1e6,
-            mw_rabi=_non_negative(section, "mw_rabi_mhz", "ladder") * _TWO_PI * 1e6,
-            decay_e=_positive(section, "decay_e_mhz", "ladder") * _TWO_PI * 1e6,
-            decay_r1=_non_negative(section, "decay_r1_khz", "ladder") * _TWO_PI * 1e3,
-            decay_r2=_non_negative(section, "decay_r2_khz", "ladder") * _TWO_PI * 1e3,
-            dephasing=_non_negative(section, "dephasing_khz", "ladder") * _TWO_PI * 1e3,
-        )
+        return LadderSystem(**rates)
     except StarkCombError as exc:
         raise ConfigError(f"ladder: {exc}") from exc
 

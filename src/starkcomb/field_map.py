@@ -20,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleProfileError, ProfileRangeError, UnderdeterminedError
+from .errors import DomainError, InfeasibleProfileError, ProfileRangeError, UnderdeterminedError
 from .stark import RydbergTransition, field_for_frequency, stark_shifted_frequency
 
-__all__ = ["FieldProfile", "field_at", "fit_profile", "transition_frequency_at"]
+__all__ = ["FieldProfile", "field_at", "fit_profile", "position_at", "transition_frequency_at"]
 
 # Fit must reproduce each anchor's transition frequency at least this well (Hz).
 ANCHOR_TOLERANCE_HZ = 1e3
@@ -49,17 +49,17 @@ class FieldProfile:
             raise InfeasibleProfileError(
                 f"valid_range must satisfy x_min < x_max, got {self.valid_range}"
             )
-        if self.reference_field <= 0:
+        if not self.reference_field > 0:
             raise InfeasibleProfileError(
                 f"reference_field must be > 0, got {self.reference_field}"
             )
-        if self.decay_exponent <= 0:
+        if not self.decay_exponent > 0:
             raise InfeasibleProfileError(
                 f"decay_exponent must be > 0, got {self.decay_exponent}"
             )
-        if self.offset < 0:
+        if not self.offset >= 0:
             raise InfeasibleProfileError(f"offset must be >= 0, got {self.offset}")
-        if lo + self.offset <= 0:
+        if not lo + self.offset > 0:
             raise InfeasibleProfileError(
                 f"x_min + offset must be > 0, got {lo + self.offset}"
             )
@@ -74,6 +74,25 @@ def field_at(profile: FieldProfile, x: float) -> float:
         )
     ratio = (profile.reference_position + profile.offset) / (x + profile.offset)
     return profile.reference_field * ratio**profile.decay_exponent
+
+
+def position_at(profile: FieldProfile, field: float) -> float:
+    """Position (cm) where the field strength is ``field`` V/cm.
+
+    Exact inverse of :func:`field_at`:
+    ``x = (x_ref + x0) * (E_ref / E) ** (1 / gamma) - x0``.
+    """
+    if not field > 0:
+        raise DomainError(f"field must be > 0, got {field}")
+    ratio = (profile.reference_field / field) ** (1.0 / profile.decay_exponent)
+    x = (profile.reference_position + profile.offset) * ratio - profile.offset
+    lo, hi = profile.valid_range
+    if not lo <= x <= hi:
+        raise ProfileRangeError(
+            f"field {field} V/cm is reached at {x} cm, outside valid range "
+            f"[{lo}, {hi}] cm"
+        )
+    return x
 
 
 def transition_frequency_at(

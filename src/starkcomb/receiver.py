@@ -71,7 +71,7 @@ class ChannelResponse:
             raise DomainError(f"reference_field must be > 0, got {self.reference_field}")
         if not 0 < self.half_width_3db < math.inf:
             raise DomainError(f"half_width_3db must be > 0, got {self.half_width_3db}")
-        if self.rolloff_order < 1 or int(self.rolloff_order) != self.rolloff_order:
+        if not (self.rolloff_order >= 1 and float(self.rolloff_order).is_integer()):
             raise DomainError(
                 f"rolloff_order must be a positive integer, got {self.rolloff_order}"
             )
@@ -165,9 +165,9 @@ def sensitivity(e_det: float, measurement_time: float) -> float:
 
     ``sensitivity = e_det * sqrt(measurement_time)``.
     """
-    if e_det <= 0:
+    if not e_det > 0:
         raise DomainError(f"e_det must be > 0, got {e_det}")
-    if measurement_time <= 0:
+    if not measurement_time > 0:
         raise DomainError(
             f"measurement_time must be > 0, got {measurement_time}"
         )
@@ -183,13 +183,13 @@ def far_field_strength(
     in W, antenna ``gain`` dimensionless, and ``perturbation`` the cell
     perturbation factor. Divide by 100 for V/cm.
     """
-    if power < 0:
+    if not power >= 0:
         raise DomainError(f"power must be >= 0, got {power}")
-    if gain <= 0:
+    if not gain > 0:
         raise DomainError(f"gain must be > 0, got {gain}")
-    if distance <= 0:
+    if not distance > 0:
         raise DomainError(f"distance must be > 0, got {distance}")
-    if perturbation <= 0:
+    if not perturbation > 0:
         raise DomainError(f"perturbation must be > 0, got {perturbation}")
     return perturbation * math.sqrt(30.0 * power * gain) / distance
 

@@ -81,14 +81,12 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(
-    out_dir: Path, name: str, config: ReceiverConfig, seed: int | None,
-    outputs: list[Path],
+    out_dir: Path, name: str, config: ReceiverConfig, outputs: list[Path]
 ) -> Path:
     manifest = {
         "scenario": name,
         "version": __version__,
         "config_sha256": config.sha256,
-        "seed": seed,
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
     path = out_dir / f"{name}_manifest.json"
@@ -318,14 +316,9 @@ def run_scenario(
     name: str,
     out_dir: str | Path = ".",
     *,
-    seed: int | None = None,
     timestamp: bool = False,
 ) -> list[Path]:
-    """Run one scenario and return the paths of every file written.
-
-    ``seed`` is reserved for future stochastic noise draws; the current
-    model is deterministic and only records it in the manifest.
-    """
+    """Run one scenario and return the paths of every file written."""
     if name not in _RUNNERS:
         raise ConfigError(
             f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
@@ -333,5 +326,5 @@ def run_scenario(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = _RUNNERS[name](config, out_dir, timestamp)
-    manifest = _write_manifest(out_dir, name, config, seed, outputs)
+    manifest = _write_manifest(out_dir, name, config, outputs)
     return outputs + [manifest]

@@ -42,11 +42,11 @@ class RydbergTransition:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.field_free_frequency <= 0:
+        if not self.field_free_frequency > 0:
             raise DomainError(
                 f"field_free_frequency must be > 0, got {self.field_free_frequency}"
             )
-        if self.differential_polarizability < 0:
+        if not self.differential_polarizability >= 0:
             raise DomainError(
                 "differential_polarizability must be >= 0 (upward-shifting state "
                 f"pairs only), got {self.differential_polarizability}"
@@ -55,7 +55,7 @@ class RydbergTransition:
 
 def stark_shifted_frequency(transition: RydbergTransition, field: float) -> float:
     """Transition frequency in Hz at RF field strength ``field`` (V/cm)."""
-    if field < 0:
+    if not field >= 0:
         raise DomainError(f"field must be >= 0, got {field}")
     return (
         transition.field_free_frequency
@@ -70,9 +70,9 @@ def field_for_frequency(transition: RydbergTransition, target: float) -> float:
     one part in 1e9 over the working field range.
     """
     offset = target - transition.field_free_frequency
-    if offset < 0:
+    if not offset >= 0:
         raise UnreachableFrequencyError(
-            f"target {target} Hz is below the field-free frequency "
+            f"target {target} Hz is not at or above the field-free frequency "
             f"{transition.field_free_frequency} Hz"
         )
     if offset == 0.0:

@@ -6,11 +6,23 @@ from starkcomb import (
     default_config,
     fit_profile,
     place_cells,
+    transition_frequency_at,
 )
 
 FIELD_FREE_HZ = 7.97e9
 DPOL_HZ_PER_V2 = 1e6  # 1 MHz/(V/cm)^2, the default calibration constant
 ANCHORS = ((2.0, 8.23e9), (7.98, 8.03e9))
+
+
+def _bisect_position(profile, transition, target, lo, hi):
+    # Independent inversion oracle: plain sign-change bisection.
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if transition_frequency_at(profile, transition, mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @pytest.fixture(scope="session")

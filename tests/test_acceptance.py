@@ -257,8 +257,8 @@ def test_criterion_7_channel_assignment(config, comb21):
 
 def test_criterion_8_determinism(config, tmp_path):
     for name in SCENARIO_NAMES:
-        paths_a = run_scenario(config, name, tmp_path / "a" / name, seed=5)
-        paths_b = run_scenario(config, name, tmp_path / "b" / name, seed=5)
+        paths_a = run_scenario(config, name, tmp_path / "a" / name)
+        paths_b = run_scenario(config, name, tmp_path / "b" / name)
         assert [p.name for p in paths_a] == [p.name for p in paths_b]
         for pa, pb in zip(paths_a, paths_b):
             assert pa.read_bytes() == pb.read_bytes(), f"{name}/{pa.name} differs"

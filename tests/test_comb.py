@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import starkcomb.comb
 from starkcomb import (
     CoverageError,
     DomainError,
     FrequencyComb,
+    PlannerError,
     assign_channel,
     comb_lines,
     coverage_union,
@@ -58,10 +60,20 @@ def test_per_line_count_mismatch():
 
 
 def test_invalid_comb():
-    with pytest.raises(DomainError):
-        FrequencyComb(8.13e9, 0.0, 21, total_power=11.0)
-    with pytest.raises(DomainError):
-        FrequencyComb(8.13e9, 10e6, 0, total_power=11.0)
+    for args, kwargs in [
+        ((8.13e9, 0.0, 21), {"total_power": 11.0}),
+        ((8.13e9, 10e6, 0), {"total_power": 11.0}),
+        ((math.nan, 10e6, 21), {}),
+        ((0.0, 10e6, 21), {}),
+        ((math.inf, 10e6, 21), {}),
+        ((8.13e9, math.nan, 21), {}),
+        ((8.13e9, math.inf, 21), {}),
+        ((8.13e9, 10e6, 21), {"total_power": math.nan}),
+        ((8.13e9, 10e6, 2), {"per_line_power": (0.0, math.nan)}),
+        ((8.13e9, 10e6, 2), {"per_line_power": (0.0, math.inf)}),
+    ]:
+        with pytest.raises(DomainError):
+            FrequencyComb(*args, **kwargs)
 
 
 class TestPlaceCells:
@@ -86,7 +98,7 @@ class TestPlaceCells:
         for entry in plan21.entries:
             offset_k = entry.line_frequency - 7.97e9
             expected = 2.0 * (260e6 / offset_k) ** (1.0 / (2.0 * gamma))
-            assert math.isclose(entry.position, expected, abs_tol=1e-6)
+            assert math.isclose(entry.position, expected, rel_tol=0.0, abs_tol=1e-12)
 
     def test_min_spacing_at_high_frequency_end(self, plan21, profile):
         gamma = profile.decay_exponent
@@ -114,6 +126,18 @@ class TestPlaceCells:
         c = FrequencyComb(8.3e9, 10e6, 3, total_power=0.0)
         with pytest.raises(CoverageError, match="line 0.*outside reachable band"):
             place_cells(profile, transition, c)
+
+    def test_residual_guard(self, profile, transition, comb21, monkeypatch):
+        # Every interior position is checked against its line; a NaN
+        # residual fails the check too.
+        exact = starkcomb.comb.transition_frequency_at
+        for evaluate in (
+            lambda p, t, x: exact(p, t, x) + (0.0 if x in p.valid_range else 2e3),
+            lambda p, t, x: exact(p, t, x) if x in p.valid_range else math.nan,
+        ):
+            monkeypatch.setattr(starkcomb.comb, "transition_frequency_at", evaluate)
+            with pytest.raises(PlannerError, match="misses line"):
+                place_cells(profile, transition, comb21)
 
 
 class TestAssignChannel:

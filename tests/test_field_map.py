@@ -4,27 +4,18 @@ import numpy as np
 import pytest
 
 from starkcomb import (
+    DomainError,
     FieldProfile,
     InfeasibleProfileError,
     ProfileRangeError,
     UnderdeterminedError,
     field_at,
     fit_profile,
+    position_at,
     transition_frequency_at,
 )
 
-from conftest import ANCHORS, FIELD_FREE_HZ
-
-
-def _bisect_position(profile, transition, target, lo, hi):
-    # Independent inversion oracle: plain sign-change bisection.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if transition_frequency_at(profile, transition, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+from conftest import ANCHORS, FIELD_FREE_HZ, _bisect_position
 
 
 def test_anchor_identity_at_reference(profile):
@@ -56,6 +47,25 @@ def test_center_line_position(profile, transition):
     assert math.isclose(
         transition_frequency_at(profile, transition, closed_form), 8.13e9, abs_tol=1.0
     )
+
+
+def test_position_at_inverts_field_at():
+    for offset in (0.0, 0.37):
+        p = FieldProfile(2.0, 16.0, 0.53, offset, valid_range=(2.0, 7.98))
+        for x in np.linspace(2.0, 7.98, 301).tolist():
+            assert math.isclose(position_at(p, field_at(p, x)), x, rel_tol=1e-15)
+        assert position_at(p, 16.0) == 2.0
+
+
+def test_position_at_rejects_unreachable_fields(profile):
+    for field in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            position_at(profile, field)
+    for x in (1.999, 7.981):
+        # Fields just beyond either end of the profile.
+        e = profile.reference_field * (2.0 / x) ** profile.decay_exponent
+        with pytest.raises(ProfileRangeError):
+            position_at(profile, e)
 
 
 def test_strictly_decreasing(profile, transition):
@@ -125,9 +135,14 @@ def test_out_of_range_rejected(profile):
 
 
 def test_invalid_profile_construction():
-    with pytest.raises(InfeasibleProfileError):
-        FieldProfile(2.0, 10.0, decay_exponent=-1.0, valid_range=(2.0, 8.0))
-    with pytest.raises(InfeasibleProfileError):
-        FieldProfile(2.0, 10.0, decay_exponent=0.5, valid_range=(8.0, 2.0))
-    with pytest.raises(InfeasibleProfileError):
-        FieldProfile(2.0, -1.0, decay_exponent=0.5, valid_range=(2.0, 8.0))
+    for reference_field, decay_exponent, offset, valid_range in [
+        (10.0, -1.0, 0.0, (2.0, 8.0)),
+        (10.0, 0.5, 0.0, (8.0, 2.0)),
+        (-1.0, 0.5, 0.0, (2.0, 8.0)),
+        (math.nan, 0.5, 0.0, (2.0, 8.0)),
+        (10.0, math.nan, 0.0, (2.0, 8.0)),
+        (10.0, 0.5, math.nan, (2.0, 8.0)),
+        (10.0, 0.5, 0.0, (math.nan, 8.0)),
+    ]:
+        with pytest.raises(InfeasibleProfileError):
+            FieldProfile(2.0, reference_field, decay_exponent, offset, valid_range)

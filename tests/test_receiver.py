@@ -137,6 +137,10 @@ class TestSensitivity:
             sensitivity(0.0, 0.1)
         with pytest.raises(DomainError):
             sensitivity(1e-7, 0.0)
+        with pytest.raises(DomainError):
+            sensitivity(math.nan, 0.1)
+        with pytest.raises(DomainError):
+            sensitivity(1e-7, math.nan)
 
 
 class TestFarField:
@@ -158,6 +162,16 @@ class TestFarField:
     def test_zero_distance_rejected(self):
         with pytest.raises(DomainError):
             far_field_strength(1.0, 1.0, 0.0)
+
+    def test_nan_inputs_rejected(self):
+        for args in [
+            (math.nan, 1.0, 1.0),
+            (1.0, math.nan, 1.0),
+            (1.0, 1.0, math.nan),
+            (1.0, 1.0, 1.0, math.nan),
+        ]:
+            with pytest.raises(DomainError):
+                far_field_strength(*args)
 
 
 class TestScenarioValidation:
@@ -289,7 +303,8 @@ class TestChannelValidation:
             ChannelResponse(peak_power=-36.5, reference_field=1e-4, noise_floor=-30.0)
 
     def test_bad_rolloff_order(self):
-        with pytest.raises(DomainError):
-            ChannelResponse(
-                peak_power=-36.5, reference_field=1e-4, rolloff_order=0
-            )
+        for order in (0, 1.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                ChannelResponse(
+                    peak_power=-36.5, reference_field=1e-4, rolloff_order=order
+                )

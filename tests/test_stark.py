@@ -38,6 +38,8 @@ def test_center_line_field(transition):
 def test_negative_field_rejected(transition):
     with pytest.raises(DomainError):
         stark_shifted_frequency(transition, -1e-9)
+    with pytest.raises(DomainError):
+        stark_shifted_frequency(transition, math.nan)
 
 
 def test_inverse_at_band_top(transition):
@@ -54,6 +56,8 @@ def test_inverse_of_field_free_frequency_is_zero(transition):
 def test_unreachable_target_rejected(transition):
     with pytest.raises(UnreachableFrequencyError):
         field_for_frequency(transition, FIELD_FREE_HZ - 1.0)
+    with pytest.raises(UnreachableFrequencyError):
+        field_for_frequency(transition, math.nan)
 
 
 def test_degenerate_transition_rejected():
@@ -89,3 +93,7 @@ def test_invalid_construction():
         RydbergTransition(0.0, 1.0)
     with pytest.raises(DomainError):
         RydbergTransition(FIELD_FREE_HZ, -1.0)
+    with pytest.raises(DomainError):
+        RydbergTransition(math.nan, DPOL_HZ_PER_V2)
+    with pytest.raises(DomainError):
+        RydbergTransition(FIELD_FREE_HZ, math.nan)
