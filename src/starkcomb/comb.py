@@ -9,6 +9,7 @@ frequency, and the power-law field profile gives the position for that field.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +33,22 @@ __all__ = [
 # this value makes adjacent channels meet exactly at their 3 dB points.
 DEFAULT_HALF_WIDTH_HZ = 5e6
 
+# Power levels (dBm) must lie within +/- this bound (about 3082.5 dBm), where
+# the power in mW is a finite, nonzero float.
+MAX_LEVEL_DB = 10.0 * math.log10(sys.float_info.max)
+
 
 def _equal_split_dbm(total_power: float, count: int) -> float:
     return total_power - 10.0 * math.log10(count)
+
+
+def _check_levels(name: str, *levels: float) -> None:
+    # Written so that NaN fails the check.
+    if not all(abs(p) < MAX_LEVEL_DB for p in levels):
+        raise DomainError(
+            f"{name} must be within +/-{MAX_LEVEL_DB:.1f} dBm, got "
+            + ", ".join(map(str, levels))
+        )
 
 
 def _power_sum_dbm(levels: tuple[float, ...]) -> float:
@@ -82,14 +96,13 @@ class FrequencyComb:
                     f"per_line_power has {len(self.per_line_power)} entries but "
                     f"line_count is {self.line_count}"
                 )
+            # Checked before the power sum, which they could overflow or
+            # underflow to log10(0).
+            _check_levels("per_line_power", *self.per_line_power)
             object.__setattr__(
                 self, "total_power", _power_sum_dbm(self.per_line_power)
             )
-        if not all(map(math.isfinite, (self.total_power, *self.per_line_power))):
-            raise DomainError(
-                f"powers must be finite, got total_power {self.total_power} "
-                f"and per_line_power {self.per_line_power}"
-            )
+        _check_levels("total_power", self.total_power)
 
 
 def comb_lines(comb: FrequencyComb) -> list[float]:

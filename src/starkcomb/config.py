@@ -8,6 +8,10 @@ assembles the domain objects: the Stark transition, the fitted field
 profile, the comb, one calibrated channel per comb line, and the ladder
 system. The canonical merged mapping is retained for hashing so scenario
 outputs can embed a configuration fingerprint.
+
+The bundled defaults are parsed once per process, on first use; every
+configuration gets its own copy, so mutating ``ReceiverConfig.data`` never
+changes a later load.
 """
 
 from __future__ import annotations
@@ -17,14 +21,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 
 import yaml
 
 from .bloch import LadderSystem
-from .comb import FrequencyComb
+from .comb import MAX_LEVEL_DB, FrequencyComb
 from .errors import ConfigError, StarkCombError
 from .field_map import FieldProfile, fit_profile
 from .receiver import ChannelResponse, beat_signal_power, channel_columns, far_field_strength
@@ -106,6 +110,13 @@ def _number(section: dict, key: str, path: str) -> float:
     return float(value)
 
 
+def _level(section: dict, key: str, path: str) -> float:
+    value = _number(section, key, path)
+    if not abs(value) < MAX_LEVEL_DB:
+        raise ConfigError(f"{path}.{key} must be within +/-{MAX_LEVEL_DB:.1f} dBm, got {value}")
+    return value
+
+
 def _positive(section: dict, key: str, path: str) -> float:
     value = _number(section, key, path)
     if value <= 0:
@@ -122,7 +133,7 @@ def _non_negative(section: dict, key: str, path: str) -> float:
 
 def _integer(section: dict, key: str, path: str, minimum: int = 1) -> int:
     value = _get(section, key, path)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not (isinstance(value, int) and _is_number(value)):
         raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{path}.{key} must be >= {minimum}, got {value}")
@@ -137,7 +148,12 @@ def _section(data: dict, key: str) -> dict:
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
-    merged = copy.deepcopy(base)
+    """``override`` merged over ``base`` as a fresh tree sharing no node with either.
+
+    Each node is copied once: overridden leaves from ``override``, every
+    subtree left alone from ``base``. Keys keep the order of ``base``.
+    """
+    merged = {}
     for key, value in override.items():
         where = f"{path}.{key}" if path else str(key)
         if key not in base:
@@ -146,10 +162,15 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             merged[key] = _merge(base[key], value, where)
         else:
             merged[key] = copy.deepcopy(value)
-    return merged
+    return {
+        key: merged[key] if key in merged else copy.deepcopy(value)
+        for key, value in base.items()
+    }
 
 
+@cache
 def _default_data() -> dict:
+    # Shared by every load: never handed out, only merged over or copied.
     text = (
         resources.files("starkcomb").joinpath("data/default_config.yaml").read_text()
     )
@@ -158,7 +179,7 @@ def _default_data() -> dict:
 
 def default_config() -> ReceiverConfig:
     """The bundled default configuration."""
-    return _build(_default_data())
+    return _build(copy.deepcopy(_default_data()))
 
 
 def load_config(path: str | Path) -> ReceiverConfig:
@@ -190,9 +211,12 @@ def _build_transition(data: dict) -> RydbergTransition:
         * 1e6
     )
     label = section.get("label") or ""
-    return RydbergTransition(
-        field_free_frequency=f0, differential_polarizability=dpol, label=str(label)
-    )
+    try:
+        return RydbergTransition(
+            field_free_frequency=f0, differential_polarizability=dpol, label=str(label)
+        )
+    except StarkCombError as exc:
+        raise ConfigError(f"transition: {exc}") from exc
 
 
 def _build_profile(data: dict, transition: RydbergTransition) -> FieldProfile:
@@ -226,8 +250,13 @@ def _build_comb(data: dict) -> FrequencyComb:
     count = _integer(section, "line_count", "comb")
     per_line = section.get("per_line_power_dbm")
     if per_line is not None:
-        if not isinstance(per_line, list) or not all(map(_is_number, per_line)):
-            raise ConfigError("comb.per_line_power_dbm must be a list of numbers")
+        if not isinstance(per_line, list) or not all(
+            _is_number(p) and abs(p) < MAX_LEVEL_DB for p in per_line
+        ):
+            raise ConfigError(
+                "comb.per_line_power_dbm must be a list of numbers within "
+                f"+/-{MAX_LEVEL_DB:.1f} dBm"
+            )
         if len(per_line) != count:
             raise ConfigError(
                 f"comb.per_line_power_dbm has {len(per_line)} entries but "
@@ -235,7 +264,7 @@ def _build_comb(data: dict) -> FrequencyComb:
             )
     center = _to_hz(_positive(section, "center_frequency_ghz", "comb"), 1e9)
     spacing = _to_hz(_positive(section, "line_spacing_mhz", "comb"), 1e6)
-    total_power = _number(section, "total_power_dbm", "comb")
+    total_power = _level(section, "total_power_dbm", "comb")
     try:
         return FrequencyComb(
             center_frequency=center,
@@ -251,7 +280,7 @@ def _build_comb(data: dict) -> FrequencyComb:
 def _build_channel_defaults(data: dict) -> tuple[ChannelDefaults, float]:
     section = _section(data, "channel")
     stimulus = _section(section, "stimulus")
-    power_w = 10.0 ** ((_number(stimulus, "power_dbm", "channel.stimulus") - 30.0) / 10.0)
+    power_w = 10.0 ** ((_level(stimulus, "power_dbm", "channel.stimulus") - 30.0) / 10.0)
     gain = _positive(stimulus, "antenna_gain", "channel.stimulus")
     distance = _positive(stimulus, "distance_m", "channel.stimulus")
     perturbation = _positive(stimulus, "perturbation_factor", "channel.stimulus")
@@ -285,7 +314,7 @@ def _build_channel_defaults(data: dict) -> tuple[ChannelDefaults, float]:
     defaults = ChannelDefaults(
         half_width_3db=_to_hz(_positive(section, "half_width_3db_mhz", "channel"), 1e6),
         rolloff_order=_integer(section, "rolloff_order", "channel"),
-        peak_power=_number(section, "peak_power_dbm", "channel"),
+        peak_power=_level(section, "peak_power_dbm", "channel"),
         reference_field=reference_field,
         reference_detuning=_to_hz(
             _number(section, "reference_detuning_khz", "channel"), 1e3

@@ -145,9 +145,11 @@ def fit_profile(
             f"and offset {offset} cm"
         )
     for i in range(len(pts) - 1):
-        if pts[i][0] == pts[i + 1][0]:
+        # Compared with the offset, as the fit sees them: a huge offset
+        # rounds distinct positions together.
+        if pts[i][0] + offset == pts[i + 1][0] + offset:
             raise UnderdeterminedError(
-                f"anchors share position x = {pts[i][0]} cm"
+                f"anchors share position x + offset = {pts[i][0] + offset} cm"
             )
         if pts[i][1] <= pts[i + 1][1]:
             raise InfeasibleProfileError(

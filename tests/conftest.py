@@ -1,4 +1,7 @@
+from importlib import resources
+
 import pytest
+import yaml
 
 from starkcomb import (
     FrequencyComb,
@@ -12,6 +15,12 @@ from starkcomb import (
 FIELD_FREE_HZ = 7.97e9
 DPOL_HZ_PER_V2 = 1e6  # 1 MHz/(V/cm)^2, the default calibration constant
 ANCHORS = ((2.0, 8.23e9), (7.98, 8.03e9))
+
+
+def bundled_defaults() -> dict:
+    """A fresh parse of the bundled default configuration file."""
+    text = resources.files("starkcomb").joinpath("data/default_config.yaml").read_text()
+    return yaml.safe_load(text)
 
 
 def _bisect_position(profile, transition, target, lo, hi):

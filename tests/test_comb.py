@@ -71,6 +71,10 @@ def test_invalid_comb():
         ((8.13e9, 10e6, 21), {"total_power": math.nan}),
         ((8.13e9, 10e6, 2), {"per_line_power": (0.0, math.nan)}),
         ((8.13e9, 10e6, 2), {"per_line_power": (0.0, math.inf)}),
+        ((8.13e9, 10e6, 2), {"per_line_power": (4000.0, 0.0)}),
+        ((8.13e9, 10e6, 2), {"per_line_power": (-4000.0, -4000.0)}),
+        ((8.13e9, 10e6, 2), {"per_line_power": (3082.0, 3082.0)}),
+        ((8.13e9, 10e6, 21), {"total_power": 4000.0}),
     ]:
         with pytest.raises(DomainError):
             FrequencyComb(*args, **kwargs)

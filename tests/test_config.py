@@ -76,6 +76,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="20 entries.*line_count is 21"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "yaml_text, field",
+        [
+            ("comb:\n  line_count: 2\n  per_line_power_dbm: [4000, 0]\n", "comb.per_line_power_dbm"),
+            ("comb:\n  line_count: 2\n  per_line_power_dbm: [-4000, -4000]\n", "comb.per_line_power_dbm"),
+            ("comb:\n  total_power_dbm: 4000\n", "comb.total_power_dbm"),
+            ("channel:\n  stimulus:\n    power_dbm: 4000\n", "channel.stimulus.power_dbm"),
+            ("channel:\n  rolloff_order: %d\n" % 10**400, "channel.rolloff_order"),
+        ],
+    )
+    def test_out_of_range_power_or_count_names_field(self, tmp_path, yaml_text, field):
+        # Each of these overflowed a float conversion before it was validated.
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml_text)
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            load_config(path)
+
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "unknown.yaml"
         path.write_text("comb:\n  lines: 21\n")

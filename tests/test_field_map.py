@@ -98,9 +98,14 @@ def test_fit_inconsistent_anchors_rejected(transition, profile):
         fit_profile([*ANCHORS, (x_mid, f_mid)], transition)
 
 
-def test_equal_anchor_positions_rejected(transition):
+def test_equal_anchor_positions_rejected(transition, recwarn):
     with pytest.raises(UnderdeterminedError):
         fit_profile([(2.0, 8.23e9), (2.0, 8.03e9)], transition)
+    # Distinct positions that coincide once a huge offset is added: rejected
+    # before np.polyfit warns about a rank-deficient fit.
+    with pytest.raises(UnderdeterminedError, match="share position"):
+        fit_profile(ANCHORS, transition, offset=1e300)
+    assert not recwarn.list
 
 
 def test_single_anchor_without_exponent_rejected(transition):

@@ -219,6 +219,8 @@ class TestCli:
             ("plan", "comb:\n  center_frequency_ghz: .inf\n", "plan.csv"),
             ("eit", "ladder:\n  probe_rabi_mhz: .nan\n", "eit.csv"),
             ("plan", "channel:\n  stimulus:\n    antenna_gain: .nan\n", "plan.csv"),
+            ("plan", "comb:\n  line_count: 2\n  per_line_power_dbm: [4000, 0]\n", "plan.csv"),
+            ("plan", "channel:\n  stimulus:\n    power_dbm: 4000\n", "plan.csv"),
         ],
     )
     def test_non_finite_stimulus_exits_2_cleanly(
