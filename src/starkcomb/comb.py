@@ -29,10 +29,6 @@ __all__ = [
     "nearest_line_index",
 ]
 
-# A single cell receives +/- 5 MHz around its line; comb spacing of twice
-# this value makes adjacent channels meet exactly at their 3 dB points.
-DEFAULT_HALF_WIDTH_HZ = 5e6
-
 # Power levels (dBm) must lie within +/- this bound (about 3082.5 dBm), where
 # the power in mW is a finite, nonzero float.
 MAX_LEVEL_DB = 10.0 * math.log10(sys.float_info.max)
@@ -241,9 +237,7 @@ def place_cells(
 
 
 def assign_channel(
-    comb: FrequencyComb,
-    signal_frequency: float,
-    half_width: float = DEFAULT_HALF_WIDTH_HZ,
+    comb: FrequencyComb, signal_frequency: float, half_width: float
 ) -> tuple[int, float]:
     """Route a signal to its nearest comb line.
 
@@ -284,9 +278,7 @@ def nearest_line_index(lines, frequencies) -> np.ndarray:
         index = index - down
 
 
-def coverage_union(
-    lines: list[float], half_width: float = DEFAULT_HALF_WIDTH_HZ
-) -> list[tuple[float, float]]:
+def coverage_union(lines: list[float], half_width: float) -> list[tuple[float, float]]:
     """Merged coverage intervals ``[line - half_width, line + half_width]``.
 
     Intervals that touch exactly are merged, so a comb with spacing equal to

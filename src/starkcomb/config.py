@@ -2,12 +2,15 @@
 
 A configuration is a YAML mapping with the sections ``transition``,
 ``profile``, ``comb``, ``channel``, ``planner``, ``ladder``, and
-``scenarios``. Loading merges the user file over the bundled defaults,
-validates every field (errors name the offending key and constraint), and
-assembles the domain objects: the Stark transition, the fitted field
-profile, the comb, one calibrated channel per comb line, and the ladder
-system. The canonical merged mapping is retained for hashing so scenario
-outputs can embed a configuration fingerprint.
+``scenarios``. Loading merges the user file over the bundled defaults. One
+walk over one schema table, which mirrors the bundled defaults, checks every
+leaf (errors name the offending key and constraint), converts it to model
+units and returns each section as the keyword arguments of its constructor:
+the Stark transition, the fitted field profile, the comb, the channel
+calibration, and the ladder system. The channels, one per comb line, are
+calibrated on first use of ``ReceiverConfig.channels``. Row counts are
+capped at ``MAX_ROWS``. The canonical merged mapping is retained for hashing
+so scenario outputs can embed a configuration fingerprint.
 
 The bundled defaults are parsed once per process, on first use; every
 configuration gets its own copy, so mutating ``ReceiverConfig.data`` never
@@ -21,7 +24,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from importlib import resources
 from pathlib import Path
 
@@ -35,12 +38,18 @@ from .receiver import ChannelResponse, beat_signal_power, channel_columns, far_f
 from .stark import RydbergTransition
 
 __all__ = [
+    "MAX_ROWS",
     "ChannelDefaults",
     "ReceiverConfig",
     "build_channels",
     "default_config",
     "load_config",
 ]
+
+# The most rows a configuration may ask for: comb lines, scenario points, and
+# the linearity scenario's lines x points. It bounds the memory and time a
+# file can demand; the bundled and benchmark designs stay far below it.
+MAX_ROWS = 1_000_000
 
 _TWO_PI = 2.0 * math.pi
 
@@ -66,7 +75,6 @@ class ReceiverConfig:
     transition: RydbergTransition
     profile: FieldProfile
     comb: FrequencyComb
-    channels: tuple[ChannelResponse, ...]
     channel_defaults: ChannelDefaults
     ladder: LadderSystem
     placement_tolerance: float
@@ -80,17 +88,12 @@ class ReceiverConfig:
         canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-
-def _to_hz(value: float, factor: float) -> float:
-    # Rounding to the mHz grain removes double-rounding dust from unit
-    # conversion (8.13 GHz * 1e9 would otherwise end in ...000.000001 Hz).
-    return round(value * factor, 3)
-
-
-def _get(section: dict, key: str, path: str):
-    if key not in section or section[key] is None:
-        raise ConfigError(f"{path}.{key} is required")
-    return section[key]
+    @cached_property
+    def channels(self) -> tuple[ChannelResponse, ...]:
+        """One calibrated channel per comb line, built on first use; may raise ConfigError."""
+        return _construct(
+            "channel", build_channels, self.channel_defaults, self.comb.line_count
+        )
 
 
 def _is_number(value) -> bool:
@@ -103,48 +106,216 @@ def _is_number(value) -> bool:
         return False
 
 
-def _number(section: dict, key: str, path: str) -> float:
-    value = _get(section, key, path)
+# Leaf checks: each takes the raw value (None when the key is absent or null)
+# and its dotted path, and returns the value in model form or raises.
+
+
+def _number(value, path: str) -> float:
+    if value is None:
+        raise ConfigError(f"{path} is required")
     if not _is_number(value):
-        raise ConfigError(f"{path}.{key} must be a finite number, got {value!r}")
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _level(section: dict, key: str, path: str) -> float:
-    value = _number(section, key, path)
-    if not abs(value) < MAX_LEVEL_DB:
-        raise ConfigError(f"{path}.{key} must be within +/-{MAX_LEVEL_DB:.1f} dBm, got {value}")
-    return value
+def _bounded(constraint: str, test):
+    def check(value, path: str) -> float:
+        value = _number(value, path)
+        if not test(value):
+            raise ConfigError(f"{path} must be {constraint}, got {value}")
+        return value
+
+    return check
 
 
-def _positive(section: dict, key: str, path: str) -> float:
-    value = _number(section, key, path)
-    if value <= 0:
-        raise ConfigError(f"{path}.{key} must be > 0, got {value}")
-    return value
+_positive = _bounded("> 0", lambda value: value > 0)
+_non_negative = _bounded(">= 0", lambda value: value >= 0)
+_level = _bounded(f"within +/-{MAX_LEVEL_DB:.1f} dBm", lambda value: abs(value) < MAX_LEVEL_DB)
 
 
-def _non_negative(section: dict, key: str, path: str) -> float:
-    value = _number(section, key, path)
-    if value < 0:
-        raise ConfigError(f"{path}.{key} must be >= 0, got {value}")
-    return value
+def _count(minimum: int, maximum: float = math.inf):
+    def check(value, path: str) -> int:
+        if value is None:
+            raise ConfigError(f"{path} is required")
+        if not (isinstance(value, int) and _is_number(value)):
+            raise ConfigError(f"{path} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{path} must be >= {minimum}, got {value}")
+        if value > maximum:
+            raise ConfigError(f"{path} must be <= {maximum}, got {value}")
+        return value
+
+    return check
 
 
-def _integer(section: dict, key: str, path: str, minimum: int = 1) -> int:
-    value = _get(section, key, path)
-    if not (isinstance(value, int) and _is_number(value)):
-        raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{path}.{key} must be >= {minimum}, got {value}")
-    return value
+def _optional(check):
+    return lambda value, path: None if value is None else check(value, path)
 
 
-def _section(data: dict, key: str) -> dict:
-    value = data.get(key)
-    if not isinstance(value, dict):
-        raise ConfigError(f"section {key!r} must be a mapping")
-    return value
+def _levels(value, path: str) -> tuple[float, ...] | None:
+    # Optional; its length is checked against comb.line_count after the walk.
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(
+        _is_number(p) and abs(p) < MAX_LEVEL_DB for p in value
+    ):
+        raise ConfigError(
+            f"{path} must be a list of numbers within +/-{MAX_LEVEL_DB:.1f} dBm"
+        )
+    return tuple(float(p) for p in value)
+
+
+def _gain_pair(value, path: str) -> tuple[float, float]:
+    if value is None:
+        raise ConfigError(f"{path} is required")
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or not all(_is_number(g) and g > 0 for g in value)
+    ):
+        raise ConfigError(f"{path} must be two positive numbers [center, edge]")
+    return float(value[0]), float(value[1])
+
+
+def _anchors(value, path: str) -> list[tuple[float, float]]:
+    if value is None:
+        raise ConfigError(f"{path} is required")
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path} must be a non-empty list")
+    anchors = []
+    for i, item in enumerate(value):
+        if not isinstance(item, dict):
+            raise ConfigError(f"{path}[{i}] must be a mapping")
+        anchors.append(tuple(_validated(item, _ANCHOR, f"{path}[{i}]").values()))
+    return anchors
+
+
+# Unit conversions, each in the operation order of its model formula, so no
+# bit moves. Rounding Hz to the mHz grain removes double-rounding dust
+# (8.13 GHz * 1e9 would otherwise end in ...000.000001 Hz).
+_GHZ = lambda value: round(value * 1e9, 3)
+_MHZ = lambda value: round(value * 1e6, 3)
+_KHZ = lambda value: round(value * 1e3, 3)
+_RAD_MHZ = lambda value: value * _TWO_PI * 1e6
+_RAD_KHZ = lambda value: value * _TWO_PI * 1e3
+_NANO = lambda value: value * 1e-9
+
+# The schema, in the order of the bundled defaults. A nested mapping is a
+# section; a leaf maps its key to (model argument, check[, conversion]).
+_ANCHOR = {
+    "position_cm": ("position", _number),
+    "transition_frequency_ghz": ("frequency", _positive, _GHZ),
+}
+_SCHEMA = {
+    "transition": {
+        "field_free_frequency_ghz": ("field_free_frequency", _positive, _GHZ),
+        "differential_polarizability_mhz_per_v2_cm2": (
+            "differential_polarizability", _non_negative, lambda value: value * 1e6
+        ),
+        "label": ("label", lambda value, path: str(value or "")),
+    },
+    "profile": {
+        "anchors": ("anchors", _anchors),
+        "offset_cm": ("offset", _non_negative),
+        "decay_exponent": ("decay_exponent", _optional(_positive)),
+    },
+    "comb": {
+        "center_frequency_ghz": ("center_frequency", _positive, _GHZ),
+        "line_spacing_mhz": ("line_spacing", _positive, _MHZ),
+        "line_count": ("line_count", _count(1, MAX_ROWS)),
+        "total_power_dbm": ("total_power", _level),
+        "per_line_power_dbm": ("per_line_power", _levels),
+    },
+    "channel": {
+        "half_width_3db_mhz": ("half_width_3db", _positive, _MHZ),
+        "rolloff_order": ("rolloff_order", _count(1)),
+        "peak_power_dbm": ("peak_power", _level),
+        "reference_detuning_khz": ("reference_detuning", _number, _KHZ),
+        "center_min_detectable_field_nv_cm": ("center_e_det", _positive, _NANO),
+        # Divided by sqrt(measurement_time) after the walk.
+        "edge_sensitivity_nv_cm_sqrt_hz": ("edge_e_det", _positive, _NANO),
+        "measurement_time_s": ("measurement_time", _positive),
+        "gain_scale_endpoints": ("gain_scale_endpoints", _gain_pair),
+        "stimulus": {
+            "power_dbm": ("power", _level, lambda dbm: 10.0 ** ((dbm - 30.0) / 10.0)),
+            "antenna_gain": ("gain", _positive),
+            "distance_m": ("distance", _positive),
+            "perturbation_factor": ("perturbation", _positive),
+        },
+    },
+    "planner": {
+        "placement_tolerance_hz": ("placement_tolerance", _positive),
+        "min_gap_cm": ("min_gap", _non_negative),
+    },
+    "ladder": {
+        "probe_rabi_mhz": ("probe_rabi", _positive, _RAD_MHZ),
+        "coupling_rabi_mhz": ("coupling_rabi", _non_negative, _RAD_MHZ),
+        "mw_rabi_mhz": ("mw_rabi", _non_negative, _RAD_MHZ),
+        "decay_e_mhz": ("decay_e", _positive, _RAD_MHZ),
+        "decay_r1_khz": ("decay_r1", _non_negative, _RAD_KHZ),
+        "decay_r2_khz": ("decay_r2", _non_negative, _RAD_KHZ),
+        "dephasing_khz": ("dephasing", _non_negative, _RAD_KHZ),
+    },
+    "scenarios": {
+        "response": {
+            "start_ghz": ("start", _positive, _GHZ),
+            "stop_ghz": ("stop", _positive, _GHZ),
+            "points": ("points", _count(2, MAX_ROWS)),
+            "field_v_cm": ("field", _optional(_non_negative)),
+        },
+        "linearity": {
+            "min_field_v_cm": ("min_field", _positive),
+            "max_field_v_cm": ("max_field", _positive),
+            "points": ("points", _count(2, MAX_ROWS)),
+        },
+        "sensitivity": {},
+        "sweep2cell": {
+            "low_line_ghz": ("low_line", _positive, _GHZ),
+            "high_line_ghz": ("high_line", _positive, _GHZ),
+            "start_ghz": ("start", _positive, _GHZ),
+            "stop_ghz": ("stop", _positive, _GHZ),
+            "points": ("points", _count(2, MAX_ROWS)),
+            "field_v_cm": ("field", _optional(_non_negative)),
+        },
+        "eit": {
+            "probe_span_mhz": ("probe_span", _positive, _MHZ),
+            "points": ("points", _count(3, MAX_ROWS)),
+        },
+    },
+}
+
+# Scenario keys whose converted values must be strictly ordered.
+_ORDERED = (
+    ("response", "start_ghz", "stop_ghz"),
+    ("linearity", "min_field_v_cm", "max_field_v_cm"),
+    ("sweep2cell", "low_line_ghz", "high_line_ghz"),
+    ("sweep2cell", "start_ghz", "stop_ghz"),
+)
+
+
+def _validated(node: dict, table: dict = _SCHEMA, path: str = "") -> dict:
+    """Each leaf of ``table`` checked and converted, by model argument; sections nest."""
+    out = {}
+    for key, spec in table.items():
+        where = f"{path}.{key}" if path else key
+        value = node.get(key)
+        if isinstance(spec, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"section {key!r} must be a mapping")
+            out[key] = _validated(value, spec, where)
+        else:
+            arg, check, *convert = spec
+            value = check(value, where)
+            out[arg] = convert[0](value) if convert else value
+    return out
+
+
+def _construct(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a model error reported as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except StarkCombError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -203,129 +374,6 @@ def load_config(path: str | Path) -> ReceiverConfig:
     return _build(_merge(_default_data(), data))
 
 
-def _build_transition(data: dict) -> RydbergTransition:
-    section = _section(data, "transition")
-    f0 = _to_hz(_positive(section, "field_free_frequency_ghz", "transition"), 1e9)
-    dpol = (
-        _non_negative(section, "differential_polarizability_mhz_per_v2_cm2", "transition")
-        * 1e6
-    )
-    label = section.get("label") or ""
-    try:
-        return RydbergTransition(
-            field_free_frequency=f0, differential_polarizability=dpol, label=str(label)
-        )
-    except StarkCombError as exc:
-        raise ConfigError(f"transition: {exc}") from exc
-
-
-def _build_profile(data: dict, transition: RydbergTransition) -> FieldProfile:
-    section = _section(data, "profile")
-    raw_anchors = _get(section, "anchors", "profile")
-    if not isinstance(raw_anchors, list) or not raw_anchors:
-        raise ConfigError("profile.anchors must be a non-empty list")
-    anchors = []
-    for i, item in enumerate(raw_anchors):
-        if not isinstance(item, dict):
-            raise ConfigError(f"profile.anchors[{i}] must be a mapping")
-        x = _number(item, "position_cm", f"profile.anchors[{i}]")
-        f = _to_hz(
-            _positive(item, "transition_frequency_ghz", f"profile.anchors[{i}]"), 1e9
-        )
-        anchors.append((x, f))
-    offset = _non_negative(section, "offset_cm", "profile")
-    exponent = section.get("decay_exponent")
-    if exponent is not None:
-        exponent = _positive(section, "decay_exponent", "profile")
-    try:
-        return fit_profile(
-            anchors, transition, offset=offset, decay_exponent=exponent
-        )
-    except StarkCombError as exc:
-        raise ConfigError(f"profile: {exc}") from exc
-
-
-def _build_comb(data: dict) -> FrequencyComb:
-    section = _section(data, "comb")
-    count = _integer(section, "line_count", "comb")
-    per_line = section.get("per_line_power_dbm")
-    if per_line is not None:
-        if not isinstance(per_line, list) or not all(
-            _is_number(p) and abs(p) < MAX_LEVEL_DB for p in per_line
-        ):
-            raise ConfigError(
-                "comb.per_line_power_dbm must be a list of numbers within "
-                f"+/-{MAX_LEVEL_DB:.1f} dBm"
-            )
-        if len(per_line) != count:
-            raise ConfigError(
-                f"comb.per_line_power_dbm has {len(per_line)} entries but "
-                f"comb.line_count is {count}"
-            )
-    center = _to_hz(_positive(section, "center_frequency_ghz", "comb"), 1e9)
-    spacing = _to_hz(_positive(section, "line_spacing_mhz", "comb"), 1e6)
-    total_power = _level(section, "total_power_dbm", "comb")
-    try:
-        return FrequencyComb(
-            center_frequency=center,
-            line_spacing=spacing,
-            line_count=count,
-            per_line_power=tuple(float(p) for p in per_line) if per_line else (),
-            total_power=total_power,
-        )
-    except StarkCombError as exc:
-        raise ConfigError(f"comb: {exc}") from exc
-
-
-def _build_channel_defaults(data: dict) -> tuple[ChannelDefaults, float]:
-    section = _section(data, "channel")
-    stimulus = _section(section, "stimulus")
-    power_w = 10.0 ** ((_level(stimulus, "power_dbm", "channel.stimulus") - 30.0) / 10.0)
-    gain = _positive(stimulus, "antenna_gain", "channel.stimulus")
-    distance = _positive(stimulus, "distance_m", "channel.stimulus")
-    perturbation = _positive(stimulus, "perturbation_factor", "channel.stimulus")
-    try:
-        # V/m -> V/cm
-        reference_field = far_field_strength(power_w, gain, distance, perturbation) / 100.0
-    except StarkCombError as exc:
-        raise ConfigError(f"channel.stimulus: {exc}") from exc
-
-    measurement_time = _positive(section, "measurement_time_s", "channel")
-    center_e_det = (
-        _positive(section, "center_min_detectable_field_nv_cm", "channel") * 1e-9
-    )
-    edge_e_det = (
-        _positive(section, "edge_sensitivity_nv_cm_sqrt_hz", "channel")
-        * 1e-9
-        / math.sqrt(measurement_time)
-    )
-
-    endpoints = _get(section, "gain_scale_endpoints", "channel")
-    if (
-        not isinstance(endpoints, list)
-        or len(endpoints) != 2
-        or not all(_is_number(g) and g > 0 for g in endpoints)
-    ):
-        raise ConfigError(
-            "channel.gain_scale_endpoints must be two positive numbers "
-            "[center, edge]"
-        )
-
-    defaults = ChannelDefaults(
-        half_width_3db=_to_hz(_positive(section, "half_width_3db_mhz", "channel"), 1e6),
-        rolloff_order=_integer(section, "rolloff_order", "channel"),
-        peak_power=_level(section, "peak_power_dbm", "channel"),
-        reference_field=reference_field,
-        reference_detuning=_to_hz(
-            _number(section, "reference_detuning_khz", "channel"), 1e3
-        ),
-        center_e_det=center_e_det,
-        edge_e_det=edge_e_det,
-        gain_scale_endpoints=(float(endpoints[0]), float(endpoints[1])),
-    )
-    return defaults, measurement_time
-
-
 def build_channels(
     defaults: ChannelDefaults, line_count: int
 ) -> tuple[ChannelResponse, ...]:
@@ -357,105 +405,34 @@ def build_channels(
     )
 
 
-def _build_ladder(data: dict) -> LadderSystem:
-    section = _section(data, "ladder")
-    rates = dict(
-        probe_rabi=_positive(section, "probe_rabi_mhz", "ladder") * _TWO_PI * 1e6,
-        coupling_rabi=_non_negative(section, "coupling_rabi_mhz", "ladder") * _TWO_PI * 1e6,
-        mw_rabi=_non_negative(section, "mw_rabi_mhz", "ladder") * _TWO_PI * 1e6,
-        decay_e=_positive(section, "decay_e_mhz", "ladder") * _TWO_PI * 1e6,
-        decay_r1=_non_negative(section, "decay_r1_khz", "ladder") * _TWO_PI * 1e3,
-        decay_r2=_non_negative(section, "decay_r2_khz", "ladder") * _TWO_PI * 1e3,
-        dephasing=_non_negative(section, "dephasing_khz", "ladder") * _TWO_PI * 1e3,
-    )
-    try:
-        return LadderSystem(**rates)
-    except StarkCombError as exc:
-        raise ConfigError(f"ladder: {exc}") from exc
-
-
-def _validate_scenarios(data: dict) -> dict:
-    section = _section(data, "scenarios")
-    out: dict = {}
-
-    sweep = _section(section, "response")
-    out["response"] = {
-        "start": _to_hz(_positive(sweep, "start_ghz", "scenarios.response"), 1e9),
-        "stop": _to_hz(_positive(sweep, "stop_ghz", "scenarios.response"), 1e9),
-        "points": _integer(sweep, "points", "scenarios.response", minimum=2),
-        "field": _optional_field(sweep, "scenarios.response"),
-    }
-    if not out["response"]["start"] < out["response"]["stop"]:
-        raise ConfigError("scenarios.response: start_ghz must be below stop_ghz")
-
-    lin = _section(section, "linearity")
-    out["linearity"] = {
-        "min_field": _positive(lin, "min_field_v_cm", "scenarios.linearity"),
-        "max_field": _positive(lin, "max_field_v_cm", "scenarios.linearity"),
-        "points": _integer(lin, "points", "scenarios.linearity", minimum=2),
-    }
-    if not out["linearity"]["min_field"] < out["linearity"]["max_field"]:
-        raise ConfigError(
-            "scenarios.linearity: min_field_v_cm must be below max_field_v_cm"
-        )
-
-    out["sensitivity"] = {}
-
-    two = _section(section, "sweep2cell")
-    out["sweep2cell"] = {
-        "low_line": _to_hz(_positive(two, "low_line_ghz", "scenarios.sweep2cell"), 1e9),
-        "high_line": _to_hz(_positive(two, "high_line_ghz", "scenarios.sweep2cell"), 1e9),
-        "start": _to_hz(_positive(two, "start_ghz", "scenarios.sweep2cell"), 1e9),
-        "stop": _to_hz(_positive(two, "stop_ghz", "scenarios.sweep2cell"), 1e9),
-        "points": _integer(two, "points", "scenarios.sweep2cell", minimum=2),
-        "field": _optional_field(two, "scenarios.sweep2cell"),
-    }
-    if not out["sweep2cell"]["low_line"] < out["sweep2cell"]["high_line"]:
-        raise ConfigError(
-            "scenarios.sweep2cell: low_line_ghz must be below high_line_ghz"
-        )
-    if not out["sweep2cell"]["start"] < out["sweep2cell"]["stop"]:
-        raise ConfigError("scenarios.sweep2cell: start_ghz must be below stop_ghz")
-
-    eit = _section(section, "eit")
-    out["eit"] = {
-        "probe_span": _to_hz(_positive(eit, "probe_span_mhz", "scenarios.eit"), 1e6),
-        "points": _integer(eit, "points", "scenarios.eit", minimum=3),
-    }
-    return out
-
-
-def _optional_field(section: dict, path: str) -> float | None:
-    if section.get("field_v_cm") is None:
-        return None
-    return _non_negative(section, "field_v_cm", path)
-
-
 def _build(data: dict) -> ReceiverConfig:
-    transition = _build_transition(data)
-    profile = _build_profile(data, transition)
-    comb = _build_comb(data)
-    channel_defaults, measurement_time = _build_channel_defaults(data)
-    try:
-        channels = build_channels(channel_defaults, comb.line_count)
-    except StarkCombError as exc:
-        raise ConfigError(f"channel: {exc}") from exc
-    ladder = _build_ladder(data)
+    sections = _validated(data)
+    comb, channel, scenarios = sections["comb"], sections["channel"], sections["scenarios"]
+    per_line = comb["per_line_power"]
+    if per_line is not None and len(per_line) != comb["line_count"]:
+        raise ConfigError(
+            f"comb.per_line_power_dbm has {len(per_line)} entries but "
+            f"comb.line_count is {comb['line_count']}"
+        )
+    for name, low, high in _ORDERED:
+        params, table = scenarios[name], _SCHEMA["scenarios"][name]
+        if not params[table[low][0]] < params[table[high][0]]:
+            raise ConfigError(f"scenarios.{name}: {low} must be below {high}")
 
-    planner = _section(data, "planner")
-    placement_tolerance = _positive(planner, "placement_tolerance_hz", "planner")
-    min_gap = _non_negative(planner, "min_gap_cm", "planner")
-
+    transition = _construct("transition", RydbergTransition, **sections["transition"])
+    stimulus = channel.pop("stimulus")
+    measurement_time = channel.pop("measurement_time")
+    channel["edge_e_det"] /= math.sqrt(measurement_time)
+    # V/m -> V/cm
+    reference_field = _construct("channel.stimulus", far_field_strength, **stimulus) / 100.0
     return ReceiverConfig(
         transition=transition,
-        profile=profile,
-        comb=comb,
-        channels=channels,
-        channel_defaults=channel_defaults,
-        ladder=ladder,
-        placement_tolerance=placement_tolerance,
-        min_gap=min_gap,
+        profile=_construct("profile", fit_profile, transition=transition, **sections["profile"]),
+        comb=_construct("comb", FrequencyComb, **comb),
+        channel_defaults=ChannelDefaults(reference_field=reference_field, **channel),
+        ladder=_construct("ladder", LadderSystem, **sections["ladder"]),
         measurement_time=measurement_time,
-        scenarios=_validate_scenarios(data),
+        scenarios=scenarios,
         data=data,
+        **sections["planner"],
     )

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bloch import probe_absorption
 from .comb import CellArrayPlan, FrequencyComb, place_cells
-from .config import ReceiverConfig, build_channels
+from .config import MAX_ROWS, ReceiverConfig, _construct, build_channels
 from .errors import ConfigError, InfeasiblePlanError
 from .field_map import field_at, transition_frequency_at
 from .receiver import (
@@ -197,6 +197,11 @@ def _run_response(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> lis
 def _run_linearity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Path]:
     plan = _plan(config)
     params = config.scenarios["linearity"]
+    rows = len(plan.entries) * params["points"]
+    if rows > MAX_ROWS:
+        raise ConfigError(
+            f"comb.line_count x scenarios.linearity.points must be <= {MAX_ROWS}, got {rows}"
+        )
     fields = np.logspace(
         math.log10(params["min_field"]), math.log10(params["max_field"]),
         params["points"],
@@ -256,7 +261,7 @@ def _run_sweep2cell(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> l
         total_power=config.comb.total_power,
     )
     plan = _plan(config, comb)
-    channels = build_channels(config.channel_defaults, 2)
+    channels = _construct("channel", build_channels, config.channel_defaults, 2)
     field, spectrum = _sweep(config, params, plan, channels)
     path = out_dir / "sweep2cell.csv"
     _write_csv(

@@ -234,7 +234,7 @@ def test_criterion_7_channel_assignment(config, comb21):
     rng = np.random.default_rng(1234)
     frequencies = rng.uniform(lines[0] - 5e6, lines[-1] + 5e6, 10_000)
     for f in frequencies:
-        index, delta = assign_channel(comb21, float(f))
+        index, delta = assign_channel(comb21, float(f), half_width=5e6)
         brute = int(np.argmin(np.abs(f - lines)))
         assert index == brute
         assert delta == f - lines[brute]

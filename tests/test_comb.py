@@ -146,29 +146,29 @@ class TestPlaceCells:
 
 class TestAssignChannel:
     def test_half_megahertz_detuning(self, comb21):
-        index, delta = assign_channel(comb21, 8.1305e9)
+        index, delta = assign_channel(comb21, 8.1305e9, half_width=5e6)
         assert index == 10
         assert math.isclose(delta, 500e3, rel_tol=1e-9)
 
     def test_on_line_zero_detuning(self, comb21):
         for k, line in enumerate(comb_lines(comb21)):
-            index, delta = assign_channel(comb21, line)
+            index, delta = assign_channel(comb21, line, half_width=5e6)
             assert index == k
             assert delta == 0.0
 
     def test_band_edge(self, comb21):
-        index, delta = assign_channel(comb21, 8.025e9)
+        index, delta = assign_channel(comb21, 8.025e9, half_width=5e6)
         assert index == 0
         assert math.isclose(delta, -5e6, rel_tol=1e-12)
 
     def test_out_of_band(self, comb21):
         with pytest.raises(CoverageError):
-            assign_channel(comb21, 8.0249e9)
+            assign_channel(comb21, 8.0249e9, half_width=5e6)
         with pytest.raises(CoverageError):
-            assign_channel(comb21, 8.2351e9)
+            assign_channel(comb21, 8.2351e9, half_width=5e6)
 
     def test_midpoint_resolves_to_lower_index(self, comb21):
-        index, delta = assign_channel(comb21, 8.035e9)
+        index, delta = assign_channel(comb21, 8.035e9, half_width=5e6)
         assert index == 0
         assert math.isclose(delta, 5e6, rel_tol=1e-12)
 
@@ -177,7 +177,7 @@ class TestAssignChannel:
         rng = np.random.default_rng(42)
         freqs = rng.uniform(lines[0] - 5e6, lines[-1] + 5e6, 10_000)
         for f in freqs:
-            index, delta = assign_channel(comb21, float(f))
+            index, delta = assign_channel(comb21, float(f), half_width=5e6)
             brute = int(np.argmin(np.abs(f - lines)))  # first minimum = lower index
             assert index == brute
             assert delta == f - lines[brute]

@@ -71,10 +71,11 @@ class TestLoadConfig:
 
     def test_per_line_count_mismatch_names_both_counts(self, tmp_path):
         path = tmp_path / "mismatch.yaml"
-        powers = ", ".join(["-2.0"] * 20)
-        path.write_text(f"comb:\n  per_line_power_dbm: [{powers}]\n")
-        with pytest.raises(ConfigError, match="20 entries.*line_count is 21"):
-            load_config(path)
+        for count in (20, 0):
+            powers = ", ".join(["-2.0"] * count)
+            path.write_text(f"comb:\n  per_line_power_dbm: [{powers}]\n")
+            with pytest.raises(ConfigError, match=f"has {count} entries.*line_count is 21"):
+                load_config(path)
 
     @pytest.mark.parametrize(
         "yaml_text, field",
@@ -84,13 +85,23 @@ class TestLoadConfig:
             ("comb:\n  total_power_dbm: 4000\n", "comb.total_power_dbm"),
             ("channel:\n  stimulus:\n    power_dbm: 4000\n", "channel.stimulus.power_dbm"),
             ("channel:\n  rolloff_order: %d\n" % 10**400, "channel.rolloff_order"),
+            ("comb:\n  line_count: 1000001\n", "comb.line_count"),
+            ("scenarios:\n  eit:\n    points: 1000001\n", "scenarios.eit.points"),
         ],
     )
     def test_out_of_range_power_or_count_names_field(self, tmp_path, yaml_text, field):
-        # Each of these overflowed a float conversion before it was validated.
+        # Each of these overflowed a float conversion before it was validated,
+        # or asks for more rows than MAX_ROWS.
         path = tmp_path / "huge.yaml"
         path.write_text(yaml_text)
         with pytest.raises(ConfigError, match=f"^{field} must be"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", ["4000", ".nan", "x", "null", "[]"])
+    def test_non_mapping_section_rejected(self, tmp_path, value):
+        path = tmp_path / "sensitivity.yaml"
+        path.write_text(f"scenarios:\n  sensitivity: {value}\n")
+        with pytest.raises(ConfigError, match="^section 'sensitivity' must be a mapping$"):
             load_config(path)
 
     def test_unknown_key_named(self, tmp_path):

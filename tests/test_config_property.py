@@ -2,23 +2,29 @@
 raises ConfigError, and ``starkcomb plan`` on it exits 0, 2, 3 or 4.
 
 Every leaf is tried at every extreme value once, then hypothesis draws
-mutations of one or two leaves from a wider set of values."""
+mutations of one or two leaves from a wider set of values. The schema table
+must mirror the bundled defaults key for key, and every leaf given a string
+must name itself in the error."""
 
 import contextlib
 import copy
+import functools
 import io
 import itertools
 import math
+import operator
 import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starkcomb import ConfigError, load_config
 from starkcomb.cli import main
+from starkcomb.config import _SCHEMA, MAX_ROWS
 
 from conftest import bundled_defaults
 
@@ -38,8 +44,12 @@ def _leaves(node, path=()):
 DEFAULTS = bundled_defaults()
 LEAVES = list(_leaves(DEFAULTS))
 
-# Non-finite values, ints beyond the float range and huge dB levels.
-EXTREMES = [math.nan, math.inf, -math.inf, 10**400, -(10**400), 4000.0, -4000.0, 1e300, -1e300, 5e-324]
+# Non-finite values, ints beyond the float range, huge dB levels and a row
+# count above MAX_ROWS.
+EXTREMES = [
+    math.nan, math.inf, -math.inf, 10**400, -(10**400), 4000.0, -4000.0, 1e300, -1e300, 5e-324,
+    MAX_ROWS + 1,
+]
 _EXTREMES = st.sampled_from(EXTREMES)
 _NUMBERS = st.one_of(_EXTREMES, st.integers(-5, 200), st.floats(-1e3, 1e3))
 _VALUES = st.one_of(
@@ -76,7 +86,7 @@ def _check(mutations, tmp: str) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no stray numpy warnings either
         try:
-            load_config(cfg)
+            load_config(cfg).channels  # built on first use, so read here
         except ConfigError:
             return  # cli.main reports it as exit 2 (tests/test_scenarios.py)
         err = io.StringIO()
@@ -99,3 +109,29 @@ def test_each_leaf_at_each_extreme(tmp_path):
 def test_mutated_config_builds_or_fails_cleanly(mutations):
     with tempfile.TemporaryDirectory() as tmp:
         _check(mutations, tmp)
+
+
+def _key_paths(node, path=()):
+    # Every mapping key, sections included, in order.
+    for key, value in node.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, path + (key,))
+
+
+def test_schema_mirrors_bundled_defaults():
+    assert list(_key_paths(_SCHEMA)) == list(_key_paths(DEFAULTS))
+
+
+def test_each_leaf_rejects_a_string_by_its_path(tmp_path):
+    for leaf in LEAVES:
+        if leaf == ("transition", "label"):
+            continue  # any value is a label
+        keys = list(itertools.takewhile(lambda key: not isinstance(key, int), leaf))
+        section = functools.reduce(operator.getitem, leaf, DEFAULTS) == {}
+        expected = f"section {keys[-1]!r} must be a mapping" if section else ".".join(keys)
+        cfg = tmp_path / "string.yaml"
+        cfg.write_text(yaml.safe_dump(_override([(leaf, "x")])))
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(cfg)
+        assert str(excinfo.value).startswith(expected), leaf

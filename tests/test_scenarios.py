@@ -237,6 +237,32 @@ class TestCli:
         assert not recwarn.list
         assert not (tmp_path / output).exists()
 
+    @pytest.mark.parametrize(
+        "scenario, code",
+        [("plan", 0), ("response", 2), ("linearity", 2), ("sensitivity", 2), ("sweep2cell", 2)],
+    )
+    def test_channel_calibration_checked_on_first_use(self, tmp_path, capsys, scenario, code):
+        # The channels are built by the scenarios that use them, not at load.
+        cfg = tmp_path / "calibration.yaml"
+        cfg.write_text("channel:\n  center_min_detectable_field_nv_cm: 1.0e+300\n")
+        assert main([scenario, "--config", str(cfg), "--out", str(tmp_path)]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "configuration error: channel: field must be finite and > 0, got 0.0\n"
+            )
+
+    def test_linearity_rows_capped(self, tmp_path, capsys):
+        # 21 lines x 50000 points: only the scenario that writes them fails.
+        cfg = tmp_path / "long.yaml"
+        cfg.write_text("scenarios:\n  linearity:\n    points: 50000\n")
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["linearity", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "configuration error: comb.line_count x scenarios.linearity.points "
+            "must be <= 1000000, got 1050000\n"
+        )
+        assert not (tmp_path / "linearity.csv").exists()
+
     def test_console_script_entry_point(self, tmp_path):
         import subprocess
         import sys
