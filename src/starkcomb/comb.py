@@ -104,10 +104,8 @@ class FrequencyComb:
 def comb_lines(comb: FrequencyComb) -> list[float]:
     """Line frequencies in Hz, sorted ascending."""
     half_span = (comb.line_count - 1) / 2.0
-    return [
-        comb.center_frequency + (k - half_span) * comb.line_spacing
-        for k in range(comb.line_count)
-    ]
+    offsets = np.arange(comb.line_count) - half_span
+    return (comb.center_frequency + offsets * comb.line_spacing).tolist()
 
 
 @dataclass(frozen=True)
@@ -136,41 +134,6 @@ class CellArrayPlan:
     feasible: bool
 
 
-def _line_position(
-    profile: FieldProfile,
-    transition: RydbergTransition,
-    target: float,
-    tol: float,
-    f_lo: float,
-    f_hi: float,
-) -> float:
-    """Position whose transition frequency matches ``target`` within ``tol`` Hz.
-
-    ``f_lo`` and ``f_hi`` are the transition frequencies at the low and high
-    ends of the valid range. Targets within ``tol`` of one of them return that
-    endpoint exactly, so anchor lines map back to their anchor positions.
-    Otherwise the position is the closed-form inverse, checked against
-    ``tol``.
-    """
-    lo, hi = profile.valid_range
-    if abs(f_lo - target) <= tol:
-        return lo
-    if abs(f_hi - target) <= tol:
-        return hi
-    if not f_hi < target < f_lo:
-        raise CoverageError(
-            f"line at {target} Hz outside reachable band [{f_hi}, {f_lo}] Hz"
-        )
-    x = position_at(profile, field_for_frequency(transition, target))
-    residual = transition_frequency_at(profile, transition, x) - target
-    if not abs(residual) <= tol:
-        raise PlannerError(
-            f"position {x} cm misses line at {target} Hz by {residual:g} Hz "
-            f"(tolerance {tol:g} Hz)"
-        )
-    return x
-
-
 def place_cells(
     profile: FieldProfile,
     transition: RydbergTransition,
@@ -194,43 +157,49 @@ def place_cells(
         diameter to enforce real geometry.
     """
     lo, hi = profile.valid_range
+    # Scalar calls, so that the snaps below see the band ends any caller sees.
     f_lo = transition_frequency_at(profile, transition, lo)
     f_hi = transition_frequency_at(profile, transition, hi)
     if not f_lo > f_hi:
         raise PlannerError("profile is not strictly decreasing over its valid range")
 
-    entries = []
-    for k, line in enumerate(comb_lines(comb)):
-        try:
-            x = _line_position(profile, transition, line, tol, f_lo, f_hi)
-        except CoverageError as exc:
-            raise CoverageError(f"line {k}: {exc}") from exc
-        entries.append(
-            PlanEntry(
-                line_index=k,
-                line_frequency=line,
-                position=x,
-                lo_power=comb.per_line_power[k],
-            )
+    # Lines within tol of a band end sit exactly at that end, so anchor lines
+    # map back to their anchor positions; the others are inverted in closed
+    # form and checked against tol.
+    lines = np.array(comb_lines(comb))
+    at_lo = np.abs(f_lo - lines) <= tol
+    inner = ~at_lo & ~(np.abs(f_hi - lines) <= tol)
+    outside = inner & ~((f_hi < lines) & (lines < f_lo))
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise CoverageError(
+            f"line {k}: line at {float(lines[k])} Hz outside reachable band "
+            f"[{f_hi}, {f_lo}] Hz"
+        )
+    positions = np.where(at_lo, float(lo), float(hi))
+    targets = lines[inner]
+    x = position_at(profile, field_for_frequency(transition, targets))
+    positions[inner] = x
+    residual = transition_frequency_at(profile, transition, x) - targets
+    missed = ~(np.abs(residual) <= tol)
+    if missed.any():
+        i = int(np.argmax(missed))
+        raise PlannerError(
+            f"position {float(x[i])} cm misses line at {float(targets[i])} Hz by "
+            f"{residual[i]:g} Hz (tolerance {tol:g} Hz)"
         )
 
-    for a, b in zip(entries, entries[1:]):
-        if not a.position > b.position:
-            raise PlannerError(
-                f"positions not strictly decreasing with line frequency: "
-                f"x[{a.line_index}] = {a.position} cm, "
-                f"x[{b.line_index}] = {b.position} cm"
-            )
-
-    if len(entries) > 1:
-        min_spacing = min(
-            a.position - b.position for a, b in zip(entries, entries[1:])
+    spacing = positions[:-1] - positions[1:]
+    if not (spacing > 0).all():
+        k = int(np.argmin(spacing > 0))
+        raise PlannerError(
+            f"positions not strictly decreasing with line frequency: "
+            f"x[{k}] = {float(positions[k])} cm, x[{k + 1}] = {float(positions[k + 1])} cm"
         )
-    else:
-        min_spacing = math.inf
-
+    min_spacing = float(spacing.min()) if spacing.size else math.inf
+    columns = (range(comb.line_count), lines.tolist(), positions.tolist(), comb.per_line_power)
     return CellArrayPlan(
-        entries=tuple(entries),
+        entries=tuple(map(PlanEntry, *columns)),
         min_spacing=min_spacing,
         feasible=min_spacing >= min_gap,
     )

@@ -186,6 +186,9 @@ def _anchors(value, path: str) -> list[tuple[float, float]]:
     for i, item in enumerate(value):
         if not isinstance(item, dict):
             raise ConfigError(f"{path}[{i}] must be a mapping")
+        for key in item:
+            if key not in _ANCHOR:
+                raise ConfigError(f"unknown configuration key {f'{path}[{i}].{key}'!r}")
         anchors.append(tuple(_validated(item, _ANCHOR, f"{path}[{i}]").values()))
     return anchors
 

@@ -10,15 +10,17 @@ which is monotone, strictly positive, and invertible on its valid range.
 Profiles are calibrated in frequency space: anchors pair a position with the
 Stark-shifted transition frequency observed there, and the fit solves for the
 decay exponent (and reference field) that reproduces every anchor.
+
+The maps are elementwise: a scalar gives a float; errors name the first failing element.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import DomainError, InfeasibleProfileError, ProfileRangeError, UnderdeterminedError
 from .stark import RydbergTransition, field_for_frequency, stark_shifted_frequency
@@ -65,39 +67,49 @@ class FieldProfile:
             )
 
 
-def field_at(profile: FieldProfile, x: float) -> float:
+def field_at(profile: FieldProfile, x: ArrayLike) -> float | np.ndarray:
     """RF field strength (V/cm) at position ``x`` (cm)."""
+    x = np.asarray(x, dtype=float)
     lo, hi = profile.valid_range
-    if not lo <= x <= hi:
+    bad = ~((lo <= x) & (x <= hi))
+    if bad.any():
         raise ProfileRangeError(
-            f"position {x} cm outside valid range [{lo}, {hi}] cm"
+            f"position {float(x[bad][0])} cm outside valid range [{lo}, {hi}] cm"
         )
-    ratio = (profile.reference_position + profile.offset) / (x + profile.offset)
-    return profile.reference_field * ratio**profile.decay_exponent
+    with np.errstate(over="ignore", invalid="ignore"):  # silent inf/NaN, as Python floats
+        ratio = (profile.reference_position + profile.offset) / (x + profile.offset)
+        field = profile.reference_field * ratio**profile.decay_exponent
+    return float(field) if field.ndim == 0 else field
 
 
-def position_at(profile: FieldProfile, field: float) -> float:
+def position_at(profile: FieldProfile, field: ArrayLike) -> float | np.ndarray:
     """Position (cm) where the field strength is ``field`` V/cm.
 
     Exact inverse of :func:`field_at`:
     ``x = (x_ref + x0) * (E_ref / E) ** (1 / gamma) - x0``.
     """
-    if not field > 0:
-        raise DomainError(f"field must be > 0, got {field}")
-    ratio = (profile.reference_field / field) ** (1.0 / profile.decay_exponent)
-    x = (profile.reference_position + profile.offset) * ratio - profile.offset
+    field = np.asarray(field, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = (profile.reference_field / field) ** (1.0 / profile.decay_exponent)
+        x = (profile.reference_position + profile.offset) * ratio - profile.offset
     lo, hi = profile.valid_range
-    if not lo <= x <= hi:
+    bad = ~((field > 0) & (lo <= x) & (x <= hi))
+    if bad.any():
+        first = float(field[bad][0])
+        if not first > 0:
+            raise DomainError(f"field must be > 0, got {first}")
+        if x.ndim:  # raise the scalar call's text: its ``**`` may round differently
+            position_at(profile, first)
         raise ProfileRangeError(
-            f"field {field} V/cm is reached at {x} cm, outside valid range "
-            f"[{lo}, {hi}] cm"
+            f"field {first} V/cm is reached at {float(x[bad][0])} cm, outside valid "
+            f"range [{lo}, {hi}] cm"
         )
-    return x
+    return float(x) if x.ndim == 0 else x
 
 
 def transition_frequency_at(
-    profile: FieldProfile, transition: RydbergTransition, x: float
-) -> float:
+    profile: FieldProfile, transition: RydbergTransition, x: ArrayLike
+) -> float | np.ndarray:
     """Stark-shifted transition frequency (Hz) at position ``x`` (cm)."""
     return stark_shifted_frequency(transition, field_at(profile, x))
 
@@ -144,55 +156,59 @@ def fit_profile(
             f"anchors must be finite with position + offset > 0, got {pts} "
             f"and offset {offset} cm"
         )
-    for i in range(len(pts) - 1):
-        # Compared with the offset, as the fit sees them: a huge offset
-        # rounds distinct positions together.
-        if pts[i][0] + offset == pts[i + 1][0] + offset:
+    xs, fs = np.array(pts, dtype=float).T
+    # Positions compared with the offset, as the fit sees them: a huge offset
+    # rounds distinct positions together.
+    with np.errstate(over="ignore"):
+        shifted = xs + offset
+    shared = shifted[:-1] == shifted[1:]
+    bad = shared | (fs[:-1] <= fs[1:])
+    if bad.any():
+        i = int(np.argmax(bad))
+        if shared[i]:
             raise UnderdeterminedError(
-                f"anchors share position x + offset = {pts[i][0] + offset} cm"
+                f"anchors share position x + offset = {float(shifted[i])} cm"
             )
-        if pts[i][1] <= pts[i + 1][1]:
-            raise InfeasibleProfileError(
-                "anchor frequencies must decrease strictly with position: "
-                f"f({pts[i][0]} cm) = {pts[i][1]} Hz, "
-                f"f({pts[i + 1][0]} cm) = {pts[i + 1][1]} Hz"
-            )
+        raise InfeasibleProfileError(
+            "anchor frequencies must decrease strictly with position: "
+            f"f({pts[i][0]} cm) = {pts[i][1]} Hz, "
+            f"f({pts[i + 1][0]} cm) = {pts[i + 1][1]} Hz"
+        )
 
-    fields = [field_for_frequency(transition, f) for _, f in pts]
+    fields = field_for_frequency(transition, fs)
 
     if decay_exponent is None:
         if len(pts) < 2:
             raise UnderdeterminedError(
                 "two anchors are required to fit the decay exponent"
             )
-        log_x = np.log([x + offset for x, _ in pts])
-        log_e = np.log(fields)
-        slope, _ = np.polyfit(log_x, log_e, 1)
+        slope, _ = np.polyfit(np.log(shifted), np.log(fields), 1)
         gamma = -float(slope)
     else:
         gamma = decay_exponent
 
-    x_ref, f_ref = pts[0]
+    x_ref = pts[0][0]
     if valid_range is None:
         valid_range = (pts[0][0], pts[-1][0]) if len(pts) > 1 else (x_ref, x_ref + 1.0)
 
     profile = FieldProfile(
         reference_position=x_ref,
-        reference_field=fields[0],
+        reference_field=float(fields[0]),
         decay_exponent=gamma,
         offset=offset,
         valid_range=valid_range,
     )
 
-    for (x, f_anchor) in pts:
-        # Raw power law rather than field_at: anchors may sit outside a
-        # caller-supplied valid_range.
-        e = fields[0] * ((x_ref + offset) / (x + offset)) ** gamma
-        misfit = abs(stark_shifted_frequency(transition, e) - f_anchor)
-        if misfit > ANCHOR_TOLERANCE_HZ:
-            raise InfeasibleProfileError(
-                f"power-law profile misses anchor at x = {x} cm by "
-                f"{misfit:.3g} Hz (> {ANCHOR_TOLERANCE_HZ:g} Hz); anchors are "
-                "not consistent with a single monotone decay"
-            )
+    # Raw power law rather than field_at: anchors may sit outside a
+    # caller-supplied valid_range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = fields[0] * ((x_ref + offset) / shifted) ** gamma
+    misfit = np.abs(stark_shifted_frequency(transition, e) - fs)
+    if (misfit > ANCHOR_TOLERANCE_HZ).any():
+        i = int(np.argmax(misfit > ANCHOR_TOLERANCE_HZ))
+        raise InfeasibleProfileError(
+            f"power-law profile misses anchor at x = {pts[i][0]} cm by "
+            f"{misfit[i]:.3g} Hz (> {ANCHOR_TOLERANCE_HZ:g} Hz); anchors are "
+            "not consistent with a single monotone decay"
+        )
     return profile

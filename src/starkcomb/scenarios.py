@@ -163,17 +163,15 @@ def _run_plan(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Pa
 
     profile_path = out_dir / "field_profile.csv"
     lo, hi = config.profile.valid_range
-    xs = np.linspace(lo, hi, 241).tolist()
+    xs = np.linspace(lo, hi, 241)
     _write_csv(
         profile_path,
         _meta(config, "plan"),
         {
             "x_cm": xs,
-            "field_V_per_cm": [field_at(config.profile, x) for x in xs],
-            "transition_GHz": [
-                transition_frequency_at(config.profile, config.transition, x) / 1e9
-                for x in xs
-            ],
+            "field_V_per_cm": field_at(config.profile, xs),
+            "transition_GHz": transition_frequency_at(config.profile, config.transition, xs)
+            / 1e9,
         },
         timestamp,
     )

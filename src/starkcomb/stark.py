@@ -8,12 +8,16 @@ static-equivalent RF field: the transition frequency shifts quadratically,
 with ``f0`` the field-free transition frequency (Hz) and ``a`` the
 differential polarizability folded to a single coefficient (Hz per (V/cm)^2).
 Only state pairs that shift upward are supported, so ``a >= 0``.
+
+Both maps are elementwise: a scalar gives a float; errors name the first failing element.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import DegenerateTransitionError, DomainError, UnreachableFrequencyError
 
@@ -53,32 +57,41 @@ class RydbergTransition:
             )
 
 
-def stark_shifted_frequency(transition: RydbergTransition, field: float) -> float:
+def stark_shifted_frequency(
+    transition: RydbergTransition, field: ArrayLike
+) -> float | np.ndarray:
     """Transition frequency in Hz at RF field strength ``field`` (V/cm)."""
-    if not field >= 0:
-        raise DomainError(f"field must be >= 0, got {field}")
-    return (
-        transition.field_free_frequency
-        + transition.differential_polarizability * field * field
-    )
+    field = np.asarray(field, dtype=float)
+    bad = ~(field >= 0)
+    if bad.any():
+        raise DomainError(f"field must be >= 0, got {float(field[bad][0])}")
+    dpol = transition.differential_polarizability
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
+        f = transition.field_free_frequency + dpol * field * field
+    return float(f) if f.ndim == 0 else f
 
 
-def field_for_frequency(transition: RydbergTransition, target: float) -> float:
+def field_for_frequency(
+    transition: RydbergTransition, target: ArrayLike
+) -> float | np.ndarray:
     """Field strength (V/cm) that tunes the transition to ``target`` Hz.
 
     Analytic inverse of :func:`stark_shifted_frequency`; round-trips within
     one part in 1e9 over the working field range.
     """
-    offset = target - transition.field_free_frequency
-    if not offset >= 0:
-        raise UnreachableFrequencyError(
-            f"target {target} Hz is not at or above the field-free frequency "
-            f"{transition.field_free_frequency} Hz"
-        )
-    if offset == 0.0:
-        return 0.0
-    if transition.differential_polarizability == 0:
+    target = np.asarray(target, dtype=float)
+    dpol = transition.differential_polarizability
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny dpol overflows to inf
+        offset = target - transition.field_free_frequency
+        field = np.sqrt(offset / dpol) if dpol else offset
+    bad = ~((offset >= 0) & ((offset == 0) | (dpol > 0)))  # dpol == 0 cannot tune
+    if bad.any():
+        if not offset[bad][0] >= 0:
+            raise UnreachableFrequencyError(
+                f"target {float(target[bad][0])} Hz is not at or above the "
+                f"field-free frequency {transition.field_free_frequency} Hz"
+            )
         raise DegenerateTransitionError(
             "differential_polarizability is zero; transition cannot be tuned"
         )
-    return math.sqrt(offset / transition.differential_polarizability)
+    return float(field) if field.ndim == 0 else field

@@ -133,11 +133,11 @@ class TestPlaceCells:
 
     def test_residual_guard(self, profile, transition, comb21, monkeypatch):
         # Every interior position is checked against its line; a NaN
-        # residual fails the check too.
+        # residual fails the check too. The stand-ins take scalars and arrays.
         exact = starkcomb.comb.transition_frequency_at
         for evaluate in (
-            lambda p, t, x: exact(p, t, x) + (0.0 if x in p.valid_range else 2e3),
-            lambda p, t, x: exact(p, t, x) if x in p.valid_range else math.nan,
+            lambda p, t, x: exact(p, t, x) + np.where(np.isin(x, p.valid_range), 0.0, 2e3),
+            lambda p, t, x: np.where(np.isin(x, p.valid_range), exact(p, t, x), math.nan),
         ):
             monkeypatch.setattr(starkcomb.comb, "transition_frequency_at", evaluate)
             with pytest.raises(PlannerError, match="misses line"):

@@ -104,11 +104,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="^section 'sensitivity' must be a mapping$"):
             load_config(path)
 
-    def test_unknown_key_named(self, tmp_path):
+    @pytest.mark.parametrize(
+        "yaml_text, key",
+        [
+            ("comb:\n  lines: 21\n", "comb.lines"),
+            (
+                "profile:\n  anchors:\n"
+                "    - {position_cm: 2.0, transition_frequency_ghz: 8.23, position_mm: 99}\n"
+                "    - {position_cm: 7.98, transition_frequency_ghz: 8.03}\n",
+                "profile.anchors[0].position_mm",
+            ),
+        ],
+        ids=["mapping", "anchor-item"],
+    )
+    def test_unknown_key_named(self, tmp_path, yaml_text, key):
         path = tmp_path / "unknown.yaml"
-        path.write_text("comb:\n  lines: 21\n")
-        with pytest.raises(ConfigError, match="comb.lines"):
+        path.write_text(yaml_text)
+        with pytest.raises(ConfigError) as info:
             load_config(path)
+        assert str(info.value) == f"unknown configuration key {key!r}"
 
     def test_invalid_value_names_field(self, tmp_path):
         path = tmp_path / "invalid.yaml"

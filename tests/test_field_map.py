@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starkcomb import (
     DomainError,
@@ -15,7 +17,27 @@ from starkcomb import (
     transition_frequency_at,
 )
 
-from conftest import ANCHORS, FIELD_FREE_HZ, _bisect_position
+from conftest import (
+    ANCHORS,
+    FIELD_FREE_HZ,
+    TRANSITIONS,
+    _bisect_position,
+    assert_array_parity,
+    mixed,
+)
+
+
+@st.composite
+def profiles(draw):
+    """Power-law profiles over 0.5-11 cm with offset 0-1 cm."""
+    lo = draw(st.floats(0.5, 3.0))
+    return FieldProfile(
+        reference_position=lo,
+        reference_field=draw(st.floats(1.0, 100.0)),
+        decay_exponent=draw(st.floats(0.1, 3.0)),
+        offset=draw(st.floats(0.0, 1.0)),
+        valid_range=(lo, lo + draw(st.floats(0.5, 8.0))),
+    )
 
 
 def test_anchor_identity_at_reference(profile):
@@ -151,3 +173,21 @@ def test_invalid_profile_construction():
     ]:
         with pytest.raises(InfeasibleProfileError):
             FieldProfile(2.0, reference_field, decay_exponent, offset, valid_range)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(profiles(), TRANSITIONS, st.data())
+def test_array_calls_match_scalar_calls(profile, transition, data):
+    lo, hi = profile.valid_range
+    inside = st.floats(lo, hi)
+    positions = data.draw(mixed(st.one_of(inside, st.sampled_from([lo - 1e-9, hi + 1.0]))))
+    assert_array_parity(lambda x: field_at(profile, x), positions)
+    assert_array_parity(lambda x: transition_frequency_at(profile, transition, x), positions)
+    fields = data.draw(mixed(inside.map(lambda x: field_at(profile, x))))
+    assert_array_parity(lambda e: position_at(profile, e), fields)
+
+
+def test_scalar_calls_return_floats(profile, transition):
+    assert type(field_at(profile, 3)) is float
+    assert type(position_at(profile, np.float64(10.0))) is float
+    assert type(transition_frequency_at(profile, transition, np.array(3.0))) is float

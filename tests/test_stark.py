@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starkcomb import (
     DegenerateTransitionError,
@@ -12,7 +14,7 @@ from starkcomb import (
     stark_shifted_frequency,
 )
 
-from conftest import DPOL_HZ_PER_V2, FIELD_FREE_HZ
+from conftest import DPOL_HZ_PER_V2, FIELD_FREE_HZ, TRANSITIONS, assert_array_parity, mixed
 
 
 def test_zero_field_gives_field_free_frequency(transition):
@@ -97,3 +99,20 @@ def test_invalid_construction():
         RydbergTransition(math.nan, DPOL_HZ_PER_V2)
     with pytest.raises(DomainError):
         RydbergTransition(FIELD_FREE_HZ, math.nan)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(TRANSITIONS, st.data())
+def test_array_calls_match_scalar_calls(transition, data):
+    fields = data.draw(mixed(st.floats(0.0, 1e3)))
+    assert_array_parity(lambda e: stark_shifted_frequency(transition, e), fields)
+    offsets = st.floats(0.0, 1e9).map(lambda o: transition.field_free_frequency + o)
+    targets = data.draw(mixed(offsets))
+    assert_array_parity(lambda f: field_for_frequency(transition, f), targets)
+
+
+def test_scalar_calls_return_floats(transition):
+    assert type(stark_shifted_frequency(transition, 3)) is float
+    assert type(field_for_frequency(transition, np.float64(8.1e9))) is float
+    untunable = RydbergTransition(FIELD_FREE_HZ, 0.0)
+    assert type(field_for_frequency(untunable, FIELD_FREE_HZ)) is float
