@@ -13,7 +13,7 @@ from .bloch import (
 from .comb import (
     CellArrayPlan,
     FrequencyComb,
-    PlanEntry,
+    PlanRow,
     assign_channel,
     comb_lines,
     coverage_union,

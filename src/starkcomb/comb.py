@@ -21,7 +21,7 @@ from .stark import RydbergTransition, field_for_frequency
 __all__ = [
     "FrequencyComb",
     "CellArrayPlan",
-    "PlanEntry",
+    "PlanRow",
     "comb_lines",
     "place_cells",
     "assign_channel",
@@ -108,28 +108,24 @@ def comb_lines(comb: FrequencyComb) -> list[float]:
     return (comb.center_frequency + offsets * comb.line_spacing).tolist()
 
 
-@dataclass(frozen=True)
-class PlanEntry:
-    """One cell bound to one comb line."""
-
-    line_index: int
-    line_frequency: float
-    position: float
-    lo_power: float
+# One cell bound to one comb line: the record type of ``CellArrayPlan.entries``.
+PlanRow = np.dtype(
+    [("line_index", np.int64), ("line_frequency", float), ("position", float), ("lo_power", float)]
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellArrayPlan:
     """Ordered cell positions, one per comb line.
 
-    Entries are ordered by line index (ascending frequency); for a decaying
-    field profile the positions decrease strictly along that order.
-    ``min_spacing`` is the smallest adjacent position gap in cm
-    (``inf`` for a single cell) and ``feasible`` records whether it clears
-    the requested minimum gap.
+    ``entries`` is a read-only :data:`PlanRow` record array ordered by line
+    index (ascending frequency); ``entries.position`` etc. are its columns.
+    For a decaying field profile the positions decrease strictly along that
+    order. ``min_spacing`` is the smallest adjacent gap in cm (``inf`` for a
+    single cell); ``feasible`` records whether it clears the minimum gap.
     """
 
-    entries: tuple[PlanEntry, ...]
+    entries: np.recarray
     min_spacing: float
     feasible: bool
 
@@ -197,9 +193,12 @@ def place_cells(
             f"x[{k}] = {float(positions[k])} cm, x[{k + 1}] = {float(positions[k + 1])} cm"
         )
     min_spacing = float(spacing.min()) if spacing.size else math.inf
-    columns = (range(comb.line_count), lines.tolist(), positions.tolist(), comb.per_line_power)
+    entries = np.rec.fromarrays(
+        [np.arange(comb.line_count), lines, positions, comb.per_line_power], dtype=PlanRow
+    )
+    entries.flags.writeable = False
     return CellArrayPlan(
-        entries=tuple(map(PlanEntry, *columns)),
+        entries=entries,
         min_spacing=min_spacing,
         feasible=min_spacing >= min_gap,
     )

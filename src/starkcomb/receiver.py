@@ -261,8 +261,8 @@ BeatRow = np.dtype(
 
 @dataclass(frozen=True, eq=False)
 class BeatSpectrum:
-    """Beat powers for a stimulus: a :data:`BeatRow` record array, one row
-    per evaluated frequency; ``rows.beat_power`` etc. are its columns."""
+    """Beat powers for a stimulus: a read-only :data:`BeatRow` record array,
+    one row per evaluated frequency; ``rows.beat_power`` etc. are its columns."""
 
     rows: np.recarray
 
@@ -276,14 +276,14 @@ def _evaluate(
 ) -> np.recarray:
     # Point j is read out on plan entry index[j], by default the entry of its
     # nearest line; every point is evaluated in one array pass.
-    if not plan.entries:
+    if not len(plan.entries):
         raise PlannerError("plan has no entries")
     if len(responses) != len(plan.entries):
         raise PlannerError(
             f"got {len(responses)} channel responses for {len(plan.entries)} "
             "plan entries"
         )
-    lines = np.array([e.line_frequency for e in plan.entries], dtype=float)
+    lines = plan.entries.line_frequency
     if not np.all(np.diff(lines) >= 0):
         raise PlannerError("plan entries must be ordered by ascending line frequency")
     if index is None:
@@ -291,10 +291,10 @@ def _evaluate(
     frequencies, fields, index = np.broadcast_arrays(frequencies, fields, index)
     channel = channel_columns(responses, index)
     delta_f = frequencies - lines[index]
-    return np.rec.fromarrays(
+    rows = np.rec.fromarrays(
         [
             frequencies,
-            np.array([e.line_index for e in plan.entries], dtype=np.int64)[index],
+            plan.entries.line_index[index],
             delta_f,
             beat_power(channel, fields, delta_f),
             (fields > 0) & (fields >= min_detectable_field(channel, delta_f)),
@@ -302,6 +302,8 @@ def _evaluate(
         ],
         dtype=BeatRow,
     )
+    rows.flags.writeable = False
+    return rows
 
 
 def evaluate_channels(

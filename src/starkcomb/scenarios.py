@@ -145,18 +145,16 @@ def _beat_columns(spectrum: BeatSpectrum) -> dict[str, np.ndarray]:
 def _run_plan(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Path]:
     plan = _plan(config)
     plan_path = out_dir / "plan.csv"
-    positions = [e.position for e in plan.entries]
     _write_csv(
         plan_path,
         _meta(config, "plan")
         + [("min_spacing_cm", plan.min_spacing), ("feasible", plan.feasible)],
         {
-            "line_index": [e.line_index for e in plan.entries],
-            "line_GHz": [e.line_frequency / 1e9 for e in plan.entries],
-            "position_cm": positions,
-            "lo_power_dBm": [e.lo_power for e in plan.entries],
-            "spacing_to_next_cm": [a - b for a, b in zip(positions, positions[1:])]
-            + [None],
+            "line_index": plan.entries.line_index,
+            "line_GHz": plan.entries.line_frequency / 1e9,
+            "position_cm": plan.entries.position,
+            "lo_power_dBm": plan.entries.lo_power,
+            "spacing_to_next_cm": np.append(-np.diff(plan.entries.position), None),
         },
         timestamp,
     )
@@ -206,7 +204,7 @@ def _run_linearity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> li
     )
     delta = config.channel_defaults.reference_detuning
     # Every field on every line, line-major, in one stitched call.
-    lines = np.repeat([e.line_frequency for e in plan.entries], fields.size)
+    lines = np.repeat(plan.entries.line_frequency, fields.size)
     scenario = SignalScenario.tone_list(lines + delta, np.tile(fields, len(plan.entries)))
     spectrum = stitched_response(plan, config.channels, scenario)
     path = out_dir / "linearity.csv"
@@ -214,7 +212,7 @@ def _run_linearity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> li
         path,
         _meta(config, "linearity") + [("delta_f_kHz", delta / 1e3)],
         {
-            "channel_index": np.repeat([e.line_index for e in plan.entries], fields.size),
+            "channel_index": np.repeat(plan.entries.line_index, fields.size),
             "line_GHz": lines / 1e9,
             "field_V_per_cm": scenario.fields,
             "beat_dBm": spectrum.rows.beat_power,
@@ -237,8 +235,8 @@ def _run_sensitivity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> 
             ("measurement_time_s", config.measurement_time),
         ],
         {
-            "channel_index": [e.line_index for e in plan.entries],
-            "line_GHz": [e.line_frequency / 1e9 for e in plan.entries],
+            "channel_index": plan.entries.line_index,
+            "line_GHz": plan.entries.line_frequency / 1e9,
             "E_det_nV_per_cm": [e * 1e9 for e in e_det],
             "sensitivity_nV_cm_Hz": [
                 sensitivity(e, config.measurement_time) * 1e9 for e in e_det
@@ -267,8 +265,8 @@ def _run_sweep2cell(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> l
         _meta(config, "sweep2cell")
         + [
             ("field_V_per_cm", field),
-            ("position_low_line_cm", plan.entries[0].position),
-            ("position_high_line_cm", plan.entries[1].position),
+            ("position_low_line_cm", plan.entries.position[0]),
+            ("position_high_line_cm", plan.entries.position[1]),
         ],
         _beat_columns(spectrum),
         timestamp,

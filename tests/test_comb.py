@@ -9,6 +9,7 @@ from starkcomb import (
     DomainError,
     FrequencyComb,
     PlannerError,
+    PlanRow,
     assign_channel,
     comb_lines,
     coverage_union,
@@ -81,19 +82,42 @@ def test_invalid_comb():
 
 
 class TestPlaceCells:
-    def test_default_plan(self, plan21, profile, transition):
-        assert len(plan21.entries) == 21
-        positions = [e.position for e in plan21.entries]
-        assert positions[0] == 7.98  # lowest line at the low-field end
-        assert positions[-1] == 2.0  # highest line at the high-field end
-        assert all(a > b for a, b in zip(positions, positions[1:]))
-        assert plan21.feasible
-        for entry in plan21.entries:
-            residual = abs(
-                transition_frequency_at(profile, transition, entry.position)
-                - entry.line_frequency
-            )
-            assert residual <= 1e3
+    def test_default_plan(self, comb21, plan21, profile, transition):
+        unequal = FrequencyComb(
+            8.13e9, 10e6, 21, per_line_power=tuple(-3.0 + 0.25 * k for k in range(21))
+        )
+        assert len(set(unequal.per_line_power)) == 21
+        for comb, plan in [
+            (comb21, plan21),
+            (unequal, place_cells(profile, transition, unequal)),
+        ]:
+            entries = plan.entries
+            assert len(entries) == 21
+            assert entries.dtype == PlanRow
+            assert entries.line_index.tolist() == list(range(21))
+            assert entries.line_frequency.tolist() == comb_lines(comb)
+            assert entries.lo_power.tolist() == list(comb.per_line_power)
+            assert all(entries[k].position == entries.position[k] for k in range(21))
+            positions = [e.position for e in entries]
+            assert positions[0] == 7.98  # lowest line at the low-field end
+            assert positions[-1] == 2.0  # highest line at the high-field end
+            assert all(a > b for a, b in zip(positions, positions[1:]))
+            assert plan.feasible
+            for entry in entries:
+                residual = abs(
+                    transition_frequency_at(profile, transition, entry.position)
+                    - entry.line_frequency
+                )
+                assert residual <= 1e3
+
+    def test_entries_are_read_only(self, plan21):
+        entries = plan21.entries
+        before = entries.position.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            entries.position[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            entries[::-1].lo_power[0] = 0.0
+        assert entries.position.tolist() == before
 
     def test_positions_match_closed_form(self, plan21, profile):
         # Analytic inversion oracle for the zero-offset power law:

@@ -9,6 +9,7 @@ from starkcomb import (
     ChannelResponse,
     DomainError,
     PlannerError,
+    PlanRow,
     SignalScenario,
     beat_power,
     beat_signal_power,
@@ -194,9 +195,11 @@ class TestScenarioValidation:
 
 class TestStitchedResponse:
     def test_empty_plan_rejected(self, config):
-        empty = CellArrayPlan(entries=(), min_spacing=math.inf, feasible=True)
+        empty = CellArrayPlan(
+            entries=np.recarray(0, dtype=PlanRow), min_spacing=math.inf, feasible=True
+        )
         scenario = SignalScenario.tone_list([(8.13e9, 1e-5)])
-        with pytest.raises(PlannerError):
+        with pytest.raises(PlannerError, match="plan has no entries"):
             stitched_response(empty, (), scenario)
 
     def test_channel_count_mismatch(self, plan21, config):

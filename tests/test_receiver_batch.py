@@ -13,8 +13,8 @@ from starkcomb import (
     CellArrayPlan,
     ChannelResponse,
     DomainError,
-    PlanEntry,
     PlannerError,
+    PlanRow,
     SignalScenario,
     beat_power,
     default_config,
@@ -124,10 +124,8 @@ def receivers(draw):
         )
     )
     lines = np.cumsum([start, *gaps]).astype(float).tolist()
-    entries = tuple(
-        PlanEntry(line_index=k, line_frequency=f, position=10.0 - 0.1 * k, lo_power=0.0)
-        for k, f in enumerate(lines)
-    )
+    k = np.arange(count)
+    entries = np.rec.fromarrays([k, lines, 10.0 - 0.1 * k, np.zeros(count)], dtype=PlanRow)
     channels = []
     for _ in range(count):
         peak = draw(st.floats(-60.0, -20.0))
@@ -236,6 +234,20 @@ def test_spectrum_rows_are_records(plan21, config):
     ]
 
 
+def test_spectrum_rows_are_read_only(plan21, config):
+    scenario = SignalScenario.linear_sweep(8.02e9, 8.24e9, 11, 1e-5)
+    for rows in (
+        stitched_response(plan21, config.channels, scenario).rows,
+        evaluate_channels(plan21, config.channels, 8.13e9, 1e-5),
+    ):
+        before = rows.beat_power.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            rows.beat_power[0] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = rows[1]
+        assert rows.beat_power.tolist() == before
+
+
 def test_tone_list_from_arrays_equals_pairs():
     frequencies = np.array([8.1e9, 8.2e9, 8.15e9])
     fields = np.array([1e-5, 0.0, 2e-5])
@@ -279,5 +291,5 @@ def test_unsorted_plan_rejected(plan21, config):
     shuffled = CellArrayPlan(
         entries=plan21.entries[::-1], min_spacing=plan21.min_spacing, feasible=True
     )
-    with pytest.raises(PlannerError):
+    with pytest.raises(PlannerError, match="ordered by ascending line frequency"):
         stitched_response(shuffled, config.channels, SignalScenario.tone_list([(8.13e9, 1e-5)]))
