@@ -46,11 +46,12 @@ from .field_map import FieldProfile, field_at, fit_profile, position_at, transit
 from .receiver import (
     BeatRow,
     BeatSpectrum,
-    ChannelResponse,
+    ChannelRow,
     SignalScenario,
     beat_power,
     beat_signal_power,
     calibrate_noise_floor,
+    channel_table,
     evaluate_channels,
     far_field_strength,
     min_detectable_field,

@@ -47,6 +47,11 @@ def _check_levels(name: str, *levels: float) -> None:
         )
 
 
+def _check_half_width(half_width: float) -> None:
+    if not 0 < half_width < math.inf:  # NaN fails too
+        raise DomainError(f"half_width must be finite and > 0, got {half_width}")
+
+
 def _power_sum_dbm(levels: tuple[float, ...]) -> float:
     return 10.0 * math.log10(sum(10.0 ** (p / 10.0) for p in levels))
 
@@ -213,8 +218,9 @@ def assign_channel(
     ``signal_frequency - line``. A signal exactly midway between two lines
     resolves to the lower index. Signals outside
     ``[first_line - half_width, last_line + half_width]`` raise
-    :class:`CoverageError`.
+    :class:`CoverageError`. ``half_width`` must be finite and > 0.
     """
+    _check_half_width(half_width)
     lines = comb_lines(comb)
     if not lines[0] - half_width <= signal_frequency <= lines[-1] + half_width:
         raise CoverageError(
@@ -246,14 +252,16 @@ def nearest_line_index(lines, frequencies) -> np.ndarray:
         index = index - down
 
 
-def coverage_union(lines: list[float], half_width: float) -> list[tuple[float, float]]:
+def coverage_union(lines, half_width: float) -> list[tuple[float, float]]:
     """Merged coverage intervals ``[line - half_width, line + half_width]``.
 
     Intervals that touch exactly are merged, so a comb with spacing equal to
     ``2 * half_width`` yields a single contiguous interval of width
-    ``line_count * 2 * half_width``.
+    ``line_count * 2 * half_width``. ``lines`` is a sequence or an array;
+    ``half_width`` must be finite and > 0.
     """
-    if not lines:
+    _check_half_width(half_width)
+    if not len(lines):
         raise DomainError("coverage requires at least one line")
     intervals = sorted((f - half_width, f + half_width) for f in lines)
     merged = [intervals[0]]

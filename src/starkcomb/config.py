@@ -24,17 +24,18 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .bloch import LadderSystem
 from .comb import MAX_LEVEL_DB, FrequencyComb
 from .errors import ConfigError, StarkCombError
 from .field_map import FieldProfile, fit_profile
-from .receiver import ChannelResponse, beat_signal_power, channel_columns, far_field_strength
+from .receiver import calibrate_noise_floor, channel_table, far_field_strength
 from .stark import RydbergTransition
 
 __all__ = [
@@ -89,7 +90,7 @@ class ReceiverConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     @cached_property
-    def channels(self) -> tuple[ChannelResponse, ...]:
+    def channels(self) -> np.recarray:
         """One calibrated channel per comb line, built on first use; may raise ConfigError."""
         return _construct(
             "channel", build_channels, self.channel_defaults, self.comb.line_count
@@ -377,35 +378,23 @@ def load_config(path: str | Path) -> ReceiverConfig:
     return _build(_merge(_default_data(), data))
 
 
-def build_channels(
-    defaults: ChannelDefaults, line_count: int
-) -> tuple[ChannelResponse, ...]:
-    """One calibrated channel per comb line.
+def build_channels(defaults: ChannelDefaults, line_count: int) -> np.recarray:
+    """One calibrated channel per comb line, as a :data:`ChannelRow` table.
 
     The minimum detectable field and the gain scale interpolate linearly in
     line index between their center and edge values; each channel's noise
     floor is then set so it detects exactly its target field.
     """
     center = (line_count - 1) / 2.0
-    ts = [abs(k - center) / center if line_count > 1 else 0.0 for k in range(line_count)]
+    t = np.abs(np.arange(line_count) - center) / center if line_count > 1 else np.zeros(line_count)
     g0, g1 = defaults.gain_scale_endpoints
     e0, e1 = defaults.center_e_det, defaults.edge_e_det
-    gains = [g0 + t * (g1 - g0) for t in ts]
-    channel = partial(
-        ChannelResponse,
-        peak_power=defaults.peak_power,
-        reference_field=defaults.reference_field,
-        half_width_3db=defaults.half_width_3db,
-        rolloff_order=defaults.rolloff_order,
+    peak = defaults.peak_power
+    uncalibrated = channel_table(
+        peak, defaults.reference_field, defaults.half_width_3db, defaults.rolloff_order,
+        noise_floor=peak - 200.0, gain_scale=g0 + t * (g1 - g0),
     )
-    bases = [channel(noise_floor=defaults.peak_power - 200.0, gain_scale=g) for g in gains]
-    # Each floor is the signal power of the channel's target field, as in
-    # calibrate_noise_floor, for all channels in one array call.
-    targets = [e0 + t * (e1 - e0) for t in ts]
-    floors = beat_signal_power(channel_columns(bases), targets, defaults.reference_detuning)
-    return tuple(
-        channel(noise_floor=f, gain_scale=g) for g, f in zip(gains, floors.tolist())
-    )
+    return calibrate_noise_floor(uncalibrated, e0 + t * (e1 - e0), defaults.reference_detuning)
 
 
 def _build(data: dict) -> ReceiverConfig:

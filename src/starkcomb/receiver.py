@@ -12,8 +12,9 @@ principles quantities; they are chosen to reproduce measured numbers (peak
 beat power, minimum detectable field) and the small-signal physics is
 justified separately by :mod:`starkcomb.bloch`.
 
-The beat functions take scalar or array fields and detunings, and a
-:class:`ChannelResponse` or per-point channel columns gathered from several;
+The channels of an array are one read-only :data:`ChannelRow` record array,
+built by :func:`channel_table`. The beat functions take scalar or array fields
+and detunings, and a channel row or a table of them (one per point);
 :func:`stitched_response` evaluates a whole stimulus in one array pass.
 
 All fields are in V/cm, powers in dBm, frequencies in Hz.
@@ -22,9 +23,7 @@ All fields are in V/cm, powers in dBm, frequencies in Hz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dataclass_fields, replace
-from types import SimpleNamespace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,8 @@ from .comb import CellArrayPlan, nearest_line_index
 from .errors import DomainError, PlannerError
 
 __all__ = [
-    "ChannelResponse",
+    "ChannelRow",
+    "channel_table",
     "SignalScenario",
     "BeatRow",
     "BeatSpectrum",
@@ -41,7 +41,6 @@ __all__ = [
     "beat_power",
     "min_detectable_field",
     "calibrate_noise_floor",
-    "channel_columns",
     "sensitivity",
     "far_field_strength",
     "evaluate_channels",
@@ -49,70 +48,72 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChannelResponse:
-    """Linear heterodyne channel bound to one comb line.
+# One linear heterodyne channel bound to one comb line: the record type of
+# ``channel_table`` and of ``ReceiverConfig.channels``. ``peak_power`` is the
+# beat power at ``reference_field`` on line center; ``gain_scale`` is a
+# dimensionless per-channel factor modeling transition dipole-moment
+# degradation; ``noise_floor`` is the analyzer noise power in the analysis
+# bandwidth.
+ChannelRow = np.dtype(
+    [
+        ("peak_power", float),
+        ("reference_field", float),
+        ("half_width_3db", float),
+        ("rolloff_order", float),
+        ("noise_floor", float),
+        ("gain_scale", float),
+    ]
+)
 
-    ``peak_power`` is the beat power at ``reference_field`` on line center;
-    ``gain_scale`` is a dimensionless per-channel factor modeling transition
-    dipole-moment degradation; ``noise_floor`` is the analyzer noise power
-    in the analysis bandwidth.
+
+def _require(ok, message: str, *columns) -> None:
+    # Raise ``message`` formatted with the first failing element's values.
+    if not ok.all():
+        k = np.argmin(ok.ravel())
+        raise DomainError(message.format(*(c.ravel()[k].item() for c in columns)))
+
+
+def channel_table(
+    peak_power, reference_field, half_width_3db=5e6, rolloff_order=2, noise_floor=-80.0,
+    gain_scale=1.0,
+) -> np.recarray:
+    """Channels as a read-only :data:`ChannelRow` record array.
+
+    Scalar or 1-D arguments broadcast to one shape; all-scalar arguments give
+    a 0-d table, which is one channel. Every element is checked (NaN fails).
     """
-
-    peak_power: float
-    reference_field: float
-    half_width_3db: float = 5e6
-    rolloff_order: int = 2
-    noise_floor: float = -80.0
-    gain_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.reference_field < math.inf:
-            raise DomainError(f"reference_field must be > 0, got {self.reference_field}")
-        if not 0 < self.half_width_3db < math.inf:
-            raise DomainError(f"half_width_3db must be > 0, got {self.half_width_3db}")
-        if not (self.rolloff_order >= 1 and float(self.rolloff_order).is_integer()):
-            raise DomainError(
-                f"rolloff_order must be a positive integer, got {self.rolloff_order}"
-            )
-        if not 0 < self.gain_scale < math.inf:
-            raise DomainError(f"gain_scale must be > 0, got {self.gain_scale}")
-        if not -math.inf < self.noise_floor < self.peak_power < math.inf:
-            raise DomainError(
-                f"noise_floor ({self.noise_floor} dBm) must be below "
-                f"peak_power ({self.peak_power} dBm), both finite"
-            )
-
-
-def channel_columns(
-    responses: Sequence[ChannelResponse], index=slice(None)
-) -> SimpleNamespace:
-    """The channels' parameters as arrays, entry j from ``responses[index[j]]``;
-    the beat functions accept it wherever they accept a ChannelResponse."""
-    names = [f.name for f in dataclass_fields(ChannelResponse)]
-    table = np.array([list(vars(r).values()) for r in responses], dtype=float)
-    return SimpleNamespace(**dict(zip(names, table[index].T)))
+    columns = np.broadcast_arrays(
+        peak_power, reference_field, half_width_3db, rolloff_order, noise_floor, gain_scale
+    )
+    peak, reference, half_width, order, floor, gain = columns
+    for name, values in (("reference_field", reference), ("half_width_3db", half_width)):
+        _require((0 < values) & (values < math.inf), f"{name} must be > 0, got {{}}", values)
+    integer = (order >= 1) & (order < math.inf) & (np.floor(order) == order)
+    _require(integer, "rolloff_order must be a positive integer, got {}", order)
+    _require((0 < gain) & (gain < math.inf), "gain_scale must be > 0, got {}", gain)
+    ordered = (-math.inf < floor) & (floor < peak) & (peak < math.inf)
+    message = "noise_floor ({} dBm) must be below peak_power ({} dBm), both finite"
+    _require(ordered, message, floor, peak)
+    table = np.rec.fromarrays(columns, dtype=ChannelRow)
+    table.flags.writeable = False
+    return table
 
 
 def _finite(name: str, values, positive: bool = False) -> np.ndarray:
     # Written so that NaN fails the check.
     values = np.asarray(values, dtype=float)
     ok = (values > 0 if positive else values >= 0) & (values < np.inf)
-    if not ok.all():
-        raise DomainError(
-            f"{name} must be finite and {'>' if positive else '>='} 0, "
-            f"got {values[~ok][0]}"
-        )
+    _require(ok, f"{name} must be finite and {'>' if positive else '>='} 0, got {{}}", values)
     return values
 
 
-def rolloff(channel: ChannelResponse, delta_f):
+def rolloff(channel, delta_f):
     """Power response |H(delta_f)|^2, exactly 1/2 at the 3 dB half-width."""
     x = np.abs(delta_f) / channel.half_width_3db
     return 1.0 / (1.0 + x ** (2 * channel.rolloff_order))
 
 
-def _gain_db(channel: ChannelResponse, lead_db, delta_f):
+def _gain_db(channel, lead_db, delta_f):
     # The one dB sum of the channel model, in this order:
     # lead + 10 log10 |H(delta_f)|^2 + 20 log10 gain_scale.
     # A rolloff that underflows to 0 far off line gives -inf dB.
@@ -124,14 +125,20 @@ def _gain_db(channel: ChannelResponse, lead_db, delta_f):
         )
 
 
-def beat_signal_power(channel: ChannelResponse, field, delta_f):
-    """Beat-note signal power in dBm before noise flooring (``field`` > 0)."""
+def beat_signal_power(channel, field, delta_f):
+    """Beat-note signal power in dBm before noise flooring (``field`` > 0).
+
+    A power of +inf dBm (``field / reference_field`` overflows) is a DomainError.
+    """
     field = _finite("field", field, positive=True)
-    lead = channel.peak_power + 20.0 * np.log10(field / channel.reference_field)
-    return _gain_db(channel, lead, delta_f)[()]
+    with np.errstate(over="ignore"):
+        lead = channel.peak_power + 20.0 * np.log10(field / channel.reference_field)
+    s = _gain_db(channel, lead, delta_f)
+    _require(s < math.inf, "beat signal power must be below +inf dBm, got {}", s)
+    return s[()]
 
 
-def beat_power(channel: ChannelResponse, field, delta_f):
+def beat_power(channel, field, delta_f):
     """Observed beat power in dBm: signal power-summed with the noise floor.
 
     A zero field returns the noise floor exactly.
@@ -140,38 +147,39 @@ def beat_power(channel: ChannelResponse, field, delta_f):
     # A zero field is evaluated at the reference field, then replaced.
     positive = np.where(field > 0, field, channel.reference_field)
     s = beat_signal_power(channel, positive, delta_f)
-    power = 10.0 * np.log10(10.0 ** (s / 10.0) + 10.0 ** (channel.noise_floor / 10.0))
-    return np.where(field == 0, channel.noise_floor, power)[()]
+    floor = channel.noise_floor
+    with np.errstate(over="ignore", divide="ignore"):
+        power = 10.0 * np.log10(10.0 ** (s / 10.0) + 10.0 ** (floor / 10.0))
+        # Where the direct sum leaves the float range, factor out the larger term.
+        if not np.isfinite(power).all():
+            hi, lo = np.maximum(s, floor), np.minimum(s, floor)
+            factored = hi + 10.0 * np.log10(1.0 + 10.0 ** ((lo - hi) / 10.0))
+            power = np.where(np.isfinite(power), power, factored)
+    return np.where(field == 0, floor, power)[()]
 
 
-def min_detectable_field(channel: ChannelResponse, delta_f=0.0):
+def min_detectable_field(channel, delta_f=0.0):
     """Field (V/cm) whose beat signal power equals the noise floor."""
     # The reference field's signal sits margin dB above the floor.
     margin = _gain_db(channel, channel.peak_power - channel.noise_floor, delta_f)
     return channel.reference_field * 10.0 ** (-margin / 20.0)
 
 
-def calibrate_noise_floor(
-    channel: ChannelResponse, target_field: float, delta_f: float = 0.0
-) -> ChannelResponse:
-    """Channel with its noise floor set so ``min_detectable_field`` hits the target."""
-    return replace(
-        channel, noise_floor=float(beat_signal_power(channel, target_field, delta_f))
-    )
+def calibrate_noise_floor(channels, target_field, delta_f=0.0) -> np.recarray:
+    """Channels with each noise floor set so ``min_detectable_field`` hits its target."""
+    columns = {name: channels[name] for name in ChannelRow.names}
+    columns["noise_floor"] = beat_signal_power(channels, target_field, delta_f)
+    return channel_table(**columns)
 
 
-def sensitivity(e_det: float, measurement_time: float) -> float:
+def sensitivity(e_det, measurement_time):
     """Sensitivity in V cm^-1 Hz^-1/2 from the minimum detectable field.
 
-    ``sensitivity = e_det * sqrt(measurement_time)``.
+    ``sensitivity = e_det * sqrt(measurement_time)``, elementwise.
     """
-    if not e_det > 0:
-        raise DomainError(f"e_det must be > 0, got {e_det}")
-    if not measurement_time > 0:
-        raise DomainError(
-            f"measurement_time must be > 0, got {measurement_time}"
-        )
-    return e_det * math.sqrt(measurement_time)
+    e_det = _finite("e_det", e_det, positive=True)
+    measurement_time = _finite("measurement_time", measurement_time, positive=True)
+    return (e_det * np.sqrt(measurement_time))[()]
 
 
 def far_field_strength(
@@ -269,7 +277,7 @@ class BeatSpectrum:
 
 def _evaluate(
     plan: CellArrayPlan,
-    responses: Sequence[ChannelResponse],
+    channels: np.recarray,
     frequencies: np.ndarray,
     fields: np.ndarray,
     index: np.ndarray | None = None,
@@ -278,10 +286,9 @@ def _evaluate(
     # nearest line; every point is evaluated in one array pass.
     if not len(plan.entries):
         raise PlannerError("plan has no entries")
-    if len(responses) != len(plan.entries):
+    if np.shape(channels) != (len(plan.entries),):
         raise PlannerError(
-            f"got {len(responses)} channel responses for {len(plan.entries)} "
-            "plan entries"
+            f"got {np.size(channels)} channel responses for {len(plan.entries)} plan entries"
         )
     lines = plan.entries.line_frequency
     if not np.all(np.diff(lines) >= 0):
@@ -289,7 +296,8 @@ def _evaluate(
     if index is None:
         index = nearest_line_index(lines, frequencies)
     frequencies, fields, index = np.broadcast_arrays(frequencies, fields, index)
-    channel = channel_columns(responses, index)
+    # take, not channels[index]: fancy indexing a structured dtype is slow.
+    channel = channels.take(index)
     delta_f = frequencies - lines[index]
     rows = np.rec.fromarrays(
         [
@@ -307,20 +315,15 @@ def _evaluate(
 
 
 def evaluate_channels(
-    plan: CellArrayPlan,
-    responses: Sequence[ChannelResponse],
-    frequency: float,
-    field: float,
+    plan: CellArrayPlan, channels: np.recarray, frequency: float, field: float
 ) -> np.recarray:
     """Beat response of every channel to a single tone (isolation checks)."""
     index = np.arange(len(plan.entries))
-    return _evaluate(plan, responses, *_stimulus(frequency, field), index)
+    return _evaluate(plan, channels, *_stimulus(frequency, field), index)
 
 
 def stitched_response(
-    plan: CellArrayPlan,
-    responses: Sequence[ChannelResponse],
-    scenario: SignalScenario,
+    plan: CellArrayPlan, channels: np.recarray, scenario: SignalScenario
 ) -> BeatSpectrum:
     """Broadband response stitched from the per-cell channels.
 
@@ -331,5 +334,5 @@ def stitched_response(
     band are still evaluated but flagged ``in_band = False``.
     """
     return BeatSpectrum(
-        rows=_evaluate(plan, responses, scenario.frequencies, scenario.fields)
+        rows=_evaluate(plan, channels, scenario.frequencies, scenario.fields)
     )

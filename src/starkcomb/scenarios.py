@@ -225,7 +225,7 @@ def _run_linearity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> li
 def _run_sensitivity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Path]:
     plan = _plan(config)
     delta = config.channel_defaults.reference_detuning
-    e_det = [min_detectable_field(channel, delta) for channel in config.channels]
+    e_det = min_detectable_field(config.channels, delta)
     path = out_dir / "sensitivity.csv"
     _write_csv(
         path,
@@ -237,10 +237,8 @@ def _run_sensitivity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> 
         {
             "channel_index": plan.entries.line_index,
             "line_GHz": plan.entries.line_frequency / 1e9,
-            "E_det_nV_per_cm": [e * 1e9 for e in e_det],
-            "sensitivity_nV_cm_Hz": [
-                sensitivity(e, config.measurement_time) * 1e9 for e in e_det
-            ],
+            "E_det_nV_per_cm": e_det * 1e9,
+            "sensitivity_nV_cm_Hz": sensitivity(e_det, config.measurement_time) * 1e9,
         },
         timestamp,
     )

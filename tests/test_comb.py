@@ -196,6 +196,11 @@ class TestAssignChannel:
         assert index == 0
         assert math.isclose(delta, 5e6, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("half_width", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_half_width_rejected(self, comb21, half_width):
+        with pytest.raises(DomainError, match="half_width must be finite and > 0"):
+            assign_channel(comb21, 8.13e9, half_width=half_width)
+
     def test_exhaustive_search_equivalence(self, comb21):
         lines = np.array(comb_lines(comb21))
         rng = np.random.default_rng(42)
@@ -233,3 +238,16 @@ class TestCoverage:
     def test_no_lines_rejected(self):
         with pytest.raises(DomainError):
             coverage_union([], half_width=5e6)
+
+    def test_plan_line_array_accepted(self, plan21, comb21):
+        lines = plan21.entries.line_frequency
+        assert coverage_union(lines, half_width=5e6) == coverage_union(
+            comb_lines(comb21), half_width=5e6
+        )
+        with pytest.raises(DomainError, match="at least one line"):
+            coverage_union(lines[:0], half_width=5e6)
+
+    @pytest.mark.parametrize("half_width", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_half_width_rejected(self, comb21, half_width):
+        with pytest.raises(DomainError, match="half_width must be finite and > 0"):
+            coverage_union(comb_lines(comb21), half_width=half_width)

@@ -1,5 +1,6 @@
 """Any one- or two-leaf mutation of the default configuration either builds or
-raises ConfigError, and ``starkcomb plan`` on it exits 0, 2, 3 or 4.
+raises ConfigError, and each scenario that reads a mutated leaf exits 0, 2, 3
+or 4, with no warning, and with finite data in every CSV it writes on exit 0.
 
 Every leaf is tried at every extreme value once, then hypothesis draws
 mutations of one or two leaves from a wider set of values. The schema table
@@ -80,6 +81,34 @@ def _override(mutations) -> dict:
     return override
 
 
+# The scenarios that read the channel section; a scenarios.<name> leaf runs
+# <name>, and every other leaf runs plan.
+CHANNEL_SCENARIOS = ("response", "linearity", "sensitivity", "sweep2cell")
+
+
+def _scenarios(mutations) -> list[str]:
+    names = set()
+    for path, _ in mutations:
+        if path[0] == "scenarios":
+            names.add(path[1])
+        elif path[0] == "channel":
+            names.update(CHANNEL_SCENARIOS)
+        else:
+            names.add("plan")
+    return sorted(names)
+
+
+def _non_finite_cells(path: Path) -> list[str]:
+    # Data cells only: metadata lines may hold an infinite spacing.
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return [
+        cell
+        for line in lines[1:]
+        for cell in line.split(",")
+        if cell in ("inf", "-inf", "nan")
+    ]
+
+
 def _check(mutations, tmp: str) -> None:
     cfg = Path(tmp) / "mutated.yaml"
     cfg.write_text(yaml.safe_dump(_override(mutations)))
@@ -89,11 +118,16 @@ def _check(mutations, tmp: str) -> None:
             load_config(cfg).channels  # built on first use, so read here
         except ConfigError:
             return  # cli.main reports it as exit 2 (tests/test_scenarios.py)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["plan", "--config", str(cfg), "--out", tmp])
-    assert code in (0, 2, 3, 4), (mutations, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+        for scenario in _scenarios(mutations):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([scenario, "--config", str(cfg), "--out", tmp])
+            assert code in (0, 2, 3, 4), (scenario, mutations, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            for path in out.getvalue().split() if code == 0 else ():
+                if path.endswith(".csv"):
+                    bad = _non_finite_cells(Path(path))
+                    assert not bad, (scenario, mutations, Path(path).name, len(bad), bad[0])
 
 
 def test_each_leaf_at_each_extreme(tmp_path):

@@ -1,12 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from starkcomb import (
     CellArrayPlan,
-    ChannelResponse,
+    ChannelRow,
     DomainError,
     PlannerError,
     PlanRow,
@@ -14,6 +13,7 @@ from starkcomb import (
     beat_power,
     beat_signal_power,
     calibrate_noise_floor,
+    channel_table,
     evaluate_channels,
     far_field_strength,
     min_detectable_field,
@@ -24,13 +24,19 @@ from starkcomb import (
 
 REFERENCE_FIELD = 5.4772255750516614e-05  # V/cm, the -30 dBm far-field stimulus
 
-CHANNEL = ChannelResponse(
+CHANNEL_ARGS = dict(
     peak_power=-36.5,
     reference_field=REFERENCE_FIELD,
     half_width_3db=5e6,
     rolloff_order=2,
     noise_floor=-73.23,
 )
+CHANNEL = channel_table(**CHANNEL_ARGS)
+
+
+def replace(**changes):
+    """CHANNEL with some parameters changed."""
+    return channel_table(**{**CHANNEL_ARGS, **changes})
 
 
 class TestBeatPower:
@@ -62,6 +68,30 @@ class TestBeatPower:
         with pytest.raises(DomainError):
             beat_power(CHANNEL, -1.0, 0.0)
 
+    def test_power_sum_beyond_float_range_is_exact(self):
+        # The direct sum overflows here; the larger term dominates exactly.
+        huge = 1e300
+        assert beat_power(CHANNEL, huge, 0.0) == beat_signal_power(CHANNEL, huge, 0.0)
+        # Both terms underflow here; the sum is 3 dB above the equal terms.
+        faint = replace(noise_floor=-6000.0, peak_power=-5000.0)
+        field = min_detectable_field(faint, 0.0)
+        s = beat_signal_power(faint, field, 0.0)
+        assert beat_power(faint, field, 0.0) == s + 10.0 * math.log10(
+            1.0 + 10.0 ** ((-6000.0 - s) / 10.0)
+        )
+        assert math.isclose(beat_power(faint, field, 0.0), -6000.0 + 10 * math.log10(2.0))
+
+    def test_in_range_power_sum_is_the_direct_sum(self):
+        fields = np.logspace(-9, -2, 50)
+        s = beat_signal_power(CHANNEL, fields, 1e6)
+        direct = 10.0 * np.log10(10.0 ** (s / 10.0) + 10.0 ** (CHANNEL.noise_floor / 10.0))
+        assert np.array_equal(beat_power(CHANNEL, fields, 1e6), direct)
+
+    def test_infinite_signal_power_rejected(self):
+        tiny = replace(reference_field=1e-300)
+        with pytest.raises(DomainError, match="beat signal power must be below"):
+            beat_power(tiny, np.array([1e-5, 1e300]), 0.0)
+
     def test_pre_floor_slope_exact(self):
         for field in (1e-6, 1e-5, 1e-4):
             low = beat_signal_power(CHANNEL, field, 0.0)
@@ -79,7 +109,7 @@ class TestBeatPower:
             assert beat_power(CHANNEL, 1e-4, -d) == beat_power(CHANNEL, 1e-4, d)
 
     def test_gain_scale_enters_signal_chain(self):
-        scaled = replace(CHANNEL, gain_scale=0.5)
+        scaled = replace(gain_scale=0.5)
         delta_db = beat_signal_power(CHANNEL, 1e-4, 0.0) - beat_signal_power(
             scaled, 1e-4, 0.0
         )
@@ -94,7 +124,7 @@ class TestMinDetectableField:
         )
 
     def test_reference_field_scale_covariance(self):
-        doubled = replace(CHANNEL, reference_field=2 * CHANNEL.reference_field)
+        doubled = replace(reference_field=2 * CHANNEL.reference_field)
         assert math.isclose(
             min_detectable_field(doubled, 0.0),
             2 * min_detectable_field(CHANNEL, 0.0),
@@ -102,7 +132,7 @@ class TestMinDetectableField:
         )
 
     def test_noise_floor_twenty_db_per_decade(self):
-        raised = replace(CHANNEL, noise_floor=CHANNEL.noise_floor + 20.0)
+        raised = replace(noise_floor=CHANNEL.noise_floor + 20.0)
         assert math.isclose(
             min_detectable_field(raised, 0.0),
             10 * min_detectable_field(CHANNEL, 0.0),
@@ -142,6 +172,23 @@ class TestSensitivity:
             sensitivity(math.nan, 0.1)
         with pytest.raises(DomainError):
             sensitivity(1e-7, math.nan)
+
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            ((math.inf, 1.0), "e_det must be finite and > 0, got inf"),
+            ((1e-7, math.inf), "measurement_time must be finite and > 0, got inf"),
+            (([1e-7, -1e-7], 1.0), "e_det must be finite and > 0, got -1e-07"),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, args, text):
+        with pytest.raises(DomainError, match=text):
+            sensitivity(*args)
+
+    def test_array_equals_scalar_calls(self):
+        e_det = np.array([798.2e-9, 1.1e-6, 3.3e-7])
+        expected = [sensitivity(e, 0.1) for e in e_det]
+        assert sensitivity(e_det, 0.1).tolist() == expected
 
 
 class TestFarField:
@@ -204,8 +251,10 @@ class TestStitchedResponse:
 
     def test_channel_count_mismatch(self, plan21, config):
         scenario = SignalScenario.tone_list([(8.13e9, 1e-5)])
-        with pytest.raises(PlannerError):
+        with pytest.raises(PlannerError, match="got 20 channel responses for 21 plan entries"):
             stitched_response(plan21, config.channels[:-1], scenario)
+        with pytest.raises(PlannerError, match="got 1 channel responses for 21 plan entries"):
+            stitched_response(plan21, CHANNEL, scenario)
 
     def test_rows_floored_and_ordered(self, plan21, config):
         scenario = SignalScenario.linear_sweep(8.02e9, 8.24e9, 201, 1e-6)
@@ -303,11 +352,86 @@ class TestStitchedResponse:
 class TestChannelValidation:
     def test_floor_above_peak_rejected(self):
         with pytest.raises(DomainError):
-            ChannelResponse(peak_power=-36.5, reference_field=1e-4, noise_floor=-30.0)
+            channel_table(peak_power=-36.5, reference_field=1e-4, noise_floor=-30.0)
 
     def test_bad_rolloff_order(self):
         for order in (0, 1.5, math.nan, math.inf):
             with pytest.raises(DomainError):
-                ChannelResponse(
+                channel_table(
                     peak_power=-36.5, reference_field=1e-4, rolloff_order=order
                 )
+
+    def test_float_range_rejected(self):
+        with pytest.raises(DomainError, match="reference_field must be > 0, got inf"):
+            channel_table(peak_power=-36.5, reference_field=math.inf)
+        with pytest.raises(DomainError, match="gain_scale must be > 0, got 0"):
+            channel_table(peak_power=-36.5, reference_field=1e-4, gain_scale=0)
+
+    @pytest.mark.parametrize(
+        "changes, text",
+        [
+            ({"reference_field": [1e-4, math.nan]}, "reference_field must be > 0, got nan"),
+            ({"half_width_3db": [5e6, -1.0, 0.0]}, "half_width_3db must be > 0, got -1.0"),
+            ({"rolloff_order": [2, 0, 3]}, "rolloff_order must be a positive integer, got 0"),
+            ({"gain_scale": [1.0, 1.0, math.inf]}, "gain_scale must be > 0, got inf"),
+            (
+                {"noise_floor": [-80.0, -30.0, -20.0]},
+                r"noise_floor \(-30.0 dBm\) must be below peak_power \(-36.5 dBm\), both finite",
+            ),
+        ],
+    )
+    def test_first_failing_element_named(self, changes, text):
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            replace(**changes)
+
+
+class TestChannelTable:
+    def test_scalars_give_one_channel(self):
+        assert CHANNEL.shape == ()
+        assert CHANNEL.dtype == ChannelRow
+        assert CHANNEL.noise_floor == -73.23
+        assert CHANNEL.rolloff_order.dtype == np.float64
+
+    def test_columns_broadcast(self):
+        table = replace(gain_scale=[0.5, 1.0, 2.0])
+        assert table.shape == (3,)
+        assert table.gain_scale.tolist() == [0.5, 1.0, 2.0]
+        assert table.peak_power.tolist() == [-36.5] * 3
+        assert table[2].gain_scale == 2.0
+
+    def test_read_only(self):
+        table = replace(gain_scale=[0.5, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            table.noise_floor[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            CHANNEL.noise_floor[()] = 0.0
+
+    def test_array_calls_equal_per_channel_calls(self, config):
+        channels = config.channels
+        delta = config.channel_defaults.reference_detuning
+        assert min_detectable_field(channels, delta).tolist() == [
+            min_detectable_field(channel, delta) for channel in channels
+        ]
+        field = config.channel_defaults.reference_field
+        assert beat_power(channels, field, delta).tolist() == [
+            beat_power(channel, field, delta) for channel in channels
+        ]
+
+    def test_calibration_takes_and_returns_a_table(self, config):
+        channels = config.channels
+        targets = np.linspace(7e-7, 9e-7, len(channels))
+        calibrated = calibrate_noise_floor(channels, targets, 500e3)
+        assert calibrated.dtype == ChannelRow and not calibrated.flags.writeable
+        assert calibrated.noise_floor.tolist() == [
+            calibrate_noise_floor(channel, target, 500e3).noise_floor
+            for channel, target in zip(channels, targets)
+        ]
+        assert np.allclose(min_detectable_field(calibrated, 500e3), targets, rtol=1e-9)
+        for name in ChannelRow.names:
+            if name != "noise_floor":
+                assert np.array_equal(calibrated[name], channels[name])
+
+    def test_default_channels_are_a_table(self, config):
+        assert config.channels.dtype == ChannelRow
+        assert config.channels.shape == (config.comb.line_count,)
+        assert not config.channels.flags.writeable

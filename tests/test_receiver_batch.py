@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 import starkcomb.scenarios
 from starkcomb import (
     CellArrayPlan,
-    ChannelResponse,
     DomainError,
     PlannerError,
     PlanRow,
     SignalScenario,
     beat_power,
+    channel_table,
     default_config,
     evaluate_channels,
     run_scenario,
@@ -24,11 +24,29 @@ from starkcomb import (
 )
 from starkcomb.comb import nearest_line_index
 
-# SHA-256 of the default data products written by the per-point receiver.
+# SHA-256 of every default data product (manifests aside), by scenario and
+# file. The response, linearity and sweep2cell pins date from the per-point
+# receiver; the others were recorded before the channels became one table.
 DEFAULT_SHA256 = {
-    "response": "670995cde2587b0802604212ac39f2243fa9b73ea1d0efbb9406b17c3f3f2118",
-    "linearity": "2df1f0bdfb538f1b88be33f4e04b4d5dfaa2b01bea887ecf1416196663854788",
-    "sweep2cell": "fa374ed2ca7d678a487cb75f4de9a9759fe645f3ae861a20cffe7a413676771d",
+    "plan": {
+        "plan.csv": "72ec030e1893b0c0298078b89e6bf17115323523ce1cbe566067a2cedcf52acb",
+        "field_profile.csv": "ce02aa9ea48af65c2c2e422cd39bb97b019bee4732fd17fd33bdb3b8f6c5a132",
+    },
+    "response": {
+        "response.csv": "670995cde2587b0802604212ac39f2243fa9b73ea1d0efbb9406b17c3f3f2118",
+    },
+    "linearity": {
+        "linearity.csv": "2df1f0bdfb538f1b88be33f4e04b4d5dfaa2b01bea887ecf1416196663854788",
+    },
+    "sensitivity": {
+        "sensitivity.csv": "14dc75d05ca95d8b9f90b63f0266666ac0d956c1c828c6129bba3834aacd8707",
+    },
+    "sweep2cell": {
+        "sweep2cell.csv": "fa374ed2ca7d678a487cb75f4de9a9759fe645f3ae861a20cffe7a413676771d",
+    },
+    "eit": {
+        "eit.csv": "64e8409f31fe3260f2e771f1f77dfb3ac41eee1d78b6128238b6dbb339edde87",
+    },
 }
 
 
@@ -126,21 +144,20 @@ def receivers(draw):
     lines = np.cumsum([start, *gaps]).astype(float).tolist()
     k = np.arange(count)
     entries = np.rec.fromarrays([k, lines, 10.0 - 0.1 * k, np.zeros(count)], dtype=PlanRow)
-    channels = []
-    for _ in range(count):
-        peak = draw(st.floats(-60.0, -20.0))
-        channels.append(
-            ChannelResponse(
-                peak_power=peak,
-                reference_field=draw(st.floats(1e-6, 1e-3)),
-                half_width_3db=float(draw(st.integers(100_000, 20_000_000))),
-                rolloff_order=draw(st.integers(1, 4)),
-                noise_floor=peak - draw(st.floats(5.0, 80.0)),
-                gain_scale=draw(st.floats(0.2, 2.0)),
-            )
-        )
+    def column(strategy):
+        return np.array(draw(st.lists(strategy, min_size=count, max_size=count)), dtype=float)
+
+    peak = column(st.floats(-60.0, -20.0))
+    channels = channel_table(
+        peak_power=peak,
+        reference_field=column(st.floats(1e-6, 1e-3)),
+        half_width_3db=column(st.integers(100_000, 20_000_000)),
+        rolloff_order=column(st.integers(1, 4)),
+        noise_floor=peak - column(st.floats(5.0, 80.0)),
+        gain_scale=column(st.floats(0.2, 2.0)),
+    )
     plan = CellArrayPlan(entries=entries, min_spacing=0.1, feasible=True)
-    return plan, tuple(channels)
+    return plan, channels
 
 
 def stimuli(plan, channels):
@@ -204,9 +221,11 @@ def test_router_equals_exhaustive_first_minimum(lines, frequencies):
 
 def test_default_outputs_are_byte_identical(tmp_path):
     config = default_config()
-    for name, digest in DEFAULT_SHA256.items():
-        path = run_scenario(config, name, tmp_path)[0]
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
+    for name, digests in DEFAULT_SHA256.items():
+        *outputs, manifest = run_scenario(config, name, tmp_path)
+        assert manifest.name == f"{name}_manifest.json"
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs}
+        assert got == digests, name
 
 
 def test_linearity_is_one_stitched_call(monkeypatch, tmp_path):
