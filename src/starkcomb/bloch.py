@@ -21,17 +21,25 @@ Doppler averaging is out of scope.
 
 The Liouvillian is linear in the ten ``LadderSystem`` fields, so it is
 summed from a basis of ten constant 16x16 superoperators built at import.
+It preserves Hermiticity, so it is written on the 16 real coordinates of
+rho: the four populations, then ``sqrt(2) Re rho_ij`` and
+``sqrt(2) Im rho_ij`` for each i < j. These are ``T vec(rho)`` for one fixed
+unitary 16x16 map ``T``. Each basis superoperator ``T B T^dagger`` then maps
+real coordinates to real coordinates, so it is a real matrix, and 2-norms
+(the residual) are the same in both coordinates.
 :func:`steady_state` rescales each system by its largest rate, replaces the
 ground-population row (redundant under trace preservation) by the unit-trace
-row, and inverts the square systems in batches of fixed size. The first
-column of each inverse is the steady state; the inverse also gives the
-1-norm condition number, which flags non-unique steady states. Scalar calls
-and sweeps share this one path.
+row, and inverts the real square systems in batches of fixed size. The first
+column of each inverse is the steady state, mapped back to rho by
+``T^dagger``; the inverse also gives the 1-norm condition number, which flags
+non-unique steady states. Scalar calls and sweeps share this one path.
 
 The beat note produced by mixing a weak signal with the LO is modeled
 quasi-statically: its amplitude is the derivative of the probe absorption
 with respect to the microwave Rabi frequency at the LO operating point
-(:func:`heterodyne_gain`) times the signal Rabi frequency.
+(:func:`heterodyne_gain`) times the signal Rabi frequency. The Liouvillian
+is affine in that frequency, so the same inverse gives the derivative of the
+steady state exactly, with one matrix-vector product per system.
 """
 
 from __future__ import annotations
@@ -143,23 +151,46 @@ def _liouvillian_basis() -> np.ndarray:
     return np.array([terms[name] for name in _FIELDS])
 
 
+def _real_coordinates() -> np.ndarray:
+    """Unitary ``T`` taking ``vec(rho)`` of a Hermitian rho to real coordinates.
+
+    Rows: the populations rho_ii, then ``sqrt(2) Re rho_ij`` and
+    ``sqrt(2) Im rho_ij`` for i < j, with ``vec`` column-major as above.
+    """
+    t = np.zeros((16, 16), dtype=complex)
+    t[range(4), [0, 5, 10, 15]] = 1.0
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    for k, (i, j) in enumerate(pairs):
+        t[4 + 2 * k, [i + 4 * j, j + 4 * i]] = math.sqrt(0.5)
+        t[5 + 2 * k, [i + 4 * j, j + 4 * i]] = -1j * math.sqrt(0.5), 1j * math.sqrt(0.5)
+    return t
+
+
 _FIELDS = tuple(f.name for f in fields(LadderSystem))
-_BASIS = _liouvillian_basis()
-# Row 0 (d rho_gg / dt) is minus the sum of rows 5, 10 and 15 because the
+_T = _real_coordinates()
+# T B T^dagger maps real coordinates to real coordinates. Summed by einsum,
+# not BLAS (whose fused multiply-adds leave ~1e-16), its imaginary part is
+# exactly zero.
+_BASIS = np.einsum(
+    "rk,fks->frs", _T, np.einsum("fkc,sc->fks", _liouvillian_basis(), _T.conj())
+).real
+_MW_BASIS = _BASIS[_FIELDS.index("mw_rabi")]
+# Row 0 (d rho_gg / dt) is minus the sum of rows 1, 2 and 3 because the
 # Liouvillian preserves the trace, so the unit-trace row replaces it.
 _TRACE_ROW = np.zeros(16)
-_TRACE_ROW[[0, 5, 10, 15]] = 1.0
+_TRACE_ROW[:4] = 1.0
 # Systems per LAPACK call; bounds the memory of a long sweep.
 _BLOCK = 64
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
     """Induced 1-norm (maximum absolute column sum) of each matrix in a stack."""
-    return np.abs(a).sum(axis=-2).max(axis=-1)
+    return np.einsum("nij->nj", np.abs(a)).max(axis=-1)
 
 
-def _solve_block(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steady-state vectors and residual norms of a block of scaled rate sets."""
+def _solve_block(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real steady-state coordinates of a block of scaled rate sets, their
+    derivatives with respect to the scaled ``mw_rabi``, and residual norms."""
     liouv = np.tensordot(scaled, _BASIS, axes=1)
     matrix = liouv.copy()
     matrix[:, 0, :] = _TRACE_ROW
@@ -186,30 +217,19 @@ def _solve_block(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"steady-state residual {residual[failed[0]]:.3e} exceeds "
             f"{_RESIDUAL_LIMIT:g}"
         )
-    return solution, residual
+    # matrix @ x = e_0 is affine in mw_rabi and the trace row does not depend
+    # on it, so matrix @ dx = -[0; (B_mw x)[1:]].
+    drive = solution @ _MW_BASIS.T
+    drive[:, 0] = 0.0
+    slope = -(inverse @ drive[:, :, None])[:, :, 0]
+    return solution, slope, residual
 
 
-def steady_state(
-    system: LadderSystem,
-    *,
-    probe_detuning: ArrayLike | None = None,
-    mw_rabi: ArrayLike | None = None,
-) -> DensityMatrixSolution:
-    """Solve the Lindblad steady state of the ladder, or of a sweep of it.
-
-    ``probe_detuning`` and ``mw_rabi`` (rad/s) optionally replace the
-    corresponding field of ``system`` by an array; the arrays broadcast
-    together and the solution carries their shape, followed by ``(4, 4)``
-    for ``rho``. Without them the result is a single ``(4, 4)`` matrix.
-
-    Each system is rescaled by its largest rate, its Liouvillian is summed
-    from a fixed basis of superoperators, the ground-population row is
-    replaced by the unit-trace row, and the square systems are inverted in
-    blocks. Raises :class:`DomainError` for a non-finite or negative swept
-    value, :class:`DegenerateSystemError` when a steady state is not unique
-    (singular or numerically singular system, e.g. an undriven, undamped
-    level) and :class:`SolverError` when a residual exceeds ``1e-9``.
-    """
+def _solve(
+    system: LadderSystem, probe_detuning: ArrayLike | None, mw_rabi: ArrayLike | None
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Sweep shape, real steady-state coordinates, their derivatives with
+    respect to ``mw_rabi`` (s/rad) and residual norms, one row per system."""
     sweep = {
         name: np.asarray(values, dtype=float)
         for name, values in (("probe_detuning", probe_detuning), ("mw_rabi", mw_rabi))
@@ -226,19 +246,60 @@ def steady_state(
     for i, name in enumerate(_FIELDS):
         params[..., i] = sweep.get(name, getattr(system, name))
     params = params.reshape(-1, len(_FIELDS))
-    scaled = params / np.abs(params).max(axis=1, keepdims=True)
+    scale = np.abs(params).max(axis=1, keepdims=True)
+    scaled = params / scale
 
-    solution = np.empty((len(params), 16), dtype=complex)
+    solution = np.empty((len(params), 16))
+    slope = np.empty((len(params), 16))
     residual = np.empty(len(params))
     for lo in range(0, len(params), _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        solution[block], residual[block] = _solve_block(scaled[block])
+        solution[block], slope[block], residual[block] = _solve_block(scaled[block])
+    return shape, solution, slope / scale, residual
 
-    rho = solution.reshape(shape + (4, 4)).swapaxes(-1, -2)
+
+def _density_matrix(coordinates: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Matrices ``T^dagger x`` of rows of real coordinates, of shape ``shape + (4, 4)``."""
+    return (coordinates @ _T.conj()).reshape(shape + (4, 4)).swapaxes(-1, -2)
+
+
+def steady_state(
+    system: LadderSystem,
+    *,
+    probe_detuning: ArrayLike | None = None,
+    mw_rabi: ArrayLike | None = None,
+) -> DensityMatrixSolution:
+    """Solve the Lindblad steady state of the ladder, or of a sweep of it.
+
+    ``probe_detuning`` and ``mw_rabi`` (rad/s) optionally replace the
+    corresponding field of ``system`` by an array; the arrays broadcast
+    together and the solution carries their shape, followed by ``(4, 4)``
+    for ``rho``. Without them the result is a single ``(4, 4)`` matrix.
+
+    Each system is rescaled by its largest rate, its real Liouvillian is
+    summed from a fixed basis of superoperators, the ground-population row
+    is replaced by the unit-trace row, and the square systems are inverted in
+    blocks. Raises :class:`DomainError` for a non-finite or negative swept
+    value, :class:`DegenerateSystemError` when a steady state is not unique
+    (singular or numerically singular system, e.g. an undriven, undamped
+    level) and :class:`SolverError` when a residual exceeds ``1e-9``.
+    """
+    shape, solution, _, residual = _solve(system, probe_detuning, mw_rabi)
     residual = residual.reshape(shape)
     return DensityMatrixSolution(
-        rho=rho, residual_norm=float(residual) if residual.ndim == 0 else residual
+        rho=_density_matrix(solution, shape),
+        residual_norm=float(residual) if residual.ndim == 0 else residual,
     )
+
+
+def _require_probe(system: LadderSystem) -> None:
+    if system.probe_rabi <= 0:
+        raise DomainError("probe_rabi must be > 0 to define probe absorption")
+
+
+def _absorption(system: LadderSystem, rho: np.ndarray) -> float | np.ndarray:
+    absorption = rho[..., 0, 1].imag * system.decay_e / system.probe_rabi
+    return float(absorption) if absorption.ndim == 0 else absorption
 
 
 def probe_absorption(
@@ -254,11 +315,9 @@ def probe_absorption(
     transparency. ``probe_detuning`` and ``mw_rabi`` sweep the system as in
     :func:`steady_state`; with a sweep the result is an array of its shape.
     """
-    if system.probe_rabi <= 0:
-        raise DomainError("probe_rabi must be > 0 to define probe absorption")
+    _require_probe(system)
     rho = steady_state(system, probe_detuning=probe_detuning, mw_rabi=mw_rabi).rho
-    absorption = rho[..., 0, 1].imag * system.decay_e / system.probe_rabi
-    return float(absorption) if absorption.ndim == 0 else absorption
+    return _absorption(system, rho)
 
 
 def at_splitting(system: LadderSystem, probe_sweep: np.ndarray) -> float:
@@ -304,22 +363,24 @@ def at_splitting(system: LadderSystem, probe_sweep: np.ndarray) -> float:
     return abs(d2 - d1) / _TWO_PI
 
 
-def heterodyne_gain(system: LadderSystem) -> float:
+def heterodyne_gain(
+    system: LadderSystem, *, mw_rabi: ArrayLike | None = None
+) -> float | np.ndarray:
     """Derivative of probe absorption with respect to the microwave Rabi rate.
 
-    Central finite difference at the LO operating point ``system.mw_rabi``
-    with step ``max(1e-4 * mw_rabi, 2*pi*1 kHz)``. The beat-note amplitude
-    produced by a weak signal of Rabi frequency ``omega_sig`` is
+    Exact: the Liouvillian is affine in ``mw_rabi``, so the inverse that
+    gives the steady state ``x`` also gives ``dx = -M^-1 [0; (B_mw x)[1:]] / s``
+    for the trace-replaced, rescaled system ``M``, its scale ``s`` and the
+    real microwave superoperator ``B_mw``. The derivative is taken at the LO operating point
+    ``system.mw_rabi``, or at each value of an optional ``mw_rabi`` array
+    (rad/s), in which case the result is an array of its shape, as in
+    :func:`probe_absorption`. The beat-note amplitude produced by a weak
+    signal of Rabi frequency ``omega_sig`` is
     ``heterodyne_gain(system) * omega_sig`` for ``omega_sig << mw_rabi``.
     """
-    lo = system.mw_rabi
-    if lo <= 0:
+    lo = system.mw_rabi if mw_rabi is None else mw_rabi
+    if not (np.asarray(lo, dtype=float) > 0).all():
         raise DomainError("mw_rabi must be > 0 to define the heterodyne gain")
-    h = max(1e-4 * lo, _TWO_PI * 1e3)
-    if h >= lo:
-        raise DomainError(
-            f"mw_rabi = {lo:.3e} rad/s is too small for the finite-difference "
-            f"step {h:.3e} rad/s"
-        )
-    upper, lower = probe_absorption(system, mw_rabi=[lo + h, lo - h])
-    return float((upper - lower) / (2.0 * h))
+    _require_probe(system)
+    shape, _, slope, _ = _solve(system, None, mw_rabi)
+    return _absorption(system, _density_matrix(slope, shape))

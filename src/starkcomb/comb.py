@@ -218,9 +218,12 @@ def assign_channel(
     ``signal_frequency - line``. A signal exactly midway between two lines
     resolves to the lower index. Signals outside
     ``[first_line - half_width, last_line + half_width]`` raise
-    :class:`CoverageError`. ``half_width`` must be finite and > 0.
+    :class:`CoverageError`. ``signal_frequency`` must be finite and
+    ``half_width`` finite and > 0 (:class:`DomainError`).
     """
     _check_half_width(half_width)
+    if not math.isfinite(signal_frequency):
+        raise DomainError(f"signal_frequency must be finite, got {signal_frequency}")
     lines = comb_lines(comb)
     if not lines[0] - half_width <= signal_frequency <= lines[-1] + half_width:
         raise CoverageError(

@@ -162,7 +162,9 @@ def min_detectable_field(channel, delta_f=0.0):
     """Field (V/cm) whose beat signal power equals the noise floor."""
     # The reference field's signal sits margin dB above the floor.
     margin = _gain_db(channel, channel.peak_power - channel.noise_floor, delta_f)
-    return channel.reference_field * 10.0 ** (-margin / 20.0)
+    # Below about -6160 dB the power overflows: no field is detectable (inf).
+    with np.errstate(over="ignore"):
+        return channel.reference_field * 10.0 ** (-margin / 20.0)
 
 
 def calibrate_noise_floor(channels, target_field, delta_f=0.0) -> np.recarray:
@@ -223,13 +225,10 @@ class SignalScenario:
     :meth:`linear_sweep`.
     """
 
-    kind: str
     frequencies: np.ndarray = ()
     fields: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("tone-list", "linear-sweep"):
-            raise DomainError(f"unknown scenario kind {self.kind!r}")
         frequencies, fields = _stimulus(self.frequencies, self.fields)
         object.__setattr__(self, "frequencies", frequencies)
         object.__setattr__(self, "fields", fields)
@@ -240,7 +239,7 @@ class SignalScenario:
         frequency array and a field array (or one field for every tone)."""
         if fields is None:
             tones, fields = np.asarray(tones, dtype=float).reshape(len(tones), 2).T
-        return cls("tone-list", tones, fields)
+        return cls(tones, fields)
 
     @classmethod
     def linear_sweep(
@@ -250,7 +249,7 @@ class SignalScenario:
             raise DomainError(f"sweep needs 0 < start < stop < inf, got [{start}, {stop}]")
         if not points >= 2:
             raise DomainError(f"sweep needs at least 2 points, got {points}")
-        return cls("linear-sweep", np.linspace(start, stop, points), field)
+        return cls(np.linspace(start, stop, points), field)
 
 
 # One evaluated signal frequency routed to a channel: the record type of

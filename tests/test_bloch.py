@@ -264,3 +264,30 @@ class TestHeterodyneGain:
     def test_requires_lo(self):
         with pytest.raises(DomainError):
             heterodyne_gain(replace(self.BASE, mw_rabi=0.0))
+
+    def test_sweep_matches_per_lo_calls(self):
+        los = TWO_PI * np.linspace(0.5e6, 20e6, 161)
+        gains = heterodyne_gain(self.BASE, mw_rabi=los)
+        assert gains.shape == los.shape
+        expected = [heterodyne_gain(replace(self.BASE, mw_rabi=lo)) for lo in los]
+        np.testing.assert_allclose(gains, expected, rtol=1e-12, atol=0)
+
+    def test_small_lo_has_a_gain(self):
+        # The gain is defined at any LO above 0, however small.
+        lo = TWO_PI * 100.0
+        gain = heterodyne_gain(replace(self.BASE, mw_rabi=lo))
+        sig = 1e-3 * lo
+        assert math.isclose(
+            quasi_static_beat_amplitude(replace(self.BASE, mw_rabi=lo), sig),
+            gain * sig,
+            rel_tol=1e-3,
+        )
+
+    @pytest.mark.parametrize("los", [[GAMMA_E, 0.0], [-GAMMA_E], [math.nan]])
+    def test_requires_lo_in_sweep(self, los):
+        with pytest.raises(DomainError):
+            heterodyne_gain(self.BASE, mw_rabi=los)
+
+    def test_requires_probe(self):
+        with pytest.raises(DomainError, match="probe_rabi"):
+            heterodyne_gain(replace(self.BASE, probe_rabi=0.0))

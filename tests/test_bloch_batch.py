@@ -13,9 +13,12 @@ from starkcomb import (
     LadderSystem,
     SolverError,
     default_config,
+    heterodyne_gain,
+    probe_absorption,
     run_scenario,
     steady_state,
 )
+from starkcomb import bloch
 
 TWO_PI = 2 * math.pi
 GAMMA_E = TWO_PI * 5.2e6
@@ -159,6 +162,47 @@ def test_batch_of_one_equals_scalar_call(system, name):
     assert np.array_equal(batch.rho[0], scalar.rho)
     assert batch.residual_norm[0] == scalar.residual_norm
     assert isinstance(scalar.residual_norm, float)
+
+
+@property_settings
+@given(system=systems)
+def test_real_liouvillian_is_the_reference_in_real_coordinates(system):
+    # T must be unitary for the residual 2-norm to keep its meaning.
+    t = bloch._T
+    np.testing.assert_allclose(t @ t.conj().T, np.eye(16), rtol=0, atol=1e-15)
+    scaled = np.array([getattr(system, name) for name in bloch._FIELDS]) / _scale(system)
+    transformed = t @ reference_liouvillian(system) @ t.conj().T
+    np.testing.assert_allclose(
+        np.tensordot(scaled, bloch._BASIS, axes=1), transformed, rtol=0, atol=1e-14
+    )
+
+
+@property_settings
+@given(system=systems)
+def test_gain_matches_richardson_difference(system):
+    # The exact derivative against central differences at steps h and h/2,
+    # Richardson-extrapolated to O(h^4). Each absorption carries a rounding
+    # error of about eps * decay_e / probe_rabi (|rho_ij| <= 1) that the
+    # quotients divide by h: where the microwave barely moves the absorption,
+    # that floor and not the relative tolerance bounds the comparison.
+    lo = system.mw_rabi
+    h = 1e-3 * lo
+    wide = probe_absorption(system, mw_rabi=[lo + h, lo - h])
+    narrow = probe_absorption(system, mw_rabi=[lo + h / 2, lo - h / 2])
+    difference = (4 * (narrow[0] - narrow[1]) / h - (wide[0] - wide[1]) / (2 * h)) / 3
+    gain = heterodyne_gain(system)
+    rounding = 10 * np.finfo(float).eps * system.decay_e / system.probe_rabi / h
+    assert abs(gain - difference) <= 1e-6 * abs(gain) + rounding
+
+
+@property_settings
+@given(system=systems)
+def test_gain_batch_of_one_equals_scalar_call(system):
+    batch = heterodyne_gain(system, mw_rabi=[system.mw_rabi])
+    scalar = heterodyne_gain(system)
+    assert batch.shape == (1,)
+    assert batch[0] == scalar
+    assert isinstance(scalar, float)
 
 
 @property_settings

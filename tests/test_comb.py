@@ -201,6 +201,12 @@ class TestAssignChannel:
         with pytest.raises(DomainError, match="half_width must be finite and > 0"):
             assign_channel(comb21, 8.13e9, half_width=half_width)
 
+    @pytest.mark.parametrize("frequency", [math.nan, math.inf, -math.inf])
+    def test_non_finite_signal_rejected(self, comb21, frequency):
+        # An invalid input, not a coverage failure.
+        with pytest.raises(DomainError, match="signal_frequency must be finite"):
+            assign_channel(comb21, frequency, half_width=5e6)
+
     def test_exhaustive_search_equivalence(self, comb21):
         lines = np.array(comb_lines(comb21))
         rng = np.random.default_rng(42)

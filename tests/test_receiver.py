@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,17 @@ class TestMinDetectableField:
         hi = calibrate_noise_floor(CHANNEL, 7982e-9, 0.0)
         assert math.isclose(hi.noise_floor - lo.noise_floor, 20.0, abs_tol=1e-9)
 
+    def test_margin_beyond_float_range_is_undetectable(self):
+        # A gain of 5e-324 puts the reference signal about 6420 dB below the
+        # floor: the field power overflows to inf, without a warning.
+        weak = channel_table(-36.5, 5.4e-5, gain_scale=[5e-324, 1.0], noise_floor=-80.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fields = min_detectable_field(weak, 0.0)
+            scalar = min_detectable_field(weak[0], 0.0)
+        assert fields[0] == scalar == math.inf
+        assert fields[1] == min_detectable_field(weak[1], 0.0) < math.inf
+
 
 class TestSensitivity:
     def test_center_channel_value(self):
@@ -234,10 +246,6 @@ class TestScenarioValidation:
     def test_negative_field(self):
         with pytest.raises(DomainError):
             SignalScenario.tone_list([(8.13e9, -1.0)])
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            SignalScenario(kind="chirp")
 
 
 class TestStitchedResponse:
