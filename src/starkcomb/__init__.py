@@ -47,7 +47,6 @@ from .receiver import (
     BeatRow,
     BeatSpectrum,
     ChannelRow,
-    SignalScenario,
     beat_power,
     beat_signal_power,
     calibrate_noise_floor,

@@ -50,7 +50,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import DegenerateSystemError, DomainError, RegimeError, SolverError
+from .errors import DegenerateSystemError, DomainError, RegimeError, SolverError, require
 
 __all__ = [
     "LadderSystem",
@@ -85,18 +85,13 @@ class LadderSystem:
     dephasing: float = _TWO_PI * 100e3
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise DomainError(f"{f.name} must be finite, got {value}")
-        for name in (
-            "probe_rabi", "coupling_rabi", "mw_rabi",
-            "decay_r1", "decay_r2", "dephasing",
-        ):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.decay_e <= 0:
-            raise DomainError(f"decay_e must be > 0, got {self.decay_e}")
+        names = [f.name for f in fields(self)]
+        values = [getattr(self, name) for name in names]
+        require(np.isfinite(values), DomainError, "{} must be finite, got {}", names, values)
+        rates = ("probe_rabi", "coupling_rabi", "mw_rabi", "decay_r1", "decay_r2", "dephasing")
+        values = [getattr(self, name) for name in rates]
+        require(np.greater_equal(values, 0), DomainError, "{} must be >= 0, got {}", rates, values)
+        require(self.decay_e > 0, DomainError, "decay_e must be > 0, got {}", self.decay_e)
 
 
 @dataclass(frozen=True)
@@ -202,21 +197,17 @@ def _solve_block(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
             "structure is disconnected or undamped"
         ) from exc
     cond = _norm1(matrix) * _norm1(inverse)
-    failed = np.flatnonzero(~(cond <= _CONDITION_LIMIT))
-    if failed.size:
-        raise DegenerateSystemError(
-            f"steady state is not unique (condition number {cond[failed[0]]:.3e} "
-            f"exceeds {_CONDITION_LIMIT:.3e}); the level structure is "
-            "disconnected or undamped"
-        )
+    require(
+        cond <= _CONDITION_LIMIT,
+        DegenerateSystemError,
+        f"steady state is not unique (condition number {{:.3e}} exceeds {_CONDITION_LIMIT:.3e}); "
+        "the level structure is disconnected or undamped",
+        cond,
+    )
     solution = inverse[:, :, 0]
     residual = np.linalg.norm(np.einsum("nij,nj->ni", liouv, solution), axis=1)
-    failed = np.flatnonzero(~(residual <= _RESIDUAL_LIMIT))
-    if failed.size:
-        raise SolverError(
-            f"steady-state residual {residual[failed[0]]:.3e} exceeds "
-            f"{_RESIDUAL_LIMIT:g}"
-        )
+    message = f"steady-state residual {{:.3e}} exceeds {_RESIDUAL_LIMIT:g}"
+    require(residual <= _RESIDUAL_LIMIT, SolverError, message, residual)
     # matrix @ x = e_0 is affine in mw_rabi and the trace row does not depend
     # on it, so matrix @ dx = -[0; (B_mw x)[1:]].
     drive = solution @ _MW_BASIS.T
@@ -236,10 +227,8 @@ def _solve(
         if values is not None
     }
     for name, values in sweep.items():
-        if not np.isfinite(values).all():
-            raise DomainError(f"swept {name} must be finite")
-    if "mw_rabi" in sweep and (sweep["mw_rabi"] < 0).any():
-        raise DomainError("swept mw_rabi must be >= 0")
+        require(np.isfinite(values), DomainError, f"swept {name} must be finite")
+    require(sweep.get("mw_rabi", 0.0) >= 0, DomainError, "swept mw_rabi must be >= 0")
     shape = np.broadcast_shapes(*(values.shape for values in sweep.values()))
 
     params = np.empty(shape + (len(_FIELDS),))
@@ -293,8 +282,8 @@ def steady_state(
 
 
 def _require_probe(system: LadderSystem) -> None:
-    if system.probe_rabi <= 0:
-        raise DomainError("probe_rabi must be > 0 to define probe absorption")
+    message = "probe_rabi must be > 0 to define probe absorption"
+    require(system.probe_rabi > 0, DomainError, message)
 
 
 def _absorption(system: LadderSystem, rho: np.ndarray) -> float | np.ndarray:
@@ -331,14 +320,13 @@ def at_splitting(system: LadderSystem, probe_sweep: np.ndarray) -> float:
     Raises :class:`RegimeError` below the strong-field regime
     (``mw_rabi < 5 * decay_e``) or when fewer than two windows are found.
     """
-    if system.mw_rabi < 5.0 * system.decay_e:
-        raise RegimeError(
-            f"mw_rabi = {system.mw_rabi:.3e} rad/s is below the strong-field "
-            f"regime (5 * decay_e = {5.0 * system.decay_e:.3e} rad/s)"
-        )
+    strong = 5.0 * system.decay_e
+    message = "mw_rabi = {:.3e} rad/s is below the strong-field regime "
+    message += f"(5 * decay_e = {strong:.3e} rad/s)"
+    require(system.mw_rabi >= strong, RegimeError, message, system.mw_rabi)
     detunings = np.asarray(probe_sweep, dtype=float)
-    if detunings.ndim != 1 or detunings.size < 5:
-        raise DomainError("probe_sweep must be a 1-D array of at least 5 detunings")
+    message = "probe_sweep must be a 1-D array of at least 5 detunings"
+    require(detunings.ndim == 1 and detunings.size >= 5, DomainError, message)
 
     absorption = probe_absorption(system, probe_detuning=detunings)
 
@@ -353,11 +341,9 @@ def at_splitting(system: LadderSystem, probe_sweep: np.ndarray) -> float:
                 shift = 0.5 * step * (absorption[i - 1] - absorption[i + 1]) / denom
             minima.append((absorption[i], detunings[i] + shift))
 
-    if len(minima) < 2:
-        raise RegimeError(
-            f"found {len(minima)} transparency window(s); need two to measure "
-            "a splitting (widen or refine the probe sweep)"
-        )
+    message = "found {} transparency window(s); need two to measure a splitting "
+    message += "(widen or refine the probe sweep)"
+    require(len(minima) >= 2, RegimeError, message, len(minima))
     minima.sort(key=lambda m: m[0])
     (_, d1), (_, d2) = minima[0], minima[1]
     return abs(d2 - d1) / _TWO_PI
@@ -379,8 +365,8 @@ def heterodyne_gain(
     ``heterodyne_gain(system) * omega_sig`` for ``omega_sig << mw_rabi``.
     """
     lo = system.mw_rabi if mw_rabi is None else mw_rabi
-    if not (np.asarray(lo, dtype=float) > 0).all():
-        raise DomainError("mw_rabi must be > 0 to define the heterodyne gain")
+    message = "mw_rabi must be > 0 to define the heterodyne gain"
+    require(np.asarray(lo, dtype=float) > 0, DomainError, message)
     _require_probe(system)
     shape, _, slope, _ = _solve(system, None, mw_rabi)
     return _absorption(system, _density_matrix(slope, shape))

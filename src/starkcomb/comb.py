@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, PlannerError
+from .errors import CoverageError, DomainError, PlannerError, require
 from .field_map import FieldProfile, position_at, transition_frequency_at
 from .stark import RydbergTransition, field_for_frequency
 
@@ -38,20 +38,6 @@ def _equal_split_dbm(total_power: float, count: int) -> float:
     return total_power - 10.0 * math.log10(count)
 
 
-def _check_levels(name: str, *levels: float) -> None:
-    # Written so that NaN fails the check.
-    if not all(abs(p) < MAX_LEVEL_DB for p in levels):
-        raise DomainError(
-            f"{name} must be within +/-{MAX_LEVEL_DB:.1f} dBm, got "
-            + ", ".join(map(str, levels))
-        )
-
-
-def _check_half_width(half_width: float) -> None:
-    if not 0 < half_width < math.inf:  # NaN fails too
-        raise DomainError(f"half_width must be finite and > 0, got {half_width}")
-
-
 def _power_sum_dbm(levels: tuple[float, ...]) -> float:
     return 10.0 * math.log10(sum(10.0 ** (p / 10.0) for p in levels))
 
@@ -73,37 +59,29 @@ class FrequencyComb:
     total_power: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.center_frequency < math.inf:
-            raise DomainError(
-                f"center_frequency must be finite and > 0, got {self.center_frequency}"
-            )
-        if not 0 < self.line_spacing < math.inf:
-            raise DomainError(f"line_spacing must be finite and > 0, got {self.line_spacing}")
-        if self.line_count < 1:
-            raise DomainError(f"line_count must be >= 1, got {self.line_count}")
-        if not self.per_line_power:
+        for name in ("center_frequency", "line_spacing"):
+            value = getattr(self, name)
+            message = f"{name} must be finite and > 0, got {{}}"
+            require(0 < value < math.inf, DomainError, message, value)
+        count = self.line_count
+        require(count >= 1, DomainError, "line_count must be >= 1, got {}", count)
+        levels = self.per_line_power
+        if not levels:
             object.__setattr__(
-                self,
-                "per_line_power",
-                (_equal_split_dbm(self.total_power, self.line_count),)
-                * self.line_count,
+                self, "per_line_power", (_equal_split_dbm(self.total_power, count),) * count
             )
         else:
-            object.__setattr__(
-                self, "per_line_power", tuple(self.per_line_power)
-            )
-            if len(self.per_line_power) != self.line_count:
-                raise DomainError(
-                    f"per_line_power has {len(self.per_line_power)} entries but "
-                    f"line_count is {self.line_count}"
-                )
+            object.__setattr__(self, "per_line_power", tuple(levels))
+            message = f"per_line_power has {len(levels)} entries but line_count is {count}"
+            require(len(levels) == count, DomainError, message)
             # Checked before the power sum, which they could overflow or
-            # underflow to log10(0).
-            _check_levels("per_line_power", *self.per_line_power)
-            object.__setattr__(
-                self, "total_power", _power_sum_dbm(self.per_line_power)
-            )
-        _check_levels("total_power", self.total_power)
+            # underflow to log10(0); the text lists every level.
+            message = f"per_line_power must be within +/-{MAX_LEVEL_DB:.1f} dBm, got "
+            message += ", ".join(map(str, levels))
+            require(np.abs(levels) < MAX_LEVEL_DB, DomainError, message)
+            object.__setattr__(self, "total_power", _power_sum_dbm(self.per_line_power))
+        message = f"total_power must be within +/-{MAX_LEVEL_DB:.1f} dBm, got {{}}"
+        require(abs(self.total_power) < MAX_LEVEL_DB, DomainError, message, self.total_power)
 
 
 def comb_lines(comb: FrequencyComb) -> list[float]:
@@ -161,42 +139,34 @@ def place_cells(
     # Scalar calls, so that the snaps below see the band ends any caller sees.
     f_lo = transition_frequency_at(profile, transition, lo)
     f_hi = transition_frequency_at(profile, transition, hi)
-    if not f_lo > f_hi:
-        raise PlannerError("profile is not strictly decreasing over its valid range")
+    message = "profile is not strictly decreasing over its valid range"
+    require(f_lo > f_hi, PlannerError, message)
 
     # Lines within tol of a band end sit exactly at that end, so anchor lines
     # map back to their anchor positions; the others are inverted in closed
     # form and checked against tol.
     lines = np.array(comb_lines(comb))
+    index = np.arange(lines.size)
     at_lo = np.abs(f_lo - lines) <= tol
     inner = ~at_lo & ~(np.abs(f_hi - lines) <= tol)
-    outside = inner & ~((f_hi < lines) & (lines < f_lo))
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise CoverageError(
-            f"line {k}: line at {float(lines[k])} Hz outside reachable band "
-            f"[{f_hi}, {f_lo}] Hz"
-        )
+    inside = ~inner | ((f_hi < lines) & (lines < f_lo))
+    message = f"line {{}}: line at {{}} Hz outside reachable band [{f_hi}, {f_lo}] Hz"
+    require(inside, CoverageError, message, index, lines)
     positions = np.where(at_lo, float(lo), float(hi))
     targets = lines[inner]
     x = position_at(profile, field_for_frequency(transition, targets))
     positions[inner] = x
     residual = transition_frequency_at(profile, transition, x) - targets
-    missed = ~(np.abs(residual) <= tol)
-    if missed.any():
-        i = int(np.argmax(missed))
-        raise PlannerError(
-            f"position {float(x[i])} cm misses line at {float(targets[i])} Hz by "
-            f"{residual[i]:g} Hz (tolerance {tol:g} Hz)"
-        )
+    message = f"position {{}} cm misses line at {{}} Hz by {{:g}} Hz (tolerance {tol:g} Hz)"
+    require(np.abs(residual) <= tol, PlannerError, message, x, targets, residual)
 
     spacing = positions[:-1] - positions[1:]
-    if not (spacing > 0).all():
-        k = int(np.argmin(spacing > 0))
-        raise PlannerError(
-            f"positions not strictly decreasing with line frequency: "
-            f"x[{k}] = {float(positions[k])} cm, x[{k + 1}] = {float(positions[k + 1])} cm"
-        )
+    require(
+        spacing > 0,
+        PlannerError,
+        "positions not strictly decreasing with line frequency: x[{}] = {} cm, x[{}] = {} cm",
+        index[:-1], positions[:-1], index[1:], positions[1:],
+    )
     min_spacing = float(spacing.min()) if spacing.size else math.inf
     entries = np.rec.fromarrays(
         [np.arange(comb.line_count), lines, positions, comb.per_line_power], dtype=PlanRow
@@ -221,15 +191,14 @@ def assign_channel(
     :class:`CoverageError`. ``signal_frequency`` must be finite and
     ``half_width`` finite and > 0 (:class:`DomainError`).
     """
-    _check_half_width(half_width)
-    if not math.isfinite(signal_frequency):
-        raise DomainError(f"signal_frequency must be finite, got {signal_frequency}")
+    message = "half_width must be finite and > 0, got {}"
+    require(0 < half_width < math.inf, DomainError, message, half_width)
+    message = "signal_frequency must be finite, got {}"
+    require(math.isfinite(signal_frequency), DomainError, message, signal_frequency)
     lines = comb_lines(comb)
-    if not lines[0] - half_width <= signal_frequency <= lines[-1] + half_width:
-        raise CoverageError(
-            f"signal at {signal_frequency} Hz outside covered band "
-            f"[{lines[0] - half_width}, {lines[-1] + half_width}] Hz"
-        )
+    low, high = lines[0] - half_width, lines[-1] + half_width
+    message = f"signal at {{}} Hz outside covered band [{low}, {high}] Hz"
+    require(low <= signal_frequency <= high, CoverageError, message, signal_frequency)
     index = int(nearest_line_index(lines, signal_frequency))
     return index, signal_frequency - lines[index]
 
@@ -263,9 +232,10 @@ def coverage_union(lines, half_width: float) -> list[tuple[float, float]]:
     ``line_count * 2 * half_width``. ``lines`` is a sequence or an array;
     ``half_width`` must be finite and > 0.
     """
-    _check_half_width(half_width)
-    if not len(lines):
-        raise DomainError("coverage requires at least one line")
+    message = "half_width must be finite and > 0, got {}"
+    require(0 < half_width < math.inf, DomainError, message, half_width)
+    require(len(lines) > 0, DomainError, "coverage requires at least one line")
+    require(np.isfinite(lines), DomainError, "lines must be finite, got {}", lines)
     intervals = sorted((f - half_width, f + half_width) for f in lines)
     merged = [intervals[0]]
     for lo, hi in intervals[1:]:

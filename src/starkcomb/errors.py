@@ -1,4 +1,30 @@
-"""Exception hierarchy for the starkcomb package."""
+"""Exception hierarchy for the starkcomb package, and its one input guard."""
+
+import numpy as np
+
+
+def require(ok, error: type, message: str, *columns) -> None:
+    """Raise ``error`` unless every element of ``ok`` is true (NaN compares false).
+
+    The text is ``message`` formatted with each column's element at the first
+    false element of ``ok`` in C order. A column has the size of ``ok``, is
+    read only on failure, and keeps the Python type of its elements, so an
+    int given in a list prints as an int.
+    """
+    ok = np.asarray(ok, dtype=bool)
+    if not ok.all():
+        k = np.argmin(ok.ravel())
+        raise error(message.format(*(np.asarray(c, dtype=object).ravel()[k] for c in columns)))
+
+
+def after_first_failure(ok) -> np.ndarray:
+    """True at every element after the first false one of ``ok``, in C order.
+
+    ``require(a | after_first_failure(ok), ...)`` checks ``a`` only up to the
+    first failure of ``ok``, so that element's own test picks the error.
+    """
+    failed = ~np.ravel(ok)
+    return (np.cumsum(failed) > failed).reshape(np.shape(ok))
 
 
 class StarkCombError(Exception):

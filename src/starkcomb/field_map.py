@@ -22,7 +22,14 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import DomainError, InfeasibleProfileError, ProfileRangeError, UnderdeterminedError
+from .errors import (
+    DomainError,
+    InfeasibleProfileError,
+    ProfileRangeError,
+    UnderdeterminedError,
+    after_first_failure,
+    require,
+)
 from .stark import RydbergTransition, field_for_frequency, stark_shifted_frequency
 
 __all__ = ["FieldProfile", "field_at", "fit_profile", "position_at", "transition_frequency_at"]
@@ -47,35 +54,27 @@ class FieldProfile:
 
     def __post_init__(self) -> None:
         lo, hi = self.valid_range
-        if not lo < hi:
-            raise InfeasibleProfileError(
-                f"valid_range must satisfy x_min < x_max, got {self.valid_range}"
-            )
-        if not self.reference_field > 0:
-            raise InfeasibleProfileError(
-                f"reference_field must be > 0, got {self.reference_field}"
-            )
-        if not self.decay_exponent > 0:
-            raise InfeasibleProfileError(
-                f"decay_exponent must be > 0, got {self.decay_exponent}"
-            )
-        if not self.offset >= 0:
-            raise InfeasibleProfileError(f"offset must be >= 0, got {self.offset}")
-        if not lo + self.offset > 0:
-            raise InfeasibleProfileError(
-                f"x_min + offset must be > 0, got {lo + self.offset}"
-            )
+        message = f"valid_range must satisfy x_min < x_max, got {self.valid_range}"
+        require(lo < hi, InfeasibleProfileError, message)
+        for name in ("reference_field", "decay_exponent"):
+            value = getattr(self, name)
+            require(value > 0, InfeasibleProfileError, f"{name} must be > 0, got {{}}", value)
+        offset = self.offset
+        require(offset >= 0, InfeasibleProfileError, "offset must be >= 0, got {}", offset)
+        message = "x_min + offset must be > 0, got {}"
+        require(lo + offset > 0, InfeasibleProfileError, message, lo + offset)
+        names = ("reference_position", "reference_field", "decay_exponent", "offset")
+        values = [getattr(self, name) for name in names] + [lo, hi]
+        message = "{} must be finite, got {}"
+        require(np.isfinite(values), DomainError, message, names + ("x_min", "x_max"), values)
 
 
 def field_at(profile: FieldProfile, x: ArrayLike) -> float | np.ndarray:
     """RF field strength (V/cm) at position ``x`` (cm)."""
     x = np.asarray(x, dtype=float)
     lo, hi = profile.valid_range
-    bad = ~((lo <= x) & (x <= hi))
-    if bad.any():
-        raise ProfileRangeError(
-            f"position {float(x[bad][0])} cm outside valid range [{lo}, {hi}] cm"
-        )
+    message = f"position {{}} cm outside valid range [{lo}, {hi}] cm"
+    require((lo <= x) & (x <= hi), ProfileRangeError, message, x)
     with np.errstate(over="ignore", invalid="ignore"):  # silent inf/NaN, as Python floats
         ratio = (profile.reference_position + profile.offset) / (x + profile.offset)
         field = profile.reference_field * ratio**profile.decay_exponent
@@ -93,17 +92,13 @@ def position_at(profile: FieldProfile, field: ArrayLike) -> float | np.ndarray:
         ratio = (profile.reference_field / field) ** (1.0 / profile.decay_exponent)
         x = (profile.reference_position + profile.offset) * ratio - profile.offset
     lo, hi = profile.valid_range
-    bad = ~((field > 0) & (lo <= x) & (x <= hi))
-    if bad.any():
-        first = float(field[bad][0])
-        if not first > 0:
-            raise DomainError(f"field must be > 0, got {first}")
-        if x.ndim:  # raise the scalar call's text: its ``**`` may round differently
-            position_at(profile, first)
-        raise ProfileRangeError(
-            f"field {first} V/cm is reached at {float(x[bad][0])} cm, outside valid "
-            f"range [{lo}, {hi}] cm"
-        )
+    positive = field > 0
+    ok = positive & (lo <= x) & (x <= hi)
+    require(positive | after_first_failure(ok), DomainError, "field must be > 0, got {}", field)
+    if x.ndim and not ok.all():  # raise the scalar call's text: its ``**`` may round differently
+        position_at(profile, field[~ok][0].item())
+    message = f"field {{}} V/cm is reached at {{}} cm, outside valid range [{lo}, {hi}] cm"
+    require(ok, ProfileRangeError, message, field, x)
     return float(x) if x.ndim == 0 else x
 
 
@@ -149,39 +144,36 @@ def fit_profile(
         ``ANCHOR_TOLERANCE_HZ``.
     """
     pts = sorted(anchors, key=lambda a: a[0])
-    if len(pts) == 0:
-        raise UnderdeterminedError("at least one anchor is required")
+    require(len(pts) > 0, UnderdeterminedError, "at least one anchor is required")
     if not (np.isfinite(pts).all() and pts[0][0] + offset > 0):
         raise InfeasibleProfileError(
             f"anchors must be finite with position + offset > 0, got {pts} "
             f"and offset {offset} cm"
         )
     xs, fs = np.array(pts, dtype=float).T
+    given_x, given_f = zip(*pts)  # as given, for the texts
     # Positions compared with the offset, as the fit sees them: a huge offset
     # rounds distinct positions together.
     with np.errstate(over="ignore"):
         shifted = xs + offset
     shared = shifted[:-1] == shifted[1:]
-    bad = shared | (fs[:-1] <= fs[1:])
-    if bad.any():
-        i = int(np.argmax(bad))
-        if shared[i]:
-            raise UnderdeterminedError(
-                f"anchors share position x + offset = {float(shifted[i])} cm"
-            )
-        raise InfeasibleProfileError(
-            "anchor frequencies must decrease strictly with position: "
-            f"f({pts[i][0]} cm) = {pts[i][1]} Hz, "
-            f"f({pts[i + 1][0]} cm) = {pts[i + 1][1]} Hz"
-        )
+    decreasing = fs[:-1] > fs[1:]
+    later = after_first_failure(~shared & decreasing)
+    message = "anchors share position x + offset = {} cm"
+    require(~shared | later, UnderdeterminedError, message, shifted[:-1])
+    require(
+        decreasing,
+        InfeasibleProfileError,
+        "anchor frequencies must decrease strictly with position: "
+        "f({} cm) = {} Hz, f({} cm) = {} Hz",
+        given_x[:-1], given_f[:-1], given_x[1:], given_f[1:],
+    )
 
     fields = field_for_frequency(transition, fs)
 
     if decay_exponent is None:
-        if len(pts) < 2:
-            raise UnderdeterminedError(
-                "two anchors are required to fit the decay exponent"
-            )
+        message = "two anchors are required to fit the decay exponent"
+        require(len(pts) >= 2, UnderdeterminedError, message)
         slope, _ = np.polyfit(np.log(shifted), np.log(fields), 1)
         gamma = -float(slope)
     else:
@@ -204,11 +196,12 @@ def fit_profile(
     with np.errstate(over="ignore", invalid="ignore"):
         e = fields[0] * ((x_ref + offset) / shifted) ** gamma
     misfit = np.abs(stark_shifted_frequency(transition, e) - fs)
-    if (misfit > ANCHOR_TOLERANCE_HZ).any():
-        i = int(np.argmax(misfit > ANCHOR_TOLERANCE_HZ))
-        raise InfeasibleProfileError(
-            f"power-law profile misses anchor at x = {pts[i][0]} cm by "
-            f"{misfit[i]:.3g} Hz (> {ANCHOR_TOLERANCE_HZ:g} Hz); anchors are "
-            "not consistent with a single monotone decay"
-        )
+    require(
+        ~(misfit > ANCHOR_TOLERANCE_HZ),
+        InfeasibleProfileError,
+        f"power-law profile misses anchor at x = {{}} cm by {{:.3g}} Hz (> {ANCHOR_TOLERANCE_HZ:g} "
+        "Hz); anchors are not consistent with a single monotone decay",
+        given_x,
+        misfit,
+    )
     return profile

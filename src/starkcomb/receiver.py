@@ -14,8 +14,10 @@ justified separately by :mod:`starkcomb.bloch`.
 
 The channels of an array are one read-only :data:`ChannelRow` record array,
 built by :func:`channel_table`. The beat functions take scalar or array fields
-and detunings, and a channel row or a table of them (one per point);
-:func:`stitched_response` evaluates a whole stimulus in one array pass.
+and detunings, and a channel row or a table of them (one per point). A
+stimulus is a 1-D array of frequencies and a field for each (or one for all):
+:func:`stitched_response` routes and evaluates it in one array pass, and
+:func:`evaluate_channels` reads one tone on every channel.
 
 All fields are in V/cm, powers in dBm, frequencies in Hz.
 """
@@ -28,12 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comb import CellArrayPlan, nearest_line_index
-from .errors import DomainError, PlannerError
+from .errors import DomainError, PlannerError, require
 
 __all__ = [
     "ChannelRow",
     "channel_table",
-    "SignalScenario",
     "BeatRow",
     "BeatSpectrum",
     "rolloff",
@@ -66,13 +67,6 @@ ChannelRow = np.dtype(
 )
 
 
-def _require(ok, message: str, *columns) -> None:
-    # Raise ``message`` formatted with the first failing element's values.
-    if not ok.all():
-        k = np.argmin(ok.ravel())
-        raise DomainError(message.format(*(c.ravel()[k].item() for c in columns)))
-
-
 def channel_table(
     peak_power, reference_field, half_width_3db=5e6, rolloff_order=2, noise_floor=-80.0,
     gain_scale=1.0,
@@ -87,13 +81,14 @@ def channel_table(
     )
     peak, reference, half_width, order, floor, gain = columns
     for name, values in (("reference_field", reference), ("half_width_3db", half_width)):
-        _require((0 < values) & (values < math.inf), f"{name} must be > 0, got {{}}", values)
+        message = f"{name} must be > 0, got {{}}"
+        require((0 < values) & (values < math.inf), DomainError, message, values)
     integer = (order >= 1) & (order < math.inf) & (np.floor(order) == order)
-    _require(integer, "rolloff_order must be a positive integer, got {}", order)
-    _require((0 < gain) & (gain < math.inf), "gain_scale must be > 0, got {}", gain)
+    require(integer, DomainError, "rolloff_order must be a positive integer, got {}", order)
+    require((0 < gain) & (gain < math.inf), DomainError, "gain_scale must be > 0, got {}", gain)
     ordered = (-math.inf < floor) & (floor < peak) & (peak < math.inf)
     message = "noise_floor ({} dBm) must be below peak_power ({} dBm), both finite"
-    _require(ordered, message, floor, peak)
+    require(ordered, DomainError, message, floor, peak)
     table = np.rec.fromarrays(columns, dtype=ChannelRow)
     table.flags.writeable = False
     return table
@@ -103,12 +98,17 @@ def _finite(name: str, values, positive: bool = False) -> np.ndarray:
     # Written so that NaN fails the check.
     values = np.asarray(values, dtype=float)
     ok = (values > 0 if positive else values >= 0) & (values < np.inf)
-    _require(ok, f"{name} must be finite and {'>' if positive else '>='} 0, got {{}}", values)
+    message = f"{name} must be finite and {'>' if positive else '>='} 0, got {{}}"
+    require(ok, DomainError, message, values)
     return values
 
 
 def rolloff(channel, delta_f):
-    """Power response |H(delta_f)|^2, exactly 1/2 at the 3 dB half-width."""
+    """Power response |H(delta_f)|^2, exactly 1/2 at the 3 dB half-width.
+
+    A NaN ``delta_f`` is a DomainError; ``delta_f = +/-inf`` gives 0.
+    """
+    require(~np.isnan(delta_f), DomainError, "delta_f must not be NaN, got {}", delta_f)
     x = np.abs(delta_f) / channel.half_width_3db
     return 1.0 / (1.0 + x ** (2 * channel.rolloff_order))
 
@@ -134,7 +134,7 @@ def beat_signal_power(channel, field, delta_f):
     with np.errstate(over="ignore"):
         lead = channel.peak_power + 20.0 * np.log10(field / channel.reference_field)
     s = _gain_db(channel, lead, delta_f)
-    _require(s < math.inf, "beat signal power must be below +inf dBm, got {}", s)
+    require(s < math.inf, DomainError, "beat signal power must be below +inf dBm, got {}", s)
     return s[()]
 
 
@@ -193,63 +193,27 @@ def far_field_strength(
     in W, antenna ``gain`` dimensionless, and ``perturbation`` the cell
     perturbation factor. Divide by 100 for V/cm.
     """
-    if not power >= 0:
-        raise DomainError(f"power must be >= 0, got {power}")
-    if not gain > 0:
-        raise DomainError(f"gain must be > 0, got {gain}")
-    if not distance > 0:
-        raise DomainError(f"distance must be > 0, got {distance}")
-    if not perturbation > 0:
-        raise DomainError(f"perturbation must be > 0, got {perturbation}")
-    return perturbation * math.sqrt(30.0 * power * gain) / distance
+    for name, value, positive in (
+        ("power", power, False), ("gain", gain, True), ("distance", distance, True),
+        ("perturbation", perturbation, True),
+    ):
+        _finite(name, value, positive)
+    strength = perturbation * math.sqrt(30.0 * power * gain) / distance
+    message = "field strength must be below +inf V/m, got {}"
+    require(strength < math.inf, DomainError, message, strength)
+    return strength
 
 
 def _stimulus(frequencies, fields) -> tuple[np.ndarray, np.ndarray]:
     # Read-only 1-D float arrays; a scalar field applies to every frequency.
     frequencies = np.array(frequencies, dtype=float, ndmin=1)
-    if frequencies.ndim != 1 or not frequencies.size:
-        raise DomainError("stimulus needs a non-empty 1-D array of frequencies")
+    message = "stimulus needs a non-empty 1-D array of frequencies"
+    require(frequencies.ndim == 1 and frequencies.size > 0, DomainError, message)
     fields = np.array(np.broadcast_to(fields, frequencies.shape), dtype=float)
     _finite("signal frequency", frequencies, positive=True)
     _finite("field", fields)
     frequencies.flags.writeable = fields.flags.writeable = False
     return frequencies, fields
-
-
-@dataclass(frozen=True, eq=False)
-class SignalScenario:
-    """Input microwave stimulus: a tone list or a linear frequency sweep.
-
-    ``frequencies`` (Hz) and ``fields`` (V/cm) are equal-length read-only
-    arrays in evaluation order. Build them with :meth:`tone_list` or
-    :meth:`linear_sweep`.
-    """
-
-    frequencies: np.ndarray = ()
-    fields: np.ndarray = ()
-
-    def __post_init__(self) -> None:
-        frequencies, fields = _stimulus(self.frequencies, self.fields)
-        object.__setattr__(self, "frequencies", frequencies)
-        object.__setattr__(self, "fields", fields)
-
-    @classmethod
-    def tone_list(cls, tones, fields=None) -> "SignalScenario":
-        """Tones from a sequence of ``(frequency, field)`` pairs, or from a
-        frequency array and a field array (or one field for every tone)."""
-        if fields is None:
-            tones, fields = np.asarray(tones, dtype=float).reshape(len(tones), 2).T
-        return cls(tones, fields)
-
-    @classmethod
-    def linear_sweep(
-        cls, start: float, stop: float, points: int, field: float
-    ) -> "SignalScenario":
-        if not 0 < start < stop < math.inf:
-            raise DomainError(f"sweep needs 0 < start < stop < inf, got [{start}, {stop}]")
-        if not points >= 2:
-            raise DomainError(f"sweep needs at least 2 points, got {points}")
-        return cls(np.linspace(start, stop, points), field)
 
 
 # One evaluated signal frequency routed to a channel: the record type of
@@ -283,15 +247,12 @@ def _evaluate(
 ) -> np.recarray:
     # Point j is read out on plan entry index[j], by default the entry of its
     # nearest line; every point is evaluated in one array pass.
-    if not len(plan.entries):
-        raise PlannerError("plan has no entries")
-    if np.shape(channels) != (len(plan.entries),):
-        raise PlannerError(
-            f"got {np.size(channels)} channel responses for {len(plan.entries)} plan entries"
-        )
+    require(len(plan.entries) > 0, PlannerError, "plan has no entries")
+    message = f"got {np.size(channels)} channel responses for {len(plan.entries)} plan entries"
+    require(np.shape(channels) == (len(plan.entries),), PlannerError, message)
     lines = plan.entries.line_frequency
-    if not np.all(np.diff(lines) >= 0):
-        raise PlannerError("plan entries must be ordered by ascending line frequency")
+    message = "plan entries must be ordered by ascending line frequency"
+    require(np.diff(lines) >= 0, PlannerError, message)
     if index is None:
         index = nearest_line_index(lines, frequencies)
     frequencies, fields, index = np.broadcast_arrays(frequencies, fields, index)
@@ -322,16 +283,17 @@ def evaluate_channels(
 
 
 def stitched_response(
-    plan: CellArrayPlan, channels: np.recarray, scenario: SignalScenario
+    plan: CellArrayPlan, channels: np.recarray, frequencies, fields
 ) -> BeatSpectrum:
     """Broadband response stitched from the per-cell channels.
 
-    Each stimulus frequency is routed to its nearest comb line and evaluated
-    on that cell's channel; with monotone rolloff and equalized channels this
-    per-frequency winner is the maximum over all channels, so the rows trace
-    the stitched broadband curve. Frequencies outside every channel's 3 dB
-    band are still evaluated but flagged ``in_band = False``.
+    ``frequencies`` (Hz) is a non-empty 1-D array; ``fields`` (V/cm) gives
+    one field per frequency, or one for all. Non-finite or negative values
+    raise :class:`DomainError`. Each frequency is routed to its nearest comb
+    line and evaluated on that cell's channel; with monotone rolloff and
+    equalized channels this per-frequency winner is the maximum over all
+    channels, so the rows trace the stitched broadband curve. Frequencies
+    outside every channel's 3 dB band are still evaluated but flagged
+    ``in_band = False``.
     """
-    return BeatSpectrum(
-        rows=_evaluate(plan, channels, scenario.frequencies, scenario.fields)
-    )
+    return BeatSpectrum(rows=_evaluate(plan, channels, *_stimulus(frequencies, fields)))

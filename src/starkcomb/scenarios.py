@@ -22,15 +22,9 @@ from . import __version__
 from .bloch import probe_absorption
 from .comb import CellArrayPlan, FrequencyComb, place_cells
 from .config import MAX_ROWS, ReceiverConfig, _construct, build_channels
-from .errors import ConfigError, InfeasiblePlanError
+from .errors import ConfigError, DomainError, InfeasiblePlanError, require
 from .field_map import field_at, transition_frequency_at
-from .receiver import (
-    BeatSpectrum,
-    SignalScenario,
-    min_detectable_field,
-    sensitivity,
-    stitched_response,
-)
+from .receiver import BeatSpectrum, min_detectable_field, sensitivity, stitched_response
 
 __all__ = ["SCENARIO_NAMES", "run_scenario"]
 
@@ -125,10 +119,12 @@ def _sweep(
     field = params["field"]
     if field is None:
         field = config.channel_defaults.reference_field
-    scenario = SignalScenario.linear_sweep(
-        params["start"], params["stop"], params["points"], field
-    )
-    return field, stitched_response(plan, channels, scenario)
+    # A GHz bound can still overflow to inf Hz, or underflow to 0 Hz.
+    start, stop = params["start"], params["stop"]
+    message = "sweep needs 0 < start < stop < inf, got [{}, {}]"
+    require(0 < start < stop < math.inf, DomainError, message, start, stop)
+    frequencies = np.linspace(start, stop, params["points"])
+    return field, stitched_response(plan, channels, frequencies, field)
 
 
 def _beat_columns(spectrum: BeatSpectrum) -> dict[str, np.ndarray]:
@@ -205,8 +201,8 @@ def _run_linearity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> li
     delta = config.channel_defaults.reference_detuning
     # Every field on every line, line-major, in one stitched call.
     lines = np.repeat(plan.entries.line_frequency, fields.size)
-    scenario = SignalScenario.tone_list(lines + delta, np.tile(fields, len(plan.entries)))
-    spectrum = stitched_response(plan, config.channels, scenario)
+    tiled = np.tile(fields, len(plan.entries))
+    spectrum = stitched_response(plan, config.channels, lines + delta, tiled)
     path = out_dir / "linearity.csv"
     _write_csv(
         path,
@@ -214,7 +210,7 @@ def _run_linearity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> li
         {
             "channel_index": np.repeat(plan.entries.line_index, fields.size),
             "line_GHz": lines / 1e9,
-            "field_V_per_cm": scenario.fields,
+            "field_V_per_cm": tiled,
             "beat_dBm": spectrum.rows.beat_power,
         },
         timestamp,

@@ -14,12 +14,19 @@ Both maps are elementwise: a scalar gives a float; errors name the first failing
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import DegenerateTransitionError, DomainError, UnreachableFrequencyError
+from .errors import (
+    DegenerateTransitionError,
+    DomainError,
+    UnreachableFrequencyError,
+    after_first_failure,
+    require,
+)
 
 __all__ = ["RydbergTransition", "stark_shifted_frequency", "field_for_frequency"]
 
@@ -46,15 +53,12 @@ class RydbergTransition:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not self.field_free_frequency > 0:
-            raise DomainError(
-                f"field_free_frequency must be > 0, got {self.field_free_frequency}"
-            )
-        if not self.differential_polarizability >= 0:
-            raise DomainError(
-                "differential_polarizability must be >= 0 (upward-shifting state "
-                f"pairs only), got {self.differential_polarizability}"
-            )
+        f0, dpol = self.field_free_frequency, self.differential_polarizability
+        message = "field_free_frequency must be finite and > 0, got {}"
+        require(0 < f0 < math.inf, DomainError, message, f0)
+        message = "differential_polarizability must be finite and >= 0 "
+        message += "(upward-shifting state pairs only), got {}"
+        require(0 <= dpol < math.inf, DomainError, message, dpol)
 
 
 def stark_shifted_frequency(
@@ -62,9 +66,7 @@ def stark_shifted_frequency(
 ) -> float | np.ndarray:
     """Transition frequency in Hz at RF field strength ``field`` (V/cm)."""
     field = np.asarray(field, dtype=float)
-    bad = ~(field >= 0)
-    if bad.any():
-        raise DomainError(f"field must be >= 0, got {float(field[bad][0])}")
+    require(field >= 0, DomainError, "field must be >= 0, got {}", field)
     dpol = transition.differential_polarizability
     with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
         f = transition.field_free_frequency + dpol * field * field
@@ -80,18 +82,15 @@ def field_for_frequency(
     one part in 1e9 over the working field range.
     """
     target = np.asarray(target, dtype=float)
-    dpol = transition.differential_polarizability
+    f0, dpol = transition.field_free_frequency, transition.differential_polarizability
     with np.errstate(over="ignore", invalid="ignore"):  # a tiny dpol overflows to inf
-        offset = target - transition.field_free_frequency
+        offset = target - f0
         field = np.sqrt(offset / dpol) if dpol else offset
-    bad = ~((offset >= 0) & ((offset == 0) | (dpol > 0)))  # dpol == 0 cannot tune
-    if bad.any():
-        if not offset[bad][0] >= 0:
-            raise UnreachableFrequencyError(
-                f"target {float(target[bad][0])} Hz is not at or above the "
-                f"field-free frequency {transition.field_free_frequency} Hz"
-            )
-        raise DegenerateTransitionError(
-            "differential_polarizability is zero; transition cannot be tuned"
-        )
+    reached = offset >= 0
+    tunable = (offset == 0) | (dpol > 0)  # dpol == 0 cannot tune
+    later = after_first_failure(reached & tunable)
+    message = f"target {{}} Hz is not at or above the field-free frequency {f0} Hz"
+    require(reached | later, UnreachableFrequencyError, message, target)
+    message = "differential_polarizability is zero; transition cannot be tuned"
+    require(tunable, DegenerateTransitionError, message)
     return float(field) if field.ndim == 0 else field

@@ -1,0 +1,15 @@
+"""The README's Library usage example runs against the current API."""
+
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_usage_example_runs():
+    section = README.read_text().split("## Library usage", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, f"{README}:Library usage", "exec"), namespace)
+    assert len(namespace["spectrum"].rows) == 441
+    assert namespace["beat_dbm"].shape == (441,)
+    assert len(namespace["positions_cm"]) == namespace["cfg"].comb.line_count

@@ -10,15 +10,16 @@ from starkcomb import (
     DomainError,
     PlannerError,
     PlanRow,
-    SignalScenario,
     beat_power,
     beat_signal_power,
     calibrate_noise_floor,
     channel_table,
     evaluate_channels,
     far_field_strength,
+    load_config,
     min_detectable_field,
     rolloff,
+    run_scenario,
     sensitivity,
     stitched_response,
 )
@@ -235,17 +236,21 @@ class TestFarField:
 
 
 class TestScenarioValidation:
-    def test_sweep_bounds(self):
-        with pytest.raises(DomainError):
-            SignalScenario.linear_sweep(8.2e9, 8.1e9, 10, 1e-5)
+    def test_sweep_bounds(self, tmp_path):
+        # 1e300 GHz passes the config's finite-number check but is inf Hz.
+        path = tmp_path / "sweep.yaml"
+        path.write_text("scenarios:\n  response:\n    stop_ghz: 1.0e+300\n")
+        message = r"sweep needs 0 < start < stop < inf, got \[8020000000.0, inf\]"
+        with pytest.raises(DomainError, match=message):
+            run_scenario(load_config(path), "response", tmp_path)
 
-    def test_tone_list_required(self):
-        with pytest.raises(DomainError):
-            SignalScenario.tone_list([])
+    def test_tone_list_required(self, plan21, config):
+        with pytest.raises(DomainError, match="non-empty 1-D array of frequencies"):
+            stitched_response(plan21, config.channels, [], 1e-5)
 
-    def test_negative_field(self):
-        with pytest.raises(DomainError):
-            SignalScenario.tone_list([(8.13e9, -1.0)])
+    def test_negative_field(self, plan21, config):
+        with pytest.raises(DomainError, match="field must be finite and >= 0, got -1.0"):
+            stitched_response(plan21, config.channels, [8.13e9, 8.14e9], [1e-5, -1.0])
 
 
 class TestStitchedResponse:
@@ -253,20 +258,18 @@ class TestStitchedResponse:
         empty = CellArrayPlan(
             entries=np.recarray(0, dtype=PlanRow), min_spacing=math.inf, feasible=True
         )
-        scenario = SignalScenario.tone_list([(8.13e9, 1e-5)])
         with pytest.raises(PlannerError, match="plan has no entries"):
-            stitched_response(empty, (), scenario)
+            stitched_response(empty, (), 8.13e9, 1e-5)
 
     def test_channel_count_mismatch(self, plan21, config):
-        scenario = SignalScenario.tone_list([(8.13e9, 1e-5)])
         with pytest.raises(PlannerError, match="got 20 channel responses for 21 plan entries"):
-            stitched_response(plan21, config.channels[:-1], scenario)
+            stitched_response(plan21, config.channels[:-1], 8.13e9, 1e-5)
         with pytest.raises(PlannerError, match="got 1 channel responses for 21 plan entries"):
-            stitched_response(plan21, CHANNEL, scenario)
+            stitched_response(plan21, CHANNEL, 8.13e9, 1e-5)
 
     def test_rows_floored_and_ordered(self, plan21, config):
-        scenario = SignalScenario.linear_sweep(8.02e9, 8.24e9, 201, 1e-6)
-        spectrum = stitched_response(plan21, config.channels, scenario)
+        sweep = np.linspace(8.02e9, 8.24e9, 201)
+        spectrum = stitched_response(plan21, config.channels, sweep, 1e-6)
         assert len(spectrum.rows) == 201
         freqs = [row.signal_frequency for row in spectrum.rows]
         assert freqs == sorted(freqs)
@@ -279,10 +282,9 @@ class TestStitchedResponse:
         # routed rows trace the per-frequency maximum. At exact channel
         # midpoints the neighbors differ only through their unequal noise
         # floors, a sub-0.01 dB flooring effect.
-        scenario = SignalScenario.linear_sweep(
-            8.025e9, 8.235e9, 85, config.channel_defaults.reference_field
-        )
-        spectrum = stitched_response(plan21, config.channels, scenario)
+        sweep = np.linspace(8.025e9, 8.235e9, 85)
+        field = config.channel_defaults.reference_field
+        spectrum = stitched_response(plan21, config.channels, sweep, field)
         for row in spectrum.rows:
             per_channel = evaluate_channels(
                 plan21,
@@ -297,10 +299,8 @@ class TestStitchedResponse:
             )
 
     def test_out_of_band_rows_flagged(self, plan21, config):
-        scenario = SignalScenario.tone_list(
-            [(8.022e9, 1e-5), (8.03e9, 1e-5), (8.238e9, 1e-5)]
-        )
-        spectrum = stitched_response(plan21, config.channels, scenario)
+        tones = [8.022e9, 8.03e9, 8.238e9]
+        spectrum = stitched_response(plan21, config.channels, tones, 1e-5)
         assert [row.in_band for row in spectrum.rows] == [False, True, False]
 
     def test_single_tone_isolated_when_small(self, plan21, config):
@@ -330,8 +330,8 @@ class TestStitchedResponse:
         # Channels meet at their half-power points, so the stitched band
         # minimum sits 10*log10(2) below the peak.
         field = config.channel_defaults.reference_field
-        scenario = SignalScenario.linear_sweep(8.025e9, 8.235e9, 421, field)
-        spectrum = stitched_response(plan21, config.channels, scenario)
+        sweep = np.linspace(8.025e9, 8.235e9, 421)
+        spectrum = stitched_response(plan21, config.channels, sweep, field)
         beats = [row.beat_power for row in spectrum.rows]
         ripple = max(beats) - min(beats)
         assert math.isclose(ripple, 10 * math.log10(2.0), abs_tol=0.01)
@@ -344,8 +344,8 @@ class TestStitchedResponse:
         plan = place_cells(profile, transition, comb)
         channels = build_channels(config.channel_defaults, 2)
         field = config.channel_defaults.reference_field
-        scenario = SignalScenario.linear_sweep(8.02e9, 8.24e9, 221, field)
-        spectrum = stitched_response(plan, channels, scenario)
+        sweep = np.linspace(8.02e9, 8.24e9, 221)
+        spectrum = stitched_response(plan, channels, sweep, field)
         peaks = {}
         for row in spectrum.rows:
             if (

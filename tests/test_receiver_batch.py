@@ -14,11 +14,11 @@ from starkcomb import (
     DomainError,
     PlannerError,
     PlanRow,
-    SignalScenario,
     beat_power,
     channel_table,
     default_config,
     evaluate_channels,
+    place_cells,
     run_scenario,
     stitched_response,
 )
@@ -187,7 +187,7 @@ def test_stitched_response_matches_per_point_loop(data, receiver):
     plan, channels = receiver
     tones = data.draw(stimuli(plan, channels))
     frequencies, fields = (list(column) for column in zip(*tones))
-    spectrum = stitched_response(plan, channels, SignalScenario.tone_list(tones))
+    spectrum = stitched_response(plan, channels, frequencies, fields)
     assert_rows_match(spectrum.rows, reference_response(plan, channels, frequencies, fields))
 
 
@@ -232,9 +232,9 @@ def test_linearity_is_one_stitched_call(monkeypatch, tmp_path):
     config = default_config()
     calls = []
 
-    def counting(plan, responses, scenario):
-        calls.append(scenario.frequencies.size)
-        return stitched_response(plan, responses, scenario)
+    def counting(plan, responses, frequencies, fields):
+        calls.append(np.size(frequencies))
+        return stitched_response(plan, responses, frequencies, fields)
 
     monkeypatch.setattr(starkcomb.scenarios, "stitched_response", counting)
     run_scenario(config, "linearity", tmp_path)
@@ -243,20 +243,19 @@ def test_linearity_is_one_stitched_call(monkeypatch, tmp_path):
 
 
 def test_spectrum_rows_are_records(plan21, config):
-    scenario = SignalScenario.linear_sweep(8.02e9, 8.24e9, 11, 1e-5)
-    rows = stitched_response(plan21, config.channels, scenario).rows
+    sweep = np.linspace(8.02e9, 8.24e9, 11)
+    rows = stitched_response(plan21, config.channels, sweep, 1e-5).rows
     assert len(rows) == 11
     assert rows[3].beat_power == rows.beat_power[3]
     assert rows.channel_index.tolist() == [
-        nearest_line_index([e.line_frequency for e in plan21.entries], f)
-        for f in scenario.frequencies
+        nearest_line_index([e.line_frequency for e in plan21.entries], f) for f in sweep
     ]
 
 
 def test_spectrum_rows_are_read_only(plan21, config):
-    scenario = SignalScenario.linear_sweep(8.02e9, 8.24e9, 11, 1e-5)
+    sweep = np.linspace(8.02e9, 8.24e9, 11)
     for rows in (
-        stitched_response(plan21, config.channels, scenario).rows,
+        stitched_response(plan21, config.channels, sweep, 1e-5).rows,
         evaluate_channels(plan21, config.channels, 8.13e9, 1e-5),
     ):
         before = rows.beat_power.tolist()
@@ -267,29 +266,37 @@ def test_spectrum_rows_are_read_only(plan21, config):
         assert rows.beat_power.tolist() == before
 
 
-def test_tone_list_from_arrays_equals_pairs():
+def test_tone_list_from_arrays_equals_pairs(plan21, config):
+    # The stimulus arrays evaluate each (frequency, field) pair as a one-tone
+    # call would, and one field applies to every tone.
     frequencies = np.array([8.1e9, 8.2e9, 8.15e9])
     fields = np.array([1e-5, 0.0, 2e-5])
-    from_arrays = SignalScenario.tone_list(frequencies, fields)
-    from_pairs = SignalScenario.tone_list(list(zip(frequencies, fields)))
-    assert np.array_equal(from_arrays.frequencies, from_pairs.frequencies)
-    assert np.array_equal(from_arrays.fields, from_pairs.fields)
-    assert SignalScenario.tone_list(frequencies, 3e-5).fields.tolist() == [3e-5] * 3
-    with pytest.raises(ValueError):
-        from_arrays.frequencies[0] = 1.0
+    rows = stitched_response(plan21, config.channels, frequencies, fields).rows
+    pairs = zip(frequencies, fields)
+    one_tone = [stitched_response(plan21, config.channels, f, e).rows[0] for f, e in pairs]
+    assert rows.tolist() == [row.tolist() for row in one_tone]
+    one_field = stitched_response(plan21, config.channels, frequencies, 3e-5).rows
+    tiled = stitched_response(plan21, config.channels, frequencies, [3e-5] * 3).rows
+    assert one_field.tolist() == tiled.tolist()
+
+
+def _stitched(frequencies, fields):
+    config = default_config()
+    plan = place_cells(config.profile, config.transition, config.comb)
+    return stitched_response(plan, config.channels, frequencies, fields)
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: SignalScenario.tone_list([(math.nan, 1e-5)]),
-        lambda: SignalScenario.tone_list([(math.inf, 1e-5)]),
-        lambda: SignalScenario.tone_list([(8.1e9, math.nan)]),
-        lambda: SignalScenario.tone_list([(8.1e9, math.inf)]),
-        lambda: SignalScenario.tone_list([8.1e9, 8.2e9], [1e-5, -1e-5]),
-        lambda: SignalScenario.linear_sweep(8.1e9, math.inf, 11, 1e-5),
-        lambda: SignalScenario.linear_sweep(math.nan, 8.2e9, 11, 1e-5),
-        lambda: SignalScenario.linear_sweep(8.1e9, 8.2e9, 11, math.nan),
+        lambda: _stitched([math.nan], 1e-5),
+        lambda: _stitched([math.inf], 1e-5),
+        lambda: _stitched([8.1e9], math.nan),
+        lambda: _stitched([8.1e9], math.inf),
+        lambda: _stitched([8.1e9, 8.2e9], [1e-5, -1e-5]),
+        lambda: _stitched([8.1e9, -math.inf], 1e-5),
+        lambda: _stitched([8.1e9, 8.2e9], [math.nan, 1e-5]),
+        lambda: _stitched(np.linspace(8.1e9, 8.2e9, 11), [1e-5] * 10 + [math.nan]),
         lambda: beat_power(default_config().channels[0], math.nan, 0.0),
         lambda: beat_power(default_config().channels[0], np.array([1e-5, math.inf]), 0.0),
     ],
@@ -311,4 +318,4 @@ def test_unsorted_plan_rejected(plan21, config):
         entries=plan21.entries[::-1], min_spacing=plan21.min_spacing, feasible=True
     )
     with pytest.raises(PlannerError, match="ordered by ascending line frequency"):
-        stitched_response(shuffled, config.channels, SignalScenario.tone_list([(8.13e9, 1e-5)]))
+        stitched_response(shuffled, config.channels, 8.13e9, 1e-5)
