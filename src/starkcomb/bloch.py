@@ -328,24 +328,19 @@ def at_splitting(system: LadderSystem, probe_sweep: np.ndarray) -> float:
     message = "probe_sweep must be a 1-D array of at least 5 detunings"
     require(detunings.ndim == 1 and detunings.size >= 5, DomainError, message)
 
-    absorption = probe_absorption(system, probe_detuning=detunings)
+    a = probe_absorption(system, probe_detuning=detunings)
 
-    minima = []
-    for i in range(1, detunings.size - 1):
-        if absorption[i] < absorption[i - 1] and absorption[i] < absorption[i + 1]:
-            # Quadratic interpolation through the three points around the dip.
-            denom = absorption[i - 1] - 2.0 * absorption[i] + absorption[i + 1]
-            step = detunings[i + 1] - detunings[i]
-            shift = 0.0
-            if denom != 0.0:
-                shift = 0.5 * step * (absorption[i - 1] - absorption[i + 1]) / denom
-            minima.append((absorption[i], detunings[i] + shift))
+    i = np.flatnonzero((a[1:-1] < a[:-2]) & (a[1:-1] < a[2:])) + 1
+    # Quadratic interpolation through the three points around each dip.
+    denom = a[i - 1] - 2.0 * a[i] + a[i + 1]
+    step = detunings[i + 1] - detunings[i]
+    shift = np.zeros(i.size)
+    np.divide(0.5 * step * (a[i - 1] - a[i + 1]), denom, out=shift, where=denom != 0.0)
 
     message = "found {} transparency window(s); need two to measure a splitting "
     message += "(widen or refine the probe sweep)"
-    require(len(minima) >= 2, RegimeError, message, len(minima))
-    minima.sort(key=lambda m: m[0])
-    (_, d1), (_, d2) = minima[0], minima[1]
+    require(i.size >= 2, RegimeError, message, i.size)
+    d1, d2 = (detunings[i] + shift)[np.argsort(a[i], kind="stable")[:2]]
     return abs(d2 - d1) / _TWO_PI
 
 

@@ -236,12 +236,9 @@ def coverage_union(lines, half_width: float) -> list[tuple[float, float]]:
     require(0 < half_width < math.inf, DomainError, message, half_width)
     require(len(lines) > 0, DomainError, "coverage requires at least one line")
     require(np.isfinite(lines), DomainError, "lines must be finite, got {}", lines)
-    intervals = sorted((f - half_width, f + half_width) for f in lines)
-    merged = [intervals[0]]
-    for lo, hi in intervals[1:]:
-        last_lo, last_hi = merged[-1]
-        if lo <= last_hi:
-            merged[-1] = (last_lo, max(last_hi, hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+    lines = np.sort(np.asarray(lines, dtype=float))
+    lo, hi = lines - half_width, lines + half_width
+    # Sorted, so a merged interval's upper end is the previous interval's.
+    breaks = np.flatnonzero(lo[1:] > hi[:-1]) + 1
+    starts, ends = np.append(0, breaks), np.append(breaks - 1, lines.size - 1)
+    return list(zip(lo[starts].tolist(), hi[ends].tolist()))

@@ -132,6 +132,8 @@ def _bounded(constraint: str, test):
 _positive = _bounded("> 0", lambda value: value > 0)
 _non_negative = _bounded(">= 0", lambda value: value >= 0)
 _level = _bounded(f"within +/-{MAX_LEVEL_DB:.1f} dBm", lambda value: abs(value) < MAX_LEVEL_DB)
+# Within the level bound a dBm value is a finite, nonzero power in W.
+_watts = lambda value, path: 10.0 ** ((_level(value, path) - 30.0) / 10.0)
 
 
 def _count(minimum: int, maximum: float = math.inf):
@@ -205,7 +207,8 @@ _RAD_KHZ = lambda value: value * _TWO_PI * 1e3
 _NANO = lambda value: value * 1e-9
 
 # The schema, in the order of the bundled defaults. A nested mapping is a
-# section; a leaf maps its key to (model argument, check[, conversion]).
+# section; a leaf maps its key to (model argument, check[, conversion]). The
+# check runs on the value and again on its conversion.
 _ANCHOR = {
     "position_cm": ("position", _number),
     "transition_frequency_ghz": ("frequency", _positive, _GHZ),
@@ -241,7 +244,7 @@ _SCHEMA = {
         "measurement_time_s": ("measurement_time", _positive),
         "gain_scale_endpoints": ("gain_scale_endpoints", _gain_pair),
         "stimulus": {
-            "power_dbm": ("power", _level, lambda dbm: 10.0 ** ((dbm - 30.0) / 10.0)),
+            "power_dbm": ("power", _watts),
             "antenna_gain": ("gain", _positive),
             "distance_m": ("distance", _positive),
             "perturbation_factor": ("perturbation", _positive),
@@ -310,7 +313,8 @@ def _validated(node: dict, table: dict = _SCHEMA, path: str = "") -> dict:
         else:
             arg, check, *convert = spec
             value = check(value, where)
-            out[arg] = convert[0](value) if convert else value
+            # A unit conversion can overflow to inf or underflow to 0.
+            out[arg] = check(convert[0](value), where) if convert else value
     return out
 
 

@@ -1,14 +1,17 @@
 """Scenario runners: deterministic CSV data products plus a run manifest.
 
-Every scenario writes CSV files with a short metadata header (package
-version, configuration hash, scenario name) followed by the column row and
-data rows, and a JSON manifest listing each output with its SHA-256. Output
-bytes are a pure function of the configuration; timestamps are embedded only
-when explicitly requested.
+Each runner is a pure function of the configuration that returns its tables:
+for every CSV file name, the metadata that follows the common header and the
+named data columns. ``run_scenario`` is the one writer. It prefixes each
+table with the common header (package version, configuration hash, scenario
+name), writes the CSV files, and writes a JSON manifest listing the SHA-256
+of the bytes it wrote for each. Output bytes are a pure function of the
+configuration; timestamps are embedded only when explicitly requested.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,16 +22,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .bloch import probe_absorption
+from .bloch import LadderSystem, probe_absorption
 from .comb import CellArrayPlan, FrequencyComb, place_cells
 from .config import MAX_ROWS, ReceiverConfig, _construct, build_channels
-from .errors import ConfigError, DomainError, InfeasiblePlanError, require
+from .errors import ConfigError, InfeasiblePlanError
 from .field_map import field_at, transition_frequency_at
-from .receiver import BeatSpectrum, min_detectable_field, sensitivity, stitched_response
+from .receiver import min_detectable_field, sensitivity, stitched_response
 
 __all__ = ["SCENARIO_NAMES", "run_scenario"]
 
-SCENARIO_NAMES = ("plan", "response", "linearity", "sensitivity", "sweep2cell", "eit")
+# By CSV file name: the metadata after the common header, and the columns.
+Tables = dict[str, tuple[list[tuple[str, object]], dict[str, object]]]
 
 
 def _fmt(value) -> str:
@@ -54,46 +58,18 @@ def _text_column(values) -> tuple[str, list]:
     return "%s", [_fmt(v) for v in values.tolist()]
 
 
-def _write_csv(
-    path: Path,
-    meta: Sequence[tuple[str, object]],
-    columns: dict[str, object],
-    timestamp: bool,
-) -> None:
-    """Write a CSV from named, equal-length columns (arrays or sequences)."""
+def _format_csv(
+    meta: Sequence[tuple[str, object]], columns: dict[str, object], timestamp: bool
+) -> bytes:
+    """The encoded CSV of named, equal-length columns (arrays or sequences)."""
     lines = [f"# {key}: {_fmt(value)}" for key, value in meta]
     if timestamp:
         lines.append(f"# generated_at: {datetime.now(timezone.utc).isoformat()}")
     lines.append(",".join(columns))
     conversions, values = zip(*map(_text_column, columns.values()))
     lines.extend(map(",".join(conversions).__mod__, zip(*values)))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(
-    out_dir: Path, name: str, config: ReceiverConfig, outputs: list[Path]
-) -> Path:
-    manifest = {
-        "scenario": name,
-        "version": __version__,
-        "config_sha256": config.sha256,
-        "outputs": {p.name: _sha256(p) for p in outputs},
-    }
-    path = out_dir / f"{name}_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _meta(config: ReceiverConfig, name: str) -> list[tuple[str, object]]:
-    return [
-        ("starkcomb_version", __version__),
-        ("config_sha256", config.sha256),
-        ("scenario", name),
-    ]
+    lines.append("")  # the final newline
+    return "\n".join(lines).encode()
 
 
 def _plan(config: ReceiverConfig, comb: FrequencyComb | None = None) -> CellArrayPlan:
@@ -114,22 +90,14 @@ def _plan(config: ReceiverConfig, comb: FrequencyComb | None = None) -> CellArra
 
 def _sweep(
     config: ReceiverConfig, params: dict, plan: CellArrayPlan, channels
-) -> tuple[float, BeatSpectrum]:
-    """The swept field (the reference field unless set) and the stitched response."""
+) -> tuple[float, dict[str, np.ndarray]]:
+    """The swept field (the reference field unless set) and the stitched beat columns."""
     field = params["field"]
     if field is None:
         field = config.channel_defaults.reference_field
-    # A GHz bound can still overflow to inf Hz, or underflow to 0 Hz.
-    start, stop = params["start"], params["stop"]
-    message = "sweep needs 0 < start < stop < inf, got [{}, {}]"
-    require(0 < start < stop < math.inf, DomainError, message, start, stop)
-    frequencies = np.linspace(start, stop, params["points"])
-    return field, stitched_response(plan, channels, frequencies, field)
-
-
-def _beat_columns(spectrum: BeatSpectrum) -> dict[str, np.ndarray]:
-    rows = spectrum.rows
-    return {
+    frequencies = np.linspace(params["start"], params["stop"], params["points"])
+    rows = stitched_response(plan, channels, frequencies, field).rows
+    return field, {
         "signal_GHz": rows.signal_frequency / 1e9,
         "channel_index": rows.channel_index,
         "delta_f_kHz": rows.delta_f / 1e3,
@@ -138,55 +106,33 @@ def _beat_columns(spectrum: BeatSpectrum) -> dict[str, np.ndarray]:
     }
 
 
-def _run_plan(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Path]:
+def _run_plan(config: ReceiverConfig) -> Tables:
     plan = _plan(config)
-    plan_path = out_dir / "plan.csv"
-    _write_csv(
-        plan_path,
-        _meta(config, "plan")
-        + [("min_spacing_cm", plan.min_spacing), ("feasible", plan.feasible)],
-        {
-            "line_index": plan.entries.line_index,
-            "line_GHz": plan.entries.line_frequency / 1e9,
-            "position_cm": plan.entries.position,
-            "lo_power_dBm": plan.entries.lo_power,
-            "spacing_to_next_cm": np.append(-np.diff(plan.entries.position), None),
-        },
-        timestamp,
-    )
-
-    profile_path = out_dir / "field_profile.csv"
+    meta = [("min_spacing_cm", plan.min_spacing), ("feasible", plan.feasible)]
+    columns = {
+        "line_index": plan.entries.line_index,
+        "line_GHz": plan.entries.line_frequency / 1e9,
+        "position_cm": plan.entries.position,
+        "lo_power_dBm": plan.entries.lo_power,
+        "spacing_to_next_cm": np.append(-np.diff(plan.entries.position), None),
+    }
     lo, hi = config.profile.valid_range
     xs = np.linspace(lo, hi, 241)
-    _write_csv(
-        profile_path,
-        _meta(config, "plan"),
-        {
-            "x_cm": xs,
-            "field_V_per_cm": field_at(config.profile, xs),
-            "transition_GHz": transition_frequency_at(config.profile, config.transition, xs)
-            / 1e9,
-        },
-        timestamp,
-    )
-    return [plan_path, profile_path]
+    profile = {
+        "x_cm": xs,
+        "field_V_per_cm": field_at(config.profile, xs),
+        "transition_GHz": transition_frequency_at(config.profile, config.transition, xs) / 1e9,
+    }
+    return {"plan.csv": (meta, columns), "field_profile.csv": ([], profile)}
 
 
-def _run_response(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Path]:
+def _run_response(config: ReceiverConfig) -> Tables:
     plan = _plan(config)
-    params = config.scenarios["response"]
-    field, spectrum = _sweep(config, params, plan, config.channels)
-    path = out_dir / "response.csv"
-    _write_csv(
-        path,
-        _meta(config, "response") + [("field_V_per_cm", field)],
-        _beat_columns(spectrum),
-        timestamp,
-    )
-    return [path]
+    field, columns = _sweep(config, config.scenarios["response"], plan, config.channels)
+    return {"response.csv": ([("field_V_per_cm", field)], columns)}
 
 
-def _run_linearity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Path]:
+def _run_linearity(config: ReceiverConfig) -> Tables:
     plan = _plan(config)
     params = config.scenarios["linearity"]
     rows = len(plan.entries) * params["points"]
@@ -203,45 +149,30 @@ def _run_linearity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> li
     lines = np.repeat(plan.entries.line_frequency, fields.size)
     tiled = np.tile(fields, len(plan.entries))
     spectrum = stitched_response(plan, config.channels, lines + delta, tiled)
-    path = out_dir / "linearity.csv"
-    _write_csv(
-        path,
-        _meta(config, "linearity") + [("delta_f_kHz", delta / 1e3)],
-        {
-            "channel_index": np.repeat(plan.entries.line_index, fields.size),
-            "line_GHz": lines / 1e9,
-            "field_V_per_cm": tiled,
-            "beat_dBm": spectrum.rows.beat_power,
-        },
-        timestamp,
-    )
-    return [path]
+    columns = {
+        "channel_index": np.repeat(plan.entries.line_index, fields.size),
+        "line_GHz": lines / 1e9,
+        "field_V_per_cm": tiled,
+        "beat_dBm": spectrum.rows.beat_power,
+    }
+    return {"linearity.csv": ([("delta_f_kHz", delta / 1e3)], columns)}
 
 
-def _run_sensitivity(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Path]:
+def _run_sensitivity(config: ReceiverConfig) -> Tables:
     plan = _plan(config)
     delta = config.channel_defaults.reference_detuning
     e_det = min_detectable_field(config.channels, delta)
-    path = out_dir / "sensitivity.csv"
-    _write_csv(
-        path,
-        _meta(config, "sensitivity")
-        + [
-            ("delta_f_kHz", delta / 1e3),
-            ("measurement_time_s", config.measurement_time),
-        ],
-        {
-            "channel_index": plan.entries.line_index,
-            "line_GHz": plan.entries.line_frequency / 1e9,
-            "E_det_nV_per_cm": e_det * 1e9,
-            "sensitivity_nV_cm_Hz": sensitivity(e_det, config.measurement_time) * 1e9,
-        },
-        timestamp,
-    )
-    return [path]
+    meta = [("delta_f_kHz", delta / 1e3), ("measurement_time_s", config.measurement_time)]
+    columns = {
+        "channel_index": plan.entries.line_index,
+        "line_GHz": plan.entries.line_frequency / 1e9,
+        "E_det_nV_per_cm": e_det * 1e9,
+        "sensitivity_nV_cm_Hz": sensitivity(e_det, config.measurement_time) * 1e9,
+    }
+    return {"sensitivity.csv": (meta, columns)}
 
 
-def _run_sweep2cell(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Path]:
+def _run_sweep2cell(config: ReceiverConfig) -> Tables:
     params = config.scenarios["sweep2cell"]
     low, high = params["low_line"], params["high_line"]
     comb = FrequencyComb(
@@ -252,51 +183,37 @@ def _run_sweep2cell(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> l
     )
     plan = _plan(config, comb)
     channels = _construct("channel", build_channels, config.channel_defaults, 2)
-    field, spectrum = _sweep(config, params, plan, channels)
-    path = out_dir / "sweep2cell.csv"
-    _write_csv(
-        path,
-        _meta(config, "sweep2cell")
-        + [
-            ("field_V_per_cm", field),
-            ("position_low_line_cm", plan.entries.position[0]),
-            ("position_high_line_cm", plan.entries.position[1]),
-        ],
-        _beat_columns(spectrum),
-        timestamp,
-    )
-    return [path]
+    field, columns = _sweep(config, params, plan, channels)
+    meta = [
+        ("field_V_per_cm", field),
+        ("position_low_line_cm", plan.entries.position[0]),
+        ("position_high_line_cm", plan.entries.position[1]),
+    ]
+    return {"sweep2cell.csv": (meta, columns)}
 
 
-def _run_eit(config: ReceiverConfig, out_dir: Path, timestamp: bool) -> list[Path]:
+def _run_eit(config: ReceiverConfig) -> Tables:
     params = config.scenarios["eit"]
     span = params["probe_span"]
     detunings = np.linspace(-span, span, params["points"]) * 2.0 * math.pi
     ladder = config.ladder
-    absorption = probe_absorption(ladder, probe_detuning=detunings)
-    path = out_dir / "eit.csv"
     two_pi = 2.0 * math.pi
-    meta = _meta(config, "eit") + [
-        ("probe_rabi_MHz", ladder.probe_rabi / two_pi / 1e6),
-        ("coupling_rabi_MHz", ladder.coupling_rabi / two_pi / 1e6),
-        ("mw_rabi_MHz", ladder.mw_rabi / two_pi / 1e6),
-        ("probe_detuning_MHz", "swept"),
-        ("coupling_detuning_MHz", ladder.coupling_detuning / two_pi / 1e6),
-        ("mw_detuning_MHz", ladder.mw_detuning / two_pi / 1e6),
-        ("decay_e_MHz", ladder.decay_e / two_pi / 1e6),
-        ("decay_r1_MHz", ladder.decay_r1 / two_pi / 1e6),
-        ("decay_r2_MHz", ladder.decay_r2 / two_pi / 1e6),
-        ("dephasing_MHz", ladder.dephasing / two_pi / 1e6),
+    # Every ladder parameter in MHz; the probe detuning is the swept column.
+    meta = [
+        (
+            f"{f.name}_MHz",
+            "swept" if f.name == "probe_detuning" else getattr(ladder, f.name) / two_pi / 1e6,
+        )
+        for f in dataclasses.fields(LadderSystem)
     ]
     columns = {
         "probe_detuning_MHz": detunings / (2.0 * math.pi * 1e6),
-        "absorption": absorption,
+        "absorption": probe_absorption(ladder, probe_detuning=detunings),
     }
-    _write_csv(path, meta, columns, timestamp)
-    return [path]
+    return {"eit.csv": (meta, columns)}
 
 
-_RUNNERS: dict[str, Callable[[ReceiverConfig, Path, bool], list[Path]]] = {
+_RUNNERS: dict[str, Callable[[ReceiverConfig], Tables]] = {
     "plan": _run_plan,
     "response": _run_response,
     "linearity": _run_linearity,
@@ -304,6 +221,8 @@ _RUNNERS: dict[str, Callable[[ReceiverConfig, Path, bool], list[Path]]] = {
     "sweep2cell": _run_sweep2cell,
     "eit": _run_eit,
 }
+
+SCENARIO_NAMES = tuple(_RUNNERS)
 
 
 def run_scenario(
@@ -313,13 +232,35 @@ def run_scenario(
     *,
     timestamp: bool = False,
 ) -> list[Path]:
-    """Run one scenario and return the paths of every file written."""
+    """Run one scenario and return the paths of every file written.
+
+    Writes each table of the scenario as a CSV under ``out_dir``, then
+    ``<name>_manifest.json`` with the SHA-256 of the bytes written for each.
+    """
     if name not in _RUNNERS:
         raise ConfigError(
             f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
         )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = _RUNNERS[name](config, out_dir, timestamp)
-    manifest = _write_manifest(out_dir, name, config, outputs)
-    return outputs + [manifest]
+    tables = _RUNNERS[name](config)
+    config_sha256 = config.sha256
+    header = [
+        ("starkcomb_version", __version__),
+        ("config_sha256", config_sha256),
+        ("scenario", name),
+    ]
+    outputs = {}
+    for file_name, (meta, columns) in tables.items():
+        data = _format_csv(header + meta, columns, timestamp)
+        (out_dir / file_name).write_bytes(data)
+        outputs[file_name] = hashlib.sha256(data).hexdigest()
+    manifest = {
+        "scenario": name,
+        "version": __version__,
+        "config_sha256": config_sha256,
+        "outputs": outputs,
+    }
+    manifest_path = out_dir / f"{name}_manifest.json"
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return [out_dir / file_name for file_name in outputs] + [manifest_path]

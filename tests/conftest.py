@@ -29,13 +29,14 @@ def bundled_defaults() -> dict:
 
 
 def _bisect_position(profile, transition, target, lo, hi):
-    # Independent inversion oracle: plain sign-change bisection.
+    # Independent inversion oracle: plain sign-change bisection, elementwise
+    # over a scalar or an array of targets.
+    target = np.asarray(target, dtype=float)
+    lo, hi = np.full(target.shape, float(lo)), np.full(target.shape, float(hi))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if transition_frequency_at(profile, transition, mid) > target:
-            lo = mid
-        else:
-            hi = mid
+        above = transition_frequency_at(profile, transition, mid) > target
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
     return 0.5 * (lo + hi)
 
 

@@ -1,8 +1,13 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import starkcomb.bloch
 
 from starkcomb import (
     DegenerateSystemError,
@@ -186,7 +191,48 @@ class TestProbeAbsorption:
             probe_absorption(replace(PAPER_LIKE, probe_rabi=0.0))
 
 
+def _splitting_by_loop(detunings, absorption):
+    # The per-detuning minimum search that at_splitting replaced; None when
+    # fewer than two windows are found.
+    minima = []
+    for i in range(1, detunings.size - 1):
+        if absorption[i] < absorption[i - 1] and absorption[i] < absorption[i + 1]:
+            denom = absorption[i - 1] - 2.0 * absorption[i] + absorption[i + 1]
+            step = detunings[i + 1] - detunings[i]
+            shift = 0.0
+            if denom != 0.0:
+                shift = 0.5 * step * (absorption[i - 1] - absorption[i + 1]) / denom
+            minima.append((absorption[i], detunings[i] + shift))
+    if len(minima) < 2:
+        return None
+    minima.sort(key=lambda m: m[0])  # stable: equal depths keep sweep order
+    (_, d1), (_, d2) = minima[0], minima[1]
+    return abs(d2 - d1) / TWO_PI
+
+
 class TestAtSplitting:
+    # Repeated levels give equal-depth windows and flat steps.
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+            min_size=5,
+            max_size=40,
+        )
+    )
+    def test_equals_per_detuning_loop(self, values):
+        absorption = np.array(values)
+        detunings = np.linspace(-1e8, 1e8, absorption.size)
+        expected = _splitting_by_loop(detunings, absorption)
+        system = at_test_system(10 * GAMMA_E)
+        drawn = lambda system, probe_detuning: absorption
+        with mock.patch.object(starkcomb.bloch, "probe_absorption", drawn):
+            if expected is None:
+                with pytest.raises(RegimeError, match="transparency window"):
+                    at_splitting(system, detunings)
+            else:
+                assert at_splitting(system, detunings) == expected
+
     def test_fifty_megahertz_splitting(self):
         mw = TWO_PI * 50e6
         s = at_test_system(mw)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starkcomb.comb
 from starkcomb import (
@@ -218,7 +220,38 @@ class TestAssignChannel:
             assert delta == f - lines[brute]
 
 
+def _merged_by_loop(lines, half_width):
+    # The interval merge that coverage_union replaced, one interval at a time.
+    intervals = sorted((f - half_width, f + half_width) for f in lines)
+    merged = [intervals[0]]
+    for lo, hi in intervals[1:]:
+        last_lo, last_hi = merged[-1]
+        if lo <= last_hi:
+            merged[-1] = (last_lo, max(last_hi, hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+@st.composite
+def lines_and_half_widths(draw):
+    """Lines on a grid of half-widths, where lines two steps apart touch
+    exactly (integers are exact in floating point), mixed with free lines."""
+    half_width = float(draw(st.integers(1, 10**6)))
+    grid = st.integers(-40, 40).map(lambda k: k * half_width)
+    lines = draw(st.lists(st.one_of(grid, st.floats(-1e8, 1e8)), min_size=1, max_size=30))
+    return lines, half_width
+
+
 class TestCoverage:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(lines_and_half_widths())
+    def test_union_equals_merge_loop(self, case):
+        lines, half_width = case
+        expected = _merged_by_loop(lines, half_width)
+        assert coverage_union(lines, half_width) == expected
+        assert coverage_union(np.array(lines), half_width) == expected
+
     def test_full_plan_coverage_210_mhz(self, comb21):
         intervals = coverage_union(comb_lines(comb21), half_width=5e6)
         assert len(intervals) == 1

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import yaml
 
 from starkcomb import ConfigError, comb_lines, load_config, min_detectable_field
 
@@ -146,3 +147,27 @@ class TestLoadConfig:
         path.write_text("ladder:\n  probe_rabi_mhz: 0.0\n")
         with pytest.raises(ConfigError, match="ladder.probe_rabi_mhz"):
             load_config(path)
+
+    @pytest.mark.parametrize("value", [1e300, 5e-324])
+    @pytest.mark.parametrize(
+        "scenario, key",
+        [
+            ("response", "start_ghz"),
+            ("response", "stop_ghz"),
+            ("sweep2cell", "low_line_ghz"),
+            ("sweep2cell", "high_line_ghz"),
+            ("sweep2cell", "start_ghz"),
+            ("sweep2cell", "stop_ghz"),
+        ],
+    )
+    def test_conversion_overflow_names_field(self, tmp_path, scenario, key, value):
+        # Finite and > 0 in GHz, but inf or 0 Hz after the unit conversion.
+        path = tmp_path / "ghz.yaml"
+        path.write_text(yaml.safe_dump({"scenarios": {scenario: {key: value}}}))
+        with pytest.raises(ConfigError, match=rf"^scenarios\.{scenario}\.{key} must be"):
+            load_config(path)
+
+    def test_zero_allowed_leaf_may_round_to_zero(self, tmp_path):
+        path = tmp_path / "detuning.yaml"
+        path.write_text("channel:\n  reference_detuning_khz: 5.0e-324\n")
+        assert load_config(path).channel_defaults.reference_detuning == 0.0

@@ -97,12 +97,12 @@ def test_closed_form_placement_matches_bisection_oracle(case):
     plan = place_cells(profile, TRANSITION, comb, tol=tol)
     positions = [e.position for e in plan.entries]
     assert all(a > b for a, b in zip(positions, positions[1:]))
-    for line, x in zip(lines, positions):
+    oracle = _bisect_position(profile, TRANSITION, lines, lo, hi)
+    for line, x, bisected in zip(lines, positions, oracle.tolist()):
         assert abs(transition_frequency_at(profile, TRANSITION, x) - line) <= tol
         if abs(f_lo - line) <= tol:
             assert x == lo
         elif abs(f_hi - line) <= tol:
             assert x == hi
         else:
-            oracle = _bisect_position(profile, TRANSITION, line, lo, hi)
-            assert abs(x - oracle) <= 1e-9
+            assert abs(x - bisected) <= 1e-9

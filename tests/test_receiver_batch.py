@@ -1,6 +1,7 @@
 """The array receiver against the per-point loop it replaced."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -226,6 +227,8 @@ def test_default_outputs_are_byte_identical(tmp_path):
         assert manifest.name == f"{name}_manifest.json"
         got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs}
         assert got == digests, name
+        # The manifest hashes the bytes as written, so they match the file read back.
+        assert json.loads(manifest.read_text())["outputs"] == got, name
 
 
 def test_linearity_is_one_stitched_call(monkeypatch, tmp_path):
