@@ -1,7 +1,7 @@
 """Command-line interface for running receiver scenarios.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible plan or band
-coverage failure, 4 numerical-solver failure.
+Exit codes: 0 success, 2 configuration error or unwritable output path,
+3 infeasible plan or band coverage failure, 4 numerical-solver failure.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
-    except StarkCombError as exc:
+    except (StarkCombError, OSError) as exc:  # OSError: the output path cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in paths:

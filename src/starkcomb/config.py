@@ -2,19 +2,20 @@
 
 A configuration is a YAML mapping with the sections ``transition``,
 ``profile``, ``comb``, ``channel``, ``planner``, ``ladder``, and
-``scenarios``. Loading merges the user file over the bundled defaults. One
-walk over one schema table, which mirrors the bundled defaults, checks every
-leaf (errors name the offending key and constraint), converts it to model
-units and returns each section as the keyword arguments of its constructor:
-the Stark transition, the fitted field profile, the comb, the channel
-calibration, and the ladder system. The channels, one per comb line, are
-calibrated on first use of ``ReceiverConfig.channels``. Row counts are
-capped at ``MAX_ROWS``. The canonical merged mapping is retained for hashing
-so scenario outputs can embed a configuration fingerprint.
+``scenarios``. One walk over one schema table, which mirrors the bundled
+defaults, merges a file over those defaults and checks it in the same pass.
+At each mapping it rejects unknown keys, then takes each key in schema order:
+a section recurses, and a leaf takes the file's value if present, else the
+default, as a copy that is checked (errors name the offending key and
+constraint), converted to model units and checked again. Of several faults
+the first in schema order is reported. The walk returns the merged mapping,
+retained for hashing so scenario outputs can embed a configuration
+fingerprint, and each section as the keyword arguments of its constructor.
+The channels, one per comb line, are calibrated on first use of
+``ReceiverConfig.channels``. Row counts are capped at ``MAX_ROWS``.
 
-The bundled defaults are parsed once per process, on first use; every
-configuration gets its own copy, so mutating ``ReceiverConfig.data`` never
-changes a later load.
+The bundled defaults are parsed once per process and never handed out: the
+default configuration is the walk of an empty file.
 """
 
 from __future__ import annotations
@@ -111,17 +112,46 @@ def _is_number(value) -> bool:
 # and its dotted path, and returns the value in model form or raises.
 
 
-def _number(value, path: str) -> float:
-    if value is None:
-        raise ConfigError(f"{path} is required")
-    if not _is_number(value):
-        raise ConfigError(f"{path} must be a finite number, got {value!r}")
-    return float(value)
+def _leaf(constraint: str, test, convert):
+    """A required leaf that passes ``test``, converted; ``constraint`` may show ``{value}``."""
+
+    def check(value, path: str):
+        if value is None:
+            raise ConfigError(f"{path} is required")
+        if not test(value):
+            raise ConfigError(f"{path} must be " + constraint.format(value=value))
+        return convert(value)
+
+    return check
 
 
-def _bounded(constraint: str, test):
-    def check(value, path: str) -> float:
-        value = _number(value, path)
+def _optional(check, null=None):
+    return lambda value, path: null if value is None else check(value, path)
+
+
+def _numbers(constraint: str, test, length: int | None = None):
+    # A list of finite numbers, each passing ``test``, as a tuple of floats.
+    def is_list(value) -> bool:
+        return isinstance(value, list) and length in (None, len(value)) and all(
+            _is_number(v) and test(v) for v in value
+        )
+
+    return _leaf(constraint, is_list, lambda value: tuple(map(float, value)))
+
+
+_number = _leaf("a finite number, got {value!r}", _is_number, float)
+_integer = _leaf(
+    "an integer, got {value!r}", lambda value: isinstance(value, int) and _is_number(value), int
+)
+# Only a string or null (the empty label); the type alone is shown, never the value.
+_label = _optional(
+    _leaf("a string, got {value.__class__.__name__}", lambda value: isinstance(value, str), str), ""
+)
+
+
+def _bounded(constraint: str, test, base=_number):
+    def check(value, path: str):
+        value = base(value, path)
         if not test(value):
             raise ConfigError(f"{path} must be {constraint}, got {value}")
         return value
@@ -129,55 +159,20 @@ def _bounded(constraint: str, test):
     return check
 
 
+def _count(minimum: int, maximum: float = math.inf):
+    at_least = _bounded(f">= {minimum}", lambda value: value >= minimum, _integer)
+    return _bounded(f"<= {maximum}", lambda value: value <= maximum, at_least)
+
+
+_within_level = lambda value: abs(value) < MAX_LEVEL_DB
 _positive = _bounded("> 0", lambda value: value > 0)
 _non_negative = _bounded(">= 0", lambda value: value >= 0)
-_level = _bounded(f"within +/-{MAX_LEVEL_DB:.1f} dBm", lambda value: abs(value) < MAX_LEVEL_DB)
+_level = _bounded(f"within +/-{MAX_LEVEL_DB:.1f} dBm", _within_level)
 # Within the level bound a dBm value is a finite, nonzero power in W.
 _watts = lambda value, path: 10.0 ** ((_level(value, path) - 30.0) / 10.0)
-
-
-def _count(minimum: int, maximum: float = math.inf):
-    def check(value, path: str) -> int:
-        if value is None:
-            raise ConfigError(f"{path} is required")
-        if not (isinstance(value, int) and _is_number(value)):
-            raise ConfigError(f"{path} must be an integer, got {value!r}")
-        if value < minimum:
-            raise ConfigError(f"{path} must be >= {minimum}, got {value}")
-        if value > maximum:
-            raise ConfigError(f"{path} must be <= {maximum}, got {value}")
-        return value
-
-    return check
-
-
-def _optional(check):
-    return lambda value, path: None if value is None else check(value, path)
-
-
-def _levels(value, path: str) -> tuple[float, ...] | None:
-    # Optional; its length is checked against comb.line_count after the walk.
-    if value is None:
-        return None
-    if not isinstance(value, list) or not all(
-        _is_number(p) and abs(p) < MAX_LEVEL_DB for p in value
-    ):
-        raise ConfigError(
-            f"{path} must be a list of numbers within +/-{MAX_LEVEL_DB:.1f} dBm"
-        )
-    return tuple(float(p) for p in value)
-
-
-def _gain_pair(value, path: str) -> tuple[float, float]:
-    if value is None:
-        raise ConfigError(f"{path} is required")
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(_is_number(g) and g > 0 for g in value)
-    ):
-        raise ConfigError(f"{path} must be two positive numbers [center, edge]")
-    return float(value[0]), float(value[1])
+# Optional; its length is checked against comb.line_count after the walk.
+_levels = _optional(_numbers(f"a list of numbers within +/-{MAX_LEVEL_DB:.1f} dBm", _within_level))
+_gain_pair = _numbers("two positive numbers [center, edge]", lambda value: value > 0, 2)
 
 
 def _anchors(value, path: str) -> list[tuple[float, float]]:
@@ -189,10 +184,7 @@ def _anchors(value, path: str) -> list[tuple[float, float]]:
     for i, item in enumerate(value):
         if not isinstance(item, dict):
             raise ConfigError(f"{path}[{i}] must be a mapping")
-        for key in item:
-            if key not in _ANCHOR:
-                raise ConfigError(f"unknown configuration key {f'{path}[{i}].{key}'!r}")
-        anchors.append(tuple(_validated(item, _ANCHOR, f"{path}[{i}]").values()))
+        anchors.append(tuple(_walk(item, {}, _ANCHOR, f"{path}[{i}].")[1].values()))
     return anchors
 
 
@@ -219,7 +211,7 @@ _SCHEMA = {
         "differential_polarizability_mhz_per_v2_cm2": (
             "differential_polarizability", _non_negative, lambda value: value * 1e6
         ),
-        "label": ("label", lambda value, path: str(value or "")),
+        "label": ("label", _label),
     },
     "profile": {
         "anchors": ("anchors", _anchors),
@@ -300,22 +292,27 @@ _ORDERED = (
 )
 
 
-def _validated(node: dict, table: dict = _SCHEMA, path: str = "") -> dict:
-    """Each leaf of ``table`` checked and converted, by model argument; sections nest."""
-    out = {}
+def _walk(node: dict, default: dict, table: dict = _SCHEMA, prefix: str = "") -> tuple[dict, dict]:
+    """``node`` merged over ``default`` as a fresh tree, and each leaf of ``table``
+    checked and converted, by model argument; sections nest. ``prefix`` ends in a dot."""
+    for key in node:
+        if key not in table:
+            raise ConfigError(f"unknown configuration key {prefix + str(key)!r}")
+    merged, out = {}, {}
     for key, spec in table.items():
-        where = f"{path}.{key}" if path else key
-        value = node.get(key)
+        where = prefix + key
+        value = node[key] if key in node else default.get(key)
         if isinstance(spec, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"section {key!r} must be a mapping")
-            out[key] = _validated(value, spec, where)
+            merged[key], out[key] = _walk(value, default[key], spec, where + ".")
         else:
             arg, check, *convert = spec
-            value = check(value, where)
+            merged[key] = copy.deepcopy(value)
+            value = check(merged[key], where)
             # A unit conversion can overflow to inf or underflow to 0.
             out[arg] = check(convert[0](value), where) if convert else value
-    return out
+    return merged, out
 
 
 def _construct(section: str, make, *args, **kwargs):
@@ -326,30 +323,9 @@ def _construct(section: str, make, *args, **kwargs):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    """``override`` merged over ``base`` as a fresh tree sharing no node with either.
-
-    Each node is copied once: overridden leaves from ``override``, every
-    subtree left alone from ``base``. Keys keep the order of ``base``.
-    """
-    merged = {}
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else str(key)
-        if key not in base:
-            raise ConfigError(f"unknown configuration key {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            merged[key] = _merge(base[key], value, where)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return {
-        key: merged[key] if key in merged else copy.deepcopy(value)
-        for key, value in base.items()
-    }
-
-
 @cache
 def _default_data() -> dict:
-    # Shared by every load: never handed out, only merged over or copied.
+    # Shared by every load: never handed out, only walked.
     text = (
         resources.files("starkcomb").joinpath("data/default_config.yaml").read_text()
     )
@@ -358,7 +334,7 @@ def _default_data() -> dict:
 
 def default_config() -> ReceiverConfig:
     """The bundled default configuration."""
-    return _build(copy.deepcopy(_default_data()))
+    return _build({})
 
 
 def load_config(path: str | Path) -> ReceiverConfig:
@@ -372,14 +348,16 @@ def load_config(path: str | Path) -> ReceiverConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if data is None:
         raise ConfigError(f"config file {path} is empty")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a mapping at top level")
-    return _build(_merge(_default_data(), data))
+    return _build(data)
 
 
 def build_channels(defaults: ChannelDefaults, line_count: int) -> np.recarray:
@@ -401,8 +379,8 @@ def build_channels(defaults: ChannelDefaults, line_count: int) -> np.recarray:
     return calibrate_noise_floor(uncalibrated, e0 + t * (e1 - e0), defaults.reference_detuning)
 
 
-def _build(data: dict) -> ReceiverConfig:
-    sections = _validated(data)
+def _build(override: dict) -> ReceiverConfig:
+    data, sections = _walk(override, _default_data())
     comb, channel, scenarios = sections["comb"], sections["channel"], sections["scenarios"]
     per_line = comb["per_line_power"]
     if per_line is not None and len(per_line) != comb["line_count"]:

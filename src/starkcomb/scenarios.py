@@ -176,7 +176,7 @@ def _run_sweep2cell(config: ReceiverConfig) -> Tables:
     params = config.scenarios["sweep2cell"]
     low, high = params["low_line"], params["high_line"]
     comb = FrequencyComb(
-        center_frequency=(low + high) / 2.0,
+        center_frequency=low / 2.0 + high / 2.0,  # (low + high) / 2 can overflow
         line_spacing=high - low,
         line_count=2,
         total_power=config.comb.total_power,

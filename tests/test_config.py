@@ -1,9 +1,12 @@
 import math
+import re
+import time
 
 import pytest
 import yaml
 
 from starkcomb import ConfigError, comb_lines, load_config, min_detectable_field
+from starkcomb.cli import main
 
 TWO_PI = 2 * math.pi
 
@@ -48,6 +51,14 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             load_config(tmp_path / "nope.yaml")
+
+    def test_unreadable_file_names_path(self, tmp_path):
+        binary = tmp_path / "binary.yaml"
+        binary.write_bytes(b"comb:\n  line_count: \xff\n")
+        for path in (tmp_path, binary):
+            text = f"^config file {re.escape(str(path))} cannot be read: "
+            with pytest.raises(ConfigError, match=text):
+                load_config(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -124,6 +135,39 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert str(info.value) == f"unknown configuration key {key!r}"
+
+    @pytest.mark.parametrize(
+        "value, type_name", [("7", "int"), ("[a, b]", "list"), ("true", "bool"), ("{a: 1}", "dict")]
+    )
+    def test_label_must_be_a_string(self, tmp_path, value, type_name):
+        path = tmp_path / "label.yaml"
+        path.write_text(f"transition:\n  label: {value}\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"transition.label must be a string, got {type_name}"
+
+    @pytest.mark.parametrize("value, label", [("null", ""), ("''", ""), ("'45D'", "45D")])
+    def test_label_string_or_null(self, tmp_path, value, label):
+        path = tmp_path / "label.yaml"
+        path.write_text(f"transition:\n  label: {value}\n")
+        assert load_config(path).transition.label == label
+
+    def test_aliased_label_rejected_without_expanding_it(self, tmp_path, capsys):
+        # Seven levels of nine aliases each: over 9**7 leaves (tens of MB)
+        # if it were ever printed or hashed, from a file of 300-odd bytes.
+        lines = ["transition:", "  label:", "    - &a0 [x,x,x,x,x,x,x,x,x]"]
+        for level in range(1, 7):
+            items = ",".join([f"*a{level - 1}"] * 9)
+            lines.append(f"    - &a{level} [{items}]")
+        path = tmp_path / "aliases.yaml"
+        path.write_text("\n".join(lines) + "\n")
+        assert path.stat().st_size < 500
+        start = time.perf_counter()
+        assert main(["plan", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == (
+            "configuration error: transition.label must be a string, got list\n"
+        )
 
     def test_invalid_value_names_field(self, tmp_path):
         path = tmp_path / "invalid.yaml"

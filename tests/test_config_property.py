@@ -160,7 +160,7 @@ def test_schema_mirrors_bundled_defaults():
 def test_each_leaf_rejects_a_string_by_its_path(tmp_path):
     for leaf in LEAVES:
         if leaf == ("transition", "label"):
-            continue  # any value is a label
+            continue  # a string is a label
         keys = list(itertools.takewhile(lambda key: not isinstance(key, int), leaf))
         section = functools.reduce(operator.getitem, leaf, DEFAULTS) == {}
         expected = f"section {keys[-1]!r} must be a mapping" if section else ".".join(keys)

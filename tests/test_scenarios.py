@@ -157,6 +157,43 @@ class TestCli:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["plan", "--config", str(tmp_path / "none.yaml")]) == 2
 
+    @pytest.mark.parametrize(
+        "case, text",
+        [
+            ("config-directory", "configuration error: config file {path} cannot be read: "),
+            ("config-not-utf8", "configuration error: config file {path} cannot be read: "),
+            ("out-is-file", "error: [Errno 17] File exists: {path!r}"),
+            ("out-under-file", "error: [Errno 20] Not a directory: {path!r}"),
+        ],
+    )
+    def test_unusable_path_exits_2(self, tmp_path, capsys, case, text):
+        # One named error line for a config that cannot be read or an output
+        # path that cannot be created; never a traceback.
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"\xff\xfe not utf-8\n")
+        path, args = {
+            "config-directory": (tmp_path, ["--config", str(tmp_path)]),
+            "config-not-utf8": (afile, ["--config", str(afile)]),
+            "out-is-file": (afile, ["--out", str(afile)]),
+            "out-under-file": (afile / "sub", ["--out", str(afile / "sub")]),
+        }[case]
+        assert main(["plan", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(text.format(path=str(path))), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_sweep2cell_huge_lines_reach_the_band_check(self, tmp_path, capsys):
+        # The midpoint of two lines near the float limit is finite; the
+        # upper line then fails as any unreachable line does.
+        cfg = tmp_path / "huge_lines.yaml"
+        cfg.write_text(
+            "scenarios:\n  sweep2cell:\n    low_line_ghz: 1.0e+299\n    high_line_ghz: 1.7e+299\n"
+        )
+        assert main(["sweep2cell", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "infeasible plan: line 0: line at 1e+308 Hz outside reachable band ["
+        )
+
     def test_infeasible_plan_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "gap.yaml"
         cfg.write_text("planner:\n  min_gap_cm: 2.0\n")
