@@ -14,8 +14,15 @@ fingerprint, and each section as the keyword arguments of its constructor.
 The channels, one per comb line, are calibrated on first use of
 ``ReceiverConfig.channels``. Row counts are capped at ``MAX_ROWS``.
 
-The bundled defaults are parsed once per process and never handed out: the
-default configuration is the walk of an empty file.
+Every YAML text, a file's and the bundled defaults', is parsed by one
+function, ``_parse``. It uses libyaml when PyYAML was built with it (the same
+mappings, several times faster) and PyYAML's Python parser otherwise, rejects
+a text nested deeper than ``_MAX_DEPTH`` levels before parsing it, and turns
+every loader failure into a ConfigError of one line. Error texts show a value
+through ``_shown``, which cuts it after ``_SHOWN`` characters, so no file can
+make an error text longer than a few hundred characters. The bundled defaults
+are parsed once per process and never handed out: the default configuration
+is the walk of an empty file.
 """
 
 from __future__ import annotations
@@ -108,18 +115,81 @@ def _is_number(value) -> bool:
         return False
 
 
+# The most characters of a value, or of a loader's message, that an error text
+# shows; 10**400 (401 digits) is shown whole.
+_SHOWN = 500
+# Containers whose repr _shown writes piece by piece, by opening and closing text.
+_BRACKETS = {list: ("[", "]"), tuple: ("(", ")"), dict: ("{", "}"), set: ("{", "}")}
+_END = object()
+
+
+class _Text(str):
+    """Punctuation among the pieces of a container's repr."""
+
+
+def _pieces(container):
+    # The pieces of repr(container): _Text, and the items inside to be shown.
+    opening, closing = _BRACKETS[type(container)]
+    if not container and type(container) is set:
+        yield _Text("set()")
+        return
+    yield _Text(opening)
+    for i, item in enumerate(container.items() if type(container) is dict else container):
+        if i:
+            yield _Text(", ")
+        if type(container) is dict:
+            yield item[0]
+            yield _Text(": ")
+            item = item[1]
+        yield item
+    if type(container) is tuple and len(container) == 1:
+        yield _Text(",")
+    yield _Text(closing)
+
+
+def _cut(text: str) -> str:
+    return text if len(text) <= _SHOWN else text[:_SHOWN] + "..."
+
+
+def _shown(value) -> str:
+    """``repr(value)``, cut after ``_SHOWN`` characters.
+
+    Containers are written piece by piece and the writing stops at the cut, so
+    an aliased or deeply nested tree is never expanded whole, and an int too
+    long to print in full is written by its size."""
+    out, size, todo = [], 0, [iter((value,))]
+    while todo and size <= _SHOWN:
+        item = next(todo[-1], _END)
+        if item is _END:
+            todo.pop()
+        elif type(item) in _BRACKETS:
+            todo.append(_pieces(item))
+        else:
+            if type(item) is _Text:
+                piece = item
+            elif isinstance(item, int) and item.bit_length() > 4 * _SHOWN:
+                piece = f"<int of {item.bit_length()} bits>"
+            else:
+                piece = repr(item)
+            out.append(piece)
+            size += len(piece)
+    return _cut("".join(out))
+
+
 # Leaf checks: each takes the raw value (None when the key is absent or null)
 # and its dotted path, and returns the value in model form or raises.
 
 
 def _leaf(constraint: str, test, convert):
-    """A required leaf that passes ``test``, converted; ``constraint`` may show ``{value}``."""
+    """A required leaf that passes ``test``, converted; ``constraint`` may show
+    ``{value}``, the value as ``_shown`` writes it, or ``{kind}``, its type name."""
 
     def check(value, path: str):
         if value is None:
             raise ConfigError(f"{path} is required")
         if not test(value):
-            raise ConfigError(f"{path} must be " + constraint.format(value=value))
+            shown = constraint.format(value=_shown(value), kind=type(value).__name__)
+            raise ConfigError(f"{path} must be {shown}")
         return convert(value)
 
     return check
@@ -139,14 +209,12 @@ def _numbers(constraint: str, test, length: int | None = None):
     return _leaf(constraint, is_list, lambda value: tuple(map(float, value)))
 
 
-_number = _leaf("a finite number, got {value!r}", _is_number, float)
+_number = _leaf("a finite number, got {value}", _is_number, float)
 _integer = _leaf(
-    "an integer, got {value!r}", lambda value: isinstance(value, int) and _is_number(value), int
+    "an integer, got {value}", lambda value: isinstance(value, int) and _is_number(value), int
 )
 # Only a string or null (the empty label); the type alone is shown, never the value.
-_label = _optional(
-    _leaf("a string, got {value.__class__.__name__}", lambda value: isinstance(value, str), str), ""
-)
+_label = _optional(_leaf("a string, got {kind}", lambda value: isinstance(value, str), str), "")
 
 
 def _bounded(constraint: str, test, base=_number):
@@ -297,7 +365,8 @@ def _walk(node: dict, default: dict, table: dict = _SCHEMA, prefix: str = "") ->
     checked and converted, by model argument; sections nest. ``prefix`` ends in a dot."""
     for key in node:
         if key not in table:
-            raise ConfigError(f"unknown configuration key {prefix + str(key)!r}")
+            name = _shown(key) if isinstance(key, int) else str(key)  # an int may be huge
+            raise ConfigError(f"unknown configuration key {_shown(prefix + name)}")
     merged, out = {}, {}
     for key, spec in table.items():
         where = prefix + key
@@ -308,10 +377,12 @@ def _walk(node: dict, default: dict, table: dict = _SCHEMA, prefix: str = "") ->
             merged[key], out[key] = _walk(value, default[key], spec, where + ".")
         else:
             arg, check, *convert = spec
-            merged[key] = copy.deepcopy(value)
-            value = check(merged[key], where)
+            # Checked before it is copied: a failing value may nest deep.
+            checked = check(value, where)
+            # The merged tree owns its containers; the bundled defaults are shared.
+            merged[key] = copy.deepcopy(value) if isinstance(value, (list, dict)) else value
             # A unit conversion can overflow to inf or underflow to 0.
-            out[arg] = check(convert[0](value), where) if convert else value
+            out[arg] = check(convert[0](checked), where) if convert else checked
     return merged, out
 
 
@@ -323,13 +394,64 @@ def _construct(section: str, make, *args, **kwargs):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
+# libyaml's loader when PyYAML was built with it, else the Python one; both give
+# the same mappings.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# The deepest nesting a text may have; the schema nests 4 deep. libyaml nests
+# by C recursion and crashes the process some ten thousand levels down, and
+# the Python loader runs out of recursion a few hundred levels down.
+_MAX_DEPTH = 100
+
+
+def _too_deep(text: str) -> bool:
+    # Each level of nesting needs an indicator of its own, so a text with few
+    # cannot nest deep; any other text is scanned as events, which nest by an
+    # explicit stack in both loaders, up to the first level too deep.
+    if sum(map(text.count, "[{-?:")) <= _MAX_DEPTH:
+        return False
+    depth = 0
+    for event in yaml.parse(text, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_DEPTH:
+                return True
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return False
+
+
+def _problem(exc: Exception) -> str:
+    """A loader's message on one line, without its excerpt of the text, cut."""
+    if isinstance(exc, yaml.MarkedYAMLError):
+        parts = ((exc.context, exc.context_mark), (exc.problem, exc.problem_mark))
+        text = "; ".join(
+            f"{what} at line {mark.line + 1}, column {mark.column + 1}" if mark else what
+            for what, mark in parts
+            if what
+        )
+    else:
+        text = str(exc)
+    return _cut(" ".join(text.split()))
+
+
+def _parse(text: str, source: str):
+    """The YAML data of ``text``; any failure is a ConfigError naming ``source``."""
+    try:
+        if not _too_deep(text):
+            return yaml.load(text, Loader=_LOADER)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        # ValueError: an impossible date, or an int too long to convert.
+        raise ConfigError(f"{source} is not valid YAML: {_problem(exc)}") from exc
+    raise ConfigError(f"{source} nests deeper than {_MAX_DEPTH} levels")
+
+
 @cache
 def _default_data() -> dict:
     # Shared by every load: never handed out, only walked.
     text = (
         resources.files("starkcomb").joinpath("data/default_config.yaml").read_text()
     )
-    return yaml.safe_load(text)
+    return _parse(text, "bundled default_config.yaml")
 
 
 def default_config() -> ReceiverConfig:
@@ -348,11 +470,10 @@ def load_config(path: str | Path) -> ReceiverConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
+    data = _parse(text, f"config file {path}")
     if data is None:
         raise ConfigError(f"config file {path} is empty")
     if not isinstance(data, dict):

@@ -11,6 +11,8 @@ def require(ok, error: type, message: str, *columns) -> None:
     read only on failure, and keeps the Python type of its elements, so an
     int given in a list prints as an int.
     """
+    if ok is True or ok is np.True_:  # a scalar pass, the common case
+        return
     ok = np.asarray(ok, dtype=bool)
     if not ok.all():
         k = np.argmin(ok.ravel())

@@ -123,10 +123,11 @@ def fit_profile(
     ----------
     anchors : sequence of (x_cm, frequency_hz)
         Calibration points. Frequencies must be at or above the field-free
-        frequency and strictly decreasing with position. Two anchors with
-        ``offset = 0`` give a closed-form exponent; more anchors are fitted
-        by least squares in log space and must all be reproduced within
-        ``ANCHOR_TOLERANCE_HZ``.
+        frequency and strictly decreasing with position. Unless
+        ``decay_exponent`` is given, the exponent is the slope of a
+        least-squares line (``np.polyfit``) through log field against
+        log(x + offset), for two anchors as for more, and every anchor must
+        be reproduced within ``ANCHOR_TOLERANCE_HZ``.
     transition : RydbergTransition
         Converts anchor frequencies into anchor field strengths.
     offset : float, optional

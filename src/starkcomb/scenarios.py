@@ -26,8 +26,9 @@ from .bloch import LadderSystem, probe_absorption
 from .comb import CellArrayPlan, FrequencyComb, place_cells
 from .config import MAX_ROWS, ReceiverConfig, _construct, build_channels
 from .errors import ConfigError, InfeasiblePlanError
-from .field_map import field_at, transition_frequency_at
+from .field_map import field_at
 from .receiver import min_detectable_field, sensitivity, stitched_response
+from .stark import stark_shifted_frequency
 
 __all__ = ["SCENARIO_NAMES", "run_scenario"]
 
@@ -118,10 +119,11 @@ def _run_plan(config: ReceiverConfig) -> Tables:
     }
     lo, hi = config.profile.valid_range
     xs = np.linspace(lo, hi, 241)
+    field = field_at(config.profile, xs)
     profile = {
         "x_cm": xs,
-        "field_V_per_cm": field_at(config.profile, xs),
-        "transition_GHz": transition_frequency_at(config.profile, config.transition, xs) / 1e9,
+        "field_V_per_cm": field,
+        "transition_GHz": stark_shifted_frequency(config.transition, field) / 1e9,
     }
     return {"plan.csv": (meta, columns), "field_profile.csv": ([], profile)}
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 from importlib import resources
@@ -7,6 +8,7 @@ import pytest
 import yaml
 from hypothesis import strategies as st
 
+import starkcomb.config
 from starkcomb import (
     FrequencyComb,
     RydbergTransition,
@@ -20,6 +22,21 @@ from starkcomb import (
 FIELD_FREE_HZ = 7.97e9
 DPOL_HZ_PER_V2 = 1e6  # 1 MHz/(V/cm)^2, the default calibration constant
 ANCHORS = ((2.0, 8.23e9), (7.98, 8.03e9))
+
+
+@contextlib.contextmanager
+def yaml_loader(name: str):
+    """``starkcomb.config`` parses with PyYAML's loader ``name`` inside the block,
+    the bundled defaults included; skips when PyYAML lacks it (no libyaml)."""
+    if not hasattr(yaml, name):
+        pytest.skip(f"PyYAML has no {name}")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(starkcomb.config, "_LOADER", getattr(yaml, name))
+        starkcomb.config._default_data.cache_clear()
+        try:
+            yield
+        finally:
+            starkcomb.config._default_data.cache_clear()
 
 
 def bundled_defaults() -> dict:

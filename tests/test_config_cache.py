@@ -5,9 +5,6 @@ import hashlib
 import json
 import subprocess
 import sys
-from types import SimpleNamespace
-
-import yaml
 
 import starkcomb.config
 from starkcomb import default_config, load_config
@@ -47,14 +44,13 @@ def test_mutated_data_never_reaches_later_loads(tmp_path):
 
 def test_defaults_parsed_at_most_once_per_process(tmp_path, monkeypatch):
     parses = []
+    parse = starkcomb.config._parse
 
-    def safe_load(text):
-        parses.append(text)
-        return yaml.safe_load(text)
+    def counted(text, source):
+        parses.append(source)
+        return parse(text, source)
 
-    monkeypatch.setattr(
-        starkcomb.config, "yaml", SimpleNamespace(safe_load=safe_load, YAMLError=yaml.YAMLError)
-    )
+    monkeypatch.setattr(starkcomb.config, "_parse", counted)
     override = tmp_path / "override.yaml"
     override.write_text("comb:\n  line_count: 11\n")
     n = 6
