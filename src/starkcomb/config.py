@@ -17,10 +17,11 @@ The channels, one per comb line, are calibrated on first use of
 Every YAML text, a file's and the bundled defaults', is parsed by one
 function, ``_parse``. It uses libyaml when PyYAML was built with it (the same
 mappings, several times faster) and PyYAML's Python parser otherwise, rejects
-a text nested deeper than ``_MAX_DEPTH`` levels before parsing it, and turns
-every loader failure into a ConfigError of one line. Error texts show a value
-through ``_shown``, which cuts it after ``_SHOWN`` characters, so no file can
-make an error text longer than a few hundred characters. The bundled defaults
+a text nested deeper than ``_MAX_DEPTH`` levels or with a merge key before
+building it, and turns every loader failure into a ConfigError of one line.
+Error texts show a value through ``_shown``, which cuts it after ``_SHOWN``
+characters or names a larger value by its type, so no file can make an error
+text longer than a few hundred characters. The bundled defaults
 are parsed once per process and never handed out: the default configuration
 is the walk of an empty file.
 """
@@ -118,33 +119,6 @@ def _is_number(value) -> bool:
 # The most characters of a value, or of a loader's message, that an error text
 # shows; 10**400 (401 digits) is shown whole.
 _SHOWN = 500
-# Containers whose repr _shown writes piece by piece, by opening and closing text.
-_BRACKETS = {list: ("[", "]"), tuple: ("(", ")"), dict: ("{", "}"), set: ("{", "}")}
-_END = object()
-
-
-class _Text(str):
-    """Punctuation among the pieces of a container's repr."""
-
-
-def _pieces(container):
-    # The pieces of repr(container): _Text, and the items inside to be shown.
-    opening, closing = _BRACKETS[type(container)]
-    if not container and type(container) is set:
-        yield _Text("set()")
-        return
-    yield _Text(opening)
-    for i, item in enumerate(container.items() if type(container) is dict else container):
-        if i:
-            yield _Text(", ")
-        if type(container) is dict:
-            yield item[0]
-            yield _Text(": ")
-            item = item[1]
-        yield item
-    if type(container) is tuple and len(container) == 1:
-        yield _Text(",")
-    yield _Text(closing)
 
 
 def _cut(text: str) -> str:
@@ -154,26 +128,27 @@ def _cut(text: str) -> str:
 def _shown(value) -> str:
     """``repr(value)``, cut after ``_SHOWN`` characters.
 
-    Containers are written piece by piece and the writing stops at the cut, so
-    an aliased or deeply nested tree is never expanded whole, and an int too
-    long to print in full is written by its size."""
-    out, size, todo = [], 0, [iter((value,))]
-    while todo and size <= _SHOWN:
-        item = next(todo[-1], _END)
-        if item is _END:
-            todo.pop()
-        elif type(item) in _BRACKETS:
-            todo.append(_pieces(item))
-        else:
-            if type(item) is _Text:
-                piece = item
-            elif isinstance(item, int) and item.bit_length() > 4 * _SHOWN:
-                piece = f"<int of {item.bit_length()} bits>"
-            else:
-                piece = repr(item)
-            out.append(piece)
-            size += len(piece)
-    return _cut("".join(out))
+    A value too large to write out is named by its type instead: aliases in a
+    file can make a list of billions of items, and an int too long to print."""
+    todo, size = [value], 0
+    while todo and size <= _SHOWN:  # about the characters of the repr, up to the budget
+        item = todo.pop()
+        if isinstance(item, dict):
+            todo.extend(item.items())
+        elif isinstance(item, (list, tuple, set)):
+            todo.extend(item)
+        elif isinstance(item, (str, bytes)):
+            size += len(item)
+        elif isinstance(item, int):
+            size += item.bit_length() // 3  # at least its decimal digits
+        size += 1
+    if size <= _SHOWN:
+        return _cut(repr(value))
+    if isinstance(value, (str, bytes)):
+        return _cut(repr(value[: _SHOWN + 1]))
+    if isinstance(value, int):
+        return f"<int of {value.bit_length()} bits>"
+    return f"<{type(value).__name__} too large to show>"
 
 
 # Leaf checks: each takes the raw value (None when the key is absent or null)
@@ -401,23 +376,33 @@ _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 # by C recursion and crashes the process some ten thousand levels down, and
 # the Python loader runs out of recursion a few hundred levels down.
 _MAX_DEPTH = 100
+_MERGE = "tag:yaml.org,2002:merge"
 
 
-def _too_deep(text: str) -> bool:
-    # Each level of nesting needs an indicator of its own, so a text with few
-    # cannot nest deep; any other text is scanned as events, which nest by an
-    # explicit stack in both loaders, up to the first level too deep.
-    if sum(map(text.count, "[{-?:")) <= _MAX_DEPTH:
-        return False
+def _refusal(text: str) -> str | None:
+    """Why ``text`` is not parsed, if it is not: it nests deeper than
+    ``_MAX_DEPTH`` levels, or it has a merge key, which PyYAML expands without
+    bound (each ``mI: &mI {<<: [*mH, *mH]}`` doubles the keys).
+
+    Such a text is found by scanning its events, which both loaders nest by an
+    explicit stack. Each level of nesting needs an indicator of its own, and a
+    merge key is a plain ``<<`` or a tag, so other texts are not scanned."""
+    if sum(map(text.count, "[{-?:")) <= _MAX_DEPTH and "<<" not in text and "!" not in text:
+        return None
     depth = 0
     for event in yaml.parse(text, Loader=_LOADER):
         if isinstance(event, yaml.CollectionStartEvent):
             depth += 1
             if depth > _MAX_DEPTH:
-                return True
+                return f"nests deeper than {_MAX_DEPTH} levels"
         elif isinstance(event, yaml.CollectionEndEvent):
             depth -= 1
-    return False
+        elif isinstance(event, yaml.ScalarEvent) and (
+            event.tag == _MERGE
+            or event.tag in (None, "!") and event.implicit[0] and event.value == "<<"
+        ):
+            return "has a YAML merge key (<<), which is not supported"
+    return None
 
 
 def _problem(exc: Exception) -> str:
@@ -429,20 +414,22 @@ def _problem(exc: Exception) -> str:
             for what, mark in parts
             if what
         )
-    else:
+    elif isinstance(exc, (yaml.YAMLError, ValueError)):
         text = str(exc)
+    else:  # PyYAML's own slip, e.g. a KeyError on the tagged scalar ``!!bool x``
+        text = f"{type(exc).__name__}: {exc}"
     return _cut(" ".join(text.split()))
 
 
 def _parse(text: str, source: str):
     """The YAML data of ``text``; any failure is a ConfigError naming ``source``."""
     try:
-        if not _too_deep(text):
+        refusal = _refusal(text)
+        if refusal is None:
             return yaml.load(text, Loader=_LOADER)
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:
-        # ValueError: an impossible date, or an int too long to convert.
+    except Exception as exc:  # the loaders raise more than YAMLError on some texts
         raise ConfigError(f"{source} is not valid YAML: {_problem(exc)}") from exc
-    raise ConfigError(f"{source} nests deeper than {_MAX_DEPTH} levels")
+    raise ConfigError(f"{source} {refusal}")
 
 
 @cache

@@ -3,11 +3,13 @@ into data or ends in a ConfigError of one short line, and libyaml and PyYAML's
 Python loader agree on it.
 
 The files of three earlier defects (an impossible date, a 5000-deep list,
-and a few hundred bytes of aliases in a numeric leaf) and a few more exit 2
-through the CLI under both loaders. Then hypothesis draws YAML texts: dumped
-trees with anchors and aliases, dates, binary, non-string keys and deep
-nesting, spliced with raw fragments (impossible dates, complex keys, huge
-ints, undefined aliases) and cut at any point. Each must exit the CLI with 0,
+and a few hundred bytes of aliases in a numeric leaf), a merge-key bomb, the
+tagged scalars on which PyYAML raises a KeyError, IndexError or
+AttributeError, and a few more exit 2 through the CLI under both loaders.
+Then hypothesis draws YAML texts: dumped trees with anchors and aliases,
+dates, binary, non-string keys and deep nesting, spliced with raw fragments
+(impossible dates, bad tagged scalars, merge keys, complex keys, huge ints,
+undefined aliases) and cut at any point. Each must exit the CLI with 0,
 2, 3 or 4 in under a second, with at most 2 KB on stderr, and both loaders
 must give the same data or both raise ConfigError."""
 
@@ -45,6 +47,14 @@ def _aliases(leaf: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _merges(lines: int) -> str:
+    # Each line merges the mapping above it twice, doubling its flattened keys.
+    text = "m0: &m0 {a: 1, b: 2}\n"
+    for i in range(1, lines):
+        text += f"m{i}: &m{i} {{<<: [*m{i - 1}, *m{i - 1}]}}\n"
+    return text
+
+
 def _run(text: str) -> tuple[int, str, float]:
     """Exit code, stderr and seconds of ``starkcomb plan`` on ``text``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -75,9 +85,9 @@ def _assert_clean(code: int, err: str, seconds: float) -> None:
         ),
         # libyaml would nest this by C recursion until the process crashed.
         ("comb:\n  line_count:\n  " + "- " * 60000 + "1\n", f"nests deeper than {_MAX_DEPTH}"),
-        (_aliases("comb.center_frequency_ghz"), "must be a finite number, got [[1, 1, 1,"),
-        (_aliases("comb.line_count"), "comb.line_count must be an integer, got [[1, 1, 1,"),
-        ("comb:\n  line_count: &a [*a]\n", "comb.line_count must be an integer, got [[[["),
+        (_aliases("comb.center_frequency_ghz"), "must be a finite number, got <list too large"),
+        (_aliases("comb.line_count"), "line_count must be an integer, got <list too large to show>"),
+        ("comb:\n  line_count: &a [*a]\n", "line_count must be an integer, got <list too large"),
         ("comb:\n  line_count: 0x" + "f" * 5000 + "\n", "got <int of 20000 bits>"),
         ("comb:\n  ? " + "1:" * 3000 + "0\n  : 1\n", "unknown configuration key 'comb.<int of"),
         ("comb:\n  line_count: !" + "t" * 100000 + " 1\n", "could not determine a constructor"),
@@ -85,11 +95,18 @@ def _assert_clean(code: int, err: str, seconds: float) -> None:
         ("{[1, 2]: 3}\n", "found unhashable key"),
         ("comb: {}\n---\ncomb: {}\n", "expected a single document"),
         ("comb:\n  line_count: *nowhere\n", "found undefined alias"),
+        ("comb:\n  line_count: !!bool x\n", "is not valid YAML: KeyError: 'x'"),
+        ("comb:\n  line_count: !!int\n", "is not valid YAML: IndexError: string index"),
+        ("comb:\n  line_count: !!timestamp x\n", "is not valid YAML: AttributeError: "),
+        # 18 lines that PyYAML would flatten into 2**18 keys, for seconds.
+        (_merges(18), "has a YAML merge key (<<), which is not supported"),
+        ("comb: {!!merge x: {line_count: 3}}\n", "has a YAML merge key"),
     ],
     ids=[
         "month-13", "5000-deep", "60000-deep-block", "aliased-number", "aliased-integer",
         "self-alias", "huge-int", "huge-int-key", "long-tag", "unclosed", "complex-key",
-        "two-documents", "undefined-alias",
+        "two-documents", "undefined-alias", "bad-bool", "empty-int", "bad-timestamp",
+        "merge-bomb", "merge-tag",
     ],
 )
 def test_bad_file_exits_2_with_one_short_line(loader, text, error):
@@ -135,17 +152,18 @@ def test_short_value_shown_as_its_repr(value):
     assert _shown(value) == repr(value)
 
 
-def test_long_value_cut_without_expanding_it():
+def test_long_value_named_without_expanding_it():
     bomb = [1] * 9
     for _ in range(12):  # 9**13 numbers if expanded
         bomb = [bomb] * 9
     start = time.perf_counter()
-    shown = _shown(bomb)
+    assert _shown(bomb) == "<list too large to show>"
     assert time.perf_counter() - start < 0.1
-    assert shown.startswith("[" * 13 + "1, 1, ") and shown.endswith("...")
-    assert len(shown) == _SHOWN + 3
+    assert _shown({"k": ["x" * 300] * 2}) == "<dict too large to show>"
+    assert _shown([2**5000]) == "<list too large to show>"
+    assert _shown(2**5000) == "<int of 5001 bits>"
     assert _shown("y" * 10**6) == "'" + "y" * (_SHOWN - 1) + "..."
-    assert _shown([2**5000]) == "[<int of 5001 bits>]"
+    assert _shown(list(range(140))) == repr(list(range(140)))[:_SHOWN] + "..."
 
 
 def _same(a, b) -> bool:
@@ -170,7 +188,8 @@ _FRAGMENTS = st.one_of(
             "!!binary AAE=", "!!binary '%%%'", "!!float x", "!!int 1.5", "{[1, 2]: 3}",
             "{{a: 1}: 2}", "*undefined", "&x [1, 2]", "!!set {a, b}", "!!omap [{a: 1}]",
             "[unclosed", "'unterminated", "a: b: c", "\t", "!custom 1", ".nan", "-.inf",
-            "~", "0o17", "1e400", "10_000", "!!timestamp 2024-01-01",
+            "~", "0o17", "1e400", "10_000", "!!timestamp 2024-01-01", "!!timestamp x",
+            "!!bool x", "!!int", "!!float", "{<<: {a: 1}}", "!!merge x",
         ]
     ),
     st.integers(1, 3 * _MAX_DEPTH).map(lambda depth: "[" * depth + "1" + "]" * depth),
