@@ -46,10 +46,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _text_column(values) -> tuple[str, list]:
+def _text_column(values: np.ndarray) -> tuple[str, list]:
     # One printf conversion and the Python values for one CSV column;
     # '%.10g' % x prints a Python float exactly as format(x, '.10g').
-    values = np.asarray(values)
     if values.dtype.kind == "b":
         return "%s", np.where(values, "true", "false").tolist()
     if values.dtype.kind in "iu":
@@ -57,6 +56,27 @@ def _text_column(values) -> tuple[str, list]:
     if values.dtype.kind == "f":
         return "%.10g", values.tolist()
     return "%s", [_fmt(v) for v in values.tolist()]
+
+
+def _printf_rows(columns: Sequence[np.ndarray]) -> bytes:
+    """The CSV rows of equal-length columns, one printf conversion per cell."""
+    conversions, values = zip(*map(_text_column, columns))
+    row = ",".join(conversions) + "\n"
+    return "".join(map(row.__mod__, zip(*values))).encode()
+
+
+# Tables of at least this many cells (rows x columns), all in 1-D bool, int or
+# float columns, are printed by _vectorized_csv with the same bytes; below it
+# _printf_rows is the faster (crossover measured on a 2-vCPU 2.0 GHz Xeon VM).
+_VECTORIZED_MIN_CELLS = 2048
+
+
+def _vectorizable(columns: Sequence[np.ndarray]) -> bool:
+    rows = len(columns[0])
+    return rows * len(columns) >= _VECTORIZED_MIN_CELLS and all(
+        c.ndim == 1 and len(c) == rows and c.dtype.kind in "biuf" and c.dtype.itemsize <= 8
+        for c in columns
+    )
 
 
 def _format_csv(
@@ -67,10 +87,15 @@ def _format_csv(
     if timestamp:
         lines.append(f"# generated_at: {datetime.now(timezone.utc).isoformat()}")
     lines.append(",".join(columns))
-    conversions, values = zip(*map(_text_column, columns.values()))
-    lines.extend(map(",".join(conversions).__mod__, zip(*values)))
-    lines.append("")  # the final newline
-    return "\n".join(lines).encode()
+    arrays = [np.asarray(values) for values in columns.values()]
+    if _vectorizable(arrays):
+        # Imported here, so that runs without a large table skip its set-up.
+        from ._vectorized_csv import vectorized_rows
+
+        rows = vectorized_rows(arrays)
+    else:
+        rows = _printf_rows(arrays)
+    return ("\n".join(lines) + "\n").encode() + rows
 
 
 def _plan(config: ReceiverConfig, comb: FrequencyComb | None = None) -> CellArrayPlan:

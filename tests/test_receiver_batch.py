@@ -231,6 +231,26 @@ def test_default_outputs_are_byte_identical(tmp_path):
         assert json.loads(manifest.read_text())["outputs"] == got, name
 
 
+def test_default_pins_cover_both_csv_paths():
+    # The pins above hold the vectorized CSV writer to the printf one only
+    # while default tables take each path, so a change of the cutoff that
+    # moves a default table across it must show here.
+    config = default_config()
+    cutoff = starkcomb.scenarios._VECTORIZED_MIN_CELLS
+    vectorized, kinds = set(), set()
+    for name in DEFAULT_SHA256:
+        for file_name, (_, columns) in starkcomb.scenarios._RUNNERS[name](config).items():
+            arrays = [np.asarray(c) for c in columns.values()]
+            numeric = all(a.dtype.kind in "biuf" for a in arrays)
+            large = len(arrays[0]) * len(arrays) >= cutoff
+            assert starkcomb.scenarios._vectorizable(arrays) == (numeric and large)
+            if numeric and large:
+                vectorized.add(file_name)
+                kinds.update(a.dtype.kind for a in arrays)
+    assert vectorized == {"response.csv", "linearity.csv"}
+    assert kinds == set("bif")
+
+
 def test_linearity_is_one_stitched_call(monkeypatch, tmp_path):
     config = default_config()
     calls = []
