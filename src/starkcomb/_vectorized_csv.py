@@ -15,12 +15,16 @@ runs do not pay for building its tables.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-# Rows per block, so that a block's arrays stay in the CPU cache.
-BLOCK_ROWS = 8192
+# Rows per block, so that a block's arrays stay in the CPU cache (about 2 MB
+# for a response block). On a 2-vCPU Xeon VM, blocks of 4096 rows printed
+# the broadband-sweep tables within 5% of blocks of 8192 and gave that
+# workload a lower median op time (21.7 against 22.6 ms in bench/run.py);
+# blocks of 2048 were slower.
+BLOCK_ROWS = 4096
 
 
 def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,9 +196,8 @@ def _block(columns: Sequence[np.ndarray]) -> bytes:
     return table_bytes.tobytes().translate(None, b"\0")
 
 
-def vectorized_rows(columns: Sequence[np.ndarray]) -> bytes:
-    """The CSV rows of equal-length 1-D bool, int and float columns."""
-    return b"".join(
-        _block([c[i : i + BLOCK_ROWS] for c in columns])
-        for i in range(0, len(columns[0]), BLOCK_ROWS)
-    )
+def vectorized_rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+    """The CSV rows of equal-length 1-D bool, int and float columns, one
+    chunk per block of ``BLOCK_ROWS`` rows."""
+    for i in range(0, len(columns[0]), BLOCK_ROWS):
+        yield _block([c[i : i + BLOCK_ROWS] for c in columns])

@@ -4,9 +4,10 @@ Each runner is a pure function of the configuration that returns its tables:
 for every CSV file name, the metadata that follows the common header and the
 named data columns. ``run_scenario`` is the one writer. It prefixes each
 table with the common header (package version, configuration hash, scenario
-name), writes the CSV files, and writes a JSON manifest listing the SHA-256
-of the bytes it wrote for each. Output bytes are a pure function of the
-configuration; timestamps are embedded only when explicitly requested.
+name), writes each CSV file and hashes it chunk by chunk as the chunks are
+formatted, and writes a JSON manifest listing the SHA-256 of the bytes it
+wrote for each. Output bytes are a pure function of the configuration;
+timestamps are embedded only when explicitly requested.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,21 +82,34 @@ def _vectorizable(columns: Sequence[np.ndarray]) -> bool:
 
 def _format_csv(
     meta: Sequence[tuple[str, object]], columns: dict[str, object], timestamp: bool
-) -> bytes:
-    """The encoded CSV of named, equal-length columns (arrays or sequences)."""
+) -> Iterator[bytes]:
+    """The encoded CSV of named, equal-length columns (arrays or sequences),
+    in chunks: a small table in one, a large one as its header and then one
+    chunk per block of rows."""
     lines = [f"# {key}: {_fmt(value)}" for key, value in meta]
     if timestamp:
         lines.append(f"# generated_at: {datetime.now(timezone.utc).isoformat()}")
     lines.append(",".join(columns))
+    header = ("\n".join(lines) + "\n").encode()
     arrays = [np.asarray(values) for values in columns.values()]
-    if _vectorizable(arrays):
-        # Imported here, so that runs without a large table skip its set-up.
-        from ._vectorized_csv import vectorized_rows
+    if not _vectorizable(arrays):
+        yield header + _printf_rows(arrays)
+        return
+    # Imported here, so that runs without a large table skip its set-up.
+    from ._vectorized_csv import vectorized_rows
 
-        rows = vectorized_rows(arrays)
-    else:
-        rows = _printf_rows(arrays)
-    return ("\n".join(lines) + "\n").encode() + rows
+    yield header
+    yield from vectorized_rows(arrays)
+
+
+def _write(path: Path, chunks: Iterable[bytes]) -> str:
+    """Write the chunks to ``path`` as they come; the SHA-256 of the bytes written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as file:
+        for chunk in chunks:
+            file.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _plan(config: ReceiverConfig, comb: FrequencyComb | None = None) -> CellArrayPlan:
@@ -279,9 +293,8 @@ def run_scenario(
     ]
     outputs = {}
     for file_name, (meta, columns) in tables.items():
-        data = _format_csv(header + meta, columns, timestamp)
-        (out_dir / file_name).write_bytes(data)
-        outputs[file_name] = hashlib.sha256(data).hexdigest()
+        chunks = _format_csv(header + meta, columns, timestamp)
+        outputs[file_name] = _write(out_dir / file_name, chunks)
     manifest = {
         "scenario": name,
         "version": __version__,
@@ -289,5 +302,5 @@ def run_scenario(
         "outputs": outputs,
     }
     manifest_path = out_dir / f"{name}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(manifest_path, [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])
     return [out_dir / file_name for file_name in outputs] + [manifest_path]

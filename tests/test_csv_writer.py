@@ -11,8 +11,11 @@ their neighbours, and the -4/-5 and 9/10 exponent switches between fixed and
 exponent notation. Whole tables are drawn on both sides of the cutoff.
 """
 
+import hashlib
+import json
 import math
 import struct
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -22,14 +25,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import starkcomb._vectorized_csv
 import starkcomb.scenarios
-from starkcomb import default_config
+from starkcomb import __version__, default_config, run_scenario
 from starkcomb._vectorized_csv import BLOCK_ROWS, vectorized_rows
-from starkcomb.scenarios import _VECTORIZED_MIN_CELLS, _format_csv, _printf_rows, _vectorizable
+from starkcomb.scenarios import (
+    _VECTORIZED_MIN_CELLS,
+    _format_csv,
+    _printf_rows,
+    _vectorizable,
+    _write,
+)
 
 
 def _cells(column) -> list[str]:
-    return vectorized_rows([np.asarray(column)]).decode().split("\n")[:-1]
+    return b"".join(vectorized_rows([np.asarray(column)])).decode().split("\n")[:-1]
 
 
 def _decimal(numerator: int, denominator: int, exponent: int) -> float:
@@ -114,7 +124,7 @@ def test_int_cells_match_printf(values):
 def test_every_dtype_and_byte_order_matches_printf(column):
     # Bools print as true/false; narrow, wide and big-endian ints and floats
     # print their Python values.
-    assert vectorized_rows([column]) == _printf_rows([column])
+    assert b"".join(vectorized_rows([column])) == _printf_rows([column])
     if column.dtype.kind == "b":
         assert _cells(column) == ["true" if v else "false" for v in column.tolist()]
 
@@ -162,10 +172,10 @@ def test_tables_are_byte_identical_on_both_sides_of_the_cutoff(size, data):
     arrays = list(columns.values())
     assert _vectorizable(arrays) == (size in ("at the cutoff", "past a block"))
     expected = _printf_rows(arrays)
-    assert vectorized_rows(arrays) == expected
+    assert b"".join(vectorized_rows(arrays)) == expected
     meta = [("scenario", "drawn"), ("feasible", True)]
     header = "# scenario: drawn\n# feasible: true\n" + ",".join(columns) + "\n"
-    assert _format_csv(meta, columns, timestamp=False) == header.encode() + expected
+    assert b"".join(_format_csv(meta, columns, timestamp=False)) == header.encode() + expected
 
 
 def test_object_columns_and_unequal_lengths_take_printf():
@@ -183,4 +193,80 @@ def test_default_tables_are_byte_identical_on_both_paths():
         for _, columns in runner(config).values():
             arrays = [np.asarray(c) for c in columns.values()]
             if all(a.dtype.kind in "biuf" for a in arrays):
-                assert vectorized_rows(arrays) == _printf_rows(arrays)
+                assert b"".join(vectorized_rows(arrays)) == _printf_rows(arrays)
+
+
+# ---------------------------------------------------------------- streaming
+# run_scenario writes and hashes each table chunk by chunk as _format_csv
+# yields it: a small table as one chunk, a large one as its header and then
+# one chunk per block of BLOCK_ROWS rows.
+
+
+def _numeric_table(rows: int, bits: bool = False) -> dict[str, np.ndarray]:
+    """Float, int and bool columns. With ``bits``, the floats take every bit
+    pattern and the ints both signs, so that many cells fall back to printf."""
+    rng = np.random.default_rng(rows)
+    floats = rng.uniform(-1e3, 1e3, rows)
+    ints = rng.integers(0, 10**8, rows)
+    if bits:
+        floats = rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
+        ints -= 5 * 10**7
+    return {
+        "x": floats,
+        "index": ints,
+        "flag": rng.random(rows) < 0.5,
+        "y": np.round(rng.uniform(0.0, 1.0, rows), 3),
+    }
+
+
+@pytest.mark.parametrize("block_rows", [7, BLOCK_ROWS])
+@pytest.mark.parametrize(
+    "rows", [1, (_VECTORIZED_MIN_CELLS - 1) // 4, _VECTORIZED_MIN_CELLS // 4, BLOCK_ROWS + 1]
+)
+def test_run_scenario_writes_and_hashes_the_chunks(monkeypatch, tmp_path, block_rows, rows):
+    monkeypatch.setattr(starkcomb._vectorized_csv, "BLOCK_ROWS", block_rows)
+    columns = _numeric_table(rows, bits=True)
+    arrays = list(columns.values())
+    # A table with a None cell takes the printf path at any size.
+    spacing = {"spacing": np.append(arrays[3][1:], None)}
+    config = default_config()
+    meta = [("rows", rows)]
+    tables = {"numeric.csv": (meta, columns), "spacing.csv": ([], spacing)}
+    monkeypatch.setitem(starkcomb.scenarios._RUNNERS, "response", lambda _: tables)
+    *paths, manifest = run_scenario(config, "response", tmp_path)
+    common = [("starkcomb_version", __version__), ("config_sha256", config.sha256)]
+    common.append(("scenario", "response"))
+    outputs = json.loads(manifest.read_bytes().decode("utf-8"))["outputs"]
+    assert [path.name for path in paths] == list(tables) == sorted(outputs)
+    for path, (table_meta, table) in zip(paths, tables.values()):
+        chunks = list(_format_csv(common + table_meta, table, timestamp=False))
+        table_arrays = [np.asarray(c) for c in table.values()]
+        blocks = -(-rows // block_rows) if _vectorizable(table_arrays) else 0
+        assert len(chunks) == 1 + blocks
+        # The bytes on disk are the joined chunks, which are the header and the
+        # printf rows that _format_csv returned whole before it streamed.
+        header = "".join(f"# {key}: {value}\n" for key, value in common + table_meta)
+        header += ",".join(table) + "\n"
+        data = path.read_bytes()
+        assert data == b"".join(chunks) == header.encode() + _printf_rows(table_arrays)
+        assert outputs[path.name] == hashlib.sha256(data).hexdigest()
+
+
+def test_write_memory_does_not_grow_with_the_table(tmp_path):
+    # The writer holds about one block at a time, so from 50k to 200k rows its
+    # traced peak grows by less than one block of the file. Joining the whole
+    # file before writing would add the 150k rows between the two.
+    peaks, sizes = {}, {}
+    for rows in (50_000, 200_000):
+        path = tmp_path / f"{rows}.csv"
+        chunks = _format_csv([], _numeric_table(rows), timestamp=False)
+        tracemalloc.start()
+        try:
+            _write(path, chunks)
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sizes[rows] = path.stat().st_size
+    block_bytes = sizes[50_000] * BLOCK_ROWS // 50_000
+    assert sizes[200_000] - sizes[50_000] > 10 * block_bytes
+    assert peaks[200_000] - peaks[50_000] < block_bytes

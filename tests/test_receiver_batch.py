@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import starkcomb.receiver
 import starkcomb.scenarios
 from starkcomb import (
     CellArrayPlan,
+    ChannelRow,
     DomainError,
     PlannerError,
     PlanRow,
@@ -19,6 +21,7 @@ from starkcomb import (
     channel_table,
     default_config,
     evaluate_channels,
+    min_detectable_field,
     place_cells,
     run_scenario,
     stitched_response,
@@ -215,6 +218,71 @@ def test_router_equals_exhaustive_first_minimum(lines, frequencies):
     probes = np.concatenate([frequencies, lines, (lines[:-1] + lines[1:]) / 2.0])
     expected = [int(np.argmin(np.abs(f - lines))) for f in probes]
     assert nearest_line_index(lines, probes).tolist() == expected
+
+
+# ---------------------------------------------------------------- blocks
+# The stitched pass evaluates receiver._BLOCK points at a time. With a small
+# block, sizes on either side of a block edge must give the same rows.
+
+SMALL_BLOCK = 5
+
+
+@pytest.mark.parametrize(
+    "size", [1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 2]
+)
+def test_block_edges_match_per_point_loop(monkeypatch, plan21, config, size):
+    # Unequal channels, so that every term of the dB sum differs by point.
+    table = {name: config.channels[name] for name in ChannelRow.names}
+    table["gain_scale"] = np.linspace(0.3, 1.9, 21)
+    table["peak_power"] = table["peak_power"] - np.linspace(0.0, 7.0, 21)
+    channels = channel_table(**table)
+    frequencies = np.linspace(8.02e9, 8.24e9, size)
+    fields = np.geomspace(1e-9, 1e-2, size)
+    fields[::3] = 0.0
+    whole = stitched_response(plan21, channels, frequencies, fields).rows
+    plan = CellArrayPlan(entries=plan21.entries[:size], min_spacing=1.0, feasible=True)
+    one_tone = evaluate_channels(plan, channels[:size], 8.1e9, 1e-5)
+    monkeypatch.setattr(starkcomb.receiver, "_BLOCK", SMALL_BLOCK)
+    rows = stitched_response(plan21, channels, frequencies, fields).rows
+    assert_rows_match(rows, reference_response(plan21, channels, frequencies, fields))
+    assert rows.tobytes() == whole.tobytes()
+    # Bit for bit what the public functions give on each point's channel.
+    channel = channels.take(nearest_line_index(plan21.entries.line_frequency, frequencies))
+    power = beat_power(channel, fields, rows.delta_f)
+    assert rows.beat_power.tobytes() == np.asarray(power, dtype=float).tobytes()
+    minimum = min_detectable_field(channel, rows.delta_f)
+    assert rows.above_noise.tolist() == ((fields > 0) & (fields >= minimum)).tolist()
+    expected = [
+        _row(channel, e.line_index, 8.1e9, 8.1e9 - e.line_frequency, 1e-5)
+        for channel, e in zip(channels[:size], plan.entries)
+    ]
+    blocked = evaluate_channels(plan, channels[:size], 8.1e9, 1e-5)
+    assert_rows_match(blocked, expected)
+    assert blocked.tobytes() == one_tone.tobytes()
+
+
+@pytest.mark.parametrize("first, text", [("off line", "nan"), ("on line", "inf")])
+def test_overflow_in_two_blocks_names_the_earlier(monkeypatch, first, text):
+    # A field whose ratio to the reference field overflows has a signal of
+    # +inf dBm on line, and of nan far off line, where the rolloff
+    # underflows to -inf dB. Of two such points in different blocks, the
+    # error names the one earlier in the stimulus, as the whole-array pass did.
+    entries = np.rec.fromarrays([[0, 1], [8.0e9, 8.1e9], [5.0, 4.0], [0.0, 0.0]], dtype=PlanRow)
+    plan = CellArrayPlan(entries=entries, min_spacing=1.0, feasible=True)
+    channels = channel_table(
+        peak_power=[-30.0, -30.0], reference_field=1e-10, half_width_3db=1e3, rolloff_order=40
+    )
+    size = 3 * SMALL_BLOCK + 2
+    frequencies = np.full(size, 8.0e9)
+    fields = np.full(size, 1e-5)
+    early, late = SMALL_BLOCK + 2, 2 * SMALL_BLOCK + 2
+    fields[[early, late]] = 1e300
+    frequencies[early if first == "off line" else late] = 8.04e9
+    message = f"^beat signal power must be below \\+inf dBm, got {text}$"
+    for block in (starkcomb.receiver._BLOCK, SMALL_BLOCK):
+        monkeypatch.setattr(starkcomb.receiver, "_BLOCK", block)
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match=message):
+            stitched_response(plan, channels, frequencies, fields)
 
 
 # ---------------------------------------------------------------- guards
