@@ -3,9 +3,11 @@
 ``vectorized_rows`` prints 1-D bool, int and float columns as
 ``scenarios._printf_rows`` does: floats as ``'%.10g' % float(v)``, ints as
 ``'%d'``, bools as ``true``/``false``. Each cell is a fixed-width run of
-little-endian uint64 words whose unused bytes are NUL; the cells, commas and
-newlines of a block of rows are one matrix, and deleting its NULs lays out
-the rows. Cells the arithmetic below cannot print exactly (0, inf, nan, a
+little-endian uint64 words whose unused bytes are NUL, and its last byte
+holds the comma or newline after it. A block of rows is one word-major
+table, one row of words per word of a cell, which each column's kernel fills
+in place; its transpose is the block's rows, and deleting their NULs lays
+them out. Cells the arithmetic below cannot print exactly (0, inf, nan, a
 rounding tie, a float exponent outside -13..31, an int outside 0..10**8 - 1)
 are printed by printf into their run.
 
@@ -19,11 +21,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# Rows per block, so that a block's arrays stay in the CPU cache (about 2 MB
-# for a response block). On a 2-vCPU Xeon VM, blocks of 4096 rows printed
-# the broadband-sweep tables within 5% of blocks of 8192 and gave that
-# workload a lower median op time (21.7 against 22.6 ms in bench/run.py);
-# blocks of 2048 were slower.
+# Rows per block, so that a block's arrays stay in the CPU cache (a response
+# block's table is 0.5 MB). On a 2-vCPU Xeon VM, broadband-sweep medians of
+# wall_s and op_ms_p50 in bench/run.py were 0.122 s and 19.3 ms at 4096 rows
+# against 0.124 s and 21.3 ms at 8192 (6 pairs), and 0.122 s and 19.5 ms
+# against 0.138 s and 22.2 ms at 2048 (4 pairs).
 BLOCK_ROWS = 4096
 
 
@@ -109,7 +111,7 @@ def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, np.abs(s - r) == 0.5
 
 
-def _float_words(values: np.ndarray) -> tuple[np.ndarray, int, str, np.ndarray]:
+def _float_words(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     values = values.astype(np.float64, copy=False)
     with np.errstate(all="ignore"):
         a = np.abs(values)
@@ -118,12 +120,13 @@ def _float_words(values: np.ndarray) -> tuple[np.ndarray, int, str, np.ndarray]:
         x = np.floor(np.log10(a)).astype(np.int64)
         r, tie = _scaled(a, x)
         # log10 can be one off next to a power of ten, and rounding can carry
-        # to 10**10: step X and scale once more. A tie on either pass is left
-        # to printf, since it may have decided the step.
+        # to 10**10: step X and scale once more (few cells, often none). A tie
+        # on either pass is left to printf, since it may have decided the step.
         moved = np.flatnonzero((r < 1e9) | (r >= 1e10))
-        x[moved] += np.where(r[moved] < 1e9, -1, 1)
-        r[moved], near = _scaled(a[moved], x[moved])
-        tie[moved] |= near
+        if moved.size:
+            x[moved] += np.where(r[moved] < 1e9, -1, 1)
+            r[moved], near = _scaled(a[moved], x[moved])
+            tie[moved] |= near
         printf = ~finite | tie | (r < 1e9) | (r >= 1e10) | (x < _X_MIN) | (x > _X_MAX)
         r[printf] = 1e9
         m = r.astype(np.int64)
@@ -132,68 +135,83 @@ def _float_words(values: np.ndarray) -> tuple[np.ndarray, int, str, np.ndarray]:
     middle = rest // 10_000
     low = rest - middle * 10_000
     trailing = _TRAILING4.take(low)
-    zero = np.flatnonzero(low == 0)  # few: the last four digits are 0
-    more = _TRAILING4.take(middle[zero])
-    more += (middle[zero] == 0) * _TRAILING4.take(high[zero])
-    trailing[zero] += more
+    zero = np.flatnonzero(low == 0)  # few, often none: the last four digits are 0
+    if zero.size:
+        more = _TRAILING4.take(middle[zero])
+        more += (middle[zero] == 0) * _TRAILING4.take(high[zero])
+        trailing[zero] += more
     # Cells left to printf may have any shape; the takes below clip it.
     shape = (np.where(values < 0, _X_MAX - _X_MIN + 1, 0) + x - _X_MIN) * 10 + trailing
-    high, middle, low = _DIGITS4.take(high), _DIGITS4.take(middle), _DIGITS4.take(low)
-    words = np.empty((values.size, 4), np.uint64)
-    for i, digits in enumerate(
-        (
-            high << 32,  # digits 0 and 1 in the last two bytes
-            middle | (low << 32),  # digits 2..9
-            (high >> 16) | (middle << 16) | (low << 48),  # digits 1..7 after byte 0
-            low >> 16,  # digits 8 and 9
-        )
-    ):
-        digits &= _FLOAT_MASK[i].take(shape, mode="clip")
-        np.bitwise_or(digits, _FLOAT_CONST[i].take(shape, mode="clip"), out=words[:, i])
-    return words, 30, "%.10g", printf
+    # The digit words, built in their rows of ``out`` (the later rows serve as
+    # scratch first), then masked and completed by their shape's columns.
+    _DIGITS4.take(low, out=out[3], mode="clip")
+    np.left_shift(out[3], 32, out=out[1])
+    _DIGITS4.take(middle, out=out[2], mode="clip")
+    out[1] |= out[2]  # digits 2..9
+    _DIGITS4.take(high, out=out[0], mode="clip")
+    out[0] <<= 32  # digits 0 and 1 in the last two bytes
+    np.right_shift(out[0], 48, out=out[3])
+    np.left_shift(out[1], 16, out=out[2])
+    out[2] |= out[3]  # digits 1..7 after byte 0
+    np.right_shift(out[1], 48, out=out[3])  # digits 8 and 9
+    out &= _FLOAT_MASK.take(shape, axis=1, mode="clip")
+    out |= _FLOAT_CONST.take(shape, axis=1, mode="clip")
+    return np.flatnonzero(printf)
 
 
-def _int_words(values: np.ndarray) -> tuple[np.ndarray, int, str, np.ndarray]:
+def _int_words(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     values = values.astype(np.uint64 if values.dtype.kind == "u" else np.int64, copy=False)
     printf = (values < 0) | (values >= 100_000_000)
     v = np.where(printf, values.dtype.type(0), values).astype(np.int64)
     high = v // 10_000
     low = v - high * 10_000
-    words = _LEAD4.take(high) | (_LOW4.take(np.where(high > 0, low + 10_000, low)) << 32)
-    return words[:, None], 8, "%d", printf
+    _LOW4.take(np.where(high > 0, low + 10_000, low), out=out[0], mode="clip")
+    out[0] <<= 32
+    _LEAD4.take(high, out=out[1], mode="clip")  # an int cell has two words or more
+    out[0] |= out[1]
+    out[1:] = 0
+    return np.flatnonzero(printf)
 
 
-def _bool_words(values: np.ndarray) -> tuple[np.ndarray, int, str, np.ndarray]:
-    return np.where(values, _TRUE, _FALSE)[:, None], 5, "%s", np.zeros(values.size, bool)
+def _bool_words(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out[0] = _FALSE
+    np.copyto(out[0], _TRUE, where=values)
+    return np.empty(0, np.intp)
 
 
-# By dtype kind: a column's words, the bytes they use, and its printf
-# conversion and the mask of cells left to it.
+# By dtype kind: the kernel that writes a column's cell words into their rows
+# of the block table and returns the cells it leaves to printf.
 _COLUMN_WORDS = {"b": _bool_words, "i": _int_words, "u": _int_words, "f": _float_words}
 
 
+def _cell_words(values: np.ndarray) -> int:
+    """Whole words for a cell of the column and its separator byte. Only ints
+    can have a printf text longer than their kernel's bytes, the longest at an
+    extreme of the column ('%.10g' takes at most 17 bytes)."""
+    if values.dtype.kind not in "iu":
+        return 4 if values.dtype.kind == "f" else 1  # 30 or 5 bytes
+    return (max(8, len("%d" % values.min()), len("%d" % values.max())) + 8) // 8
+
+
 def _block(columns: Sequence[np.ndarray]) -> bytes:
-    cells = []
-    for values in columns:
-        words, used, conversion, printf = _COLUMN_WORDS[values.dtype.kind](values)
-        fallback = np.flatnonzero(printf)
-        texts = [conversion % v for v in values[fallback].tolist()]
-        # Whole words for the cell and its separator.
-        cells.append((words, fallback, texts, (max([used, *map(len, texts)]) + 8) // 8))
-    table = np.zeros((len(columns[0]), sum(cell[3] for cell in cells)), "<u8")
-    table_bytes = table.view(np.uint8)
+    # One uninitialised word-major table: a column's cells take ``width`` rows,
+    # row k holding word k of every cell, so each write fills contiguous rows.
+    # A kernel writes every word of its rows, printf texts overwrite the cells
+    # left to them, and each separator goes into its cell's free last byte.
+    widths = [_cell_words(values) for values in columns]
+    table = np.empty((sum(widths), len(columns[0])), "<u8")
     end = 0
-    for words, fallback, texts, width in cells:
+    for values, width in zip(columns, widths):
         start, end = end, end + width
-        table[:, start : start + words.shape[1]] = words
-        if texts:
-            size = 8 * width - 1
-            table_bytes[fallback, 8 * start : 8 * end - 1] = (
-                np.array(texts, f"S{size}").view(np.uint8).reshape(-1, size)
-            )
-        table_bytes[:, 8 * end - 1] = ord(",")
-    table_bytes[:, -1] = ord("\n")
-    return table_bytes.tobytes().translate(None, b"\0")
+        cell = table[start:end]
+        fallback = _COLUMN_WORDS[values.dtype.kind](values, cell)
+        if fallback.size:  # ints or floats: bools never fall back
+            conversion = "%.10g" if values.dtype.kind == "f" else "%d"
+            texts = [conversion % v for v in values[fallback].tolist()]
+            words = np.array(texts, f"S{8 * width}").view("<u8").reshape(-1, width)
+            cell[:, fallback] = words.T
+        cell[-1] |= np.uint64(ord("\n" if end == len(table) else ",") << 56)
+    return np.ascontiguousarray(table.T).tobytes().translate(None, b"\0")
 
 
 def vectorized_rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:

@@ -244,14 +244,16 @@ def far_field_strength(
 
 
 def _stimulus(frequencies, fields) -> tuple[np.ndarray, np.ndarray]:
-    # Read-only 1-D float arrays; a scalar field applies to every frequency.
-    frequencies = np.array(frequencies, dtype=float, ndmin=1)
+    # Read-only 1-D float views, of the caller's arrays where they are float
+    # already; a scalar field is broadcast to every frequency, not copied.
+    frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float)).view()
     message = "stimulus needs a non-empty 1-D array of frequencies"
     require(frequencies.ndim == 1 and frequencies.size > 0, DomainError, message)
-    fields = np.array(np.broadcast_to(fields, frequencies.shape), dtype=float)
+    given = np.asarray(fields, dtype=float)
+    fields = np.broadcast_to(given, frequencies.shape)
     _finite("signal frequency", frequencies, positive=True)
-    _finite("field", fields)
-    frequencies.flags.writeable = fields.flags.writeable = False
+    _finite("field", given)
+    frequencies.flags.writeable = False
     return frequencies, fields
 
 

@@ -178,6 +178,34 @@ def test_tables_are_byte_identical_on_both_sides_of_the_cutoff(size, data):
     assert b"".join(_format_csv(meta, columns, timestamp=False)) == header.encode() + expected
 
 
+@pytest.mark.parametrize("order", "<>")
+@pytest.mark.parametrize("last", ["float", "int"])
+def test_strided_columns_match_printf(order, last):
+    # Record-array fields (as the response runner passes BeatRow columns) and
+    # step-2 slices, past one block, with printf cells in the last column.
+    rows = BLOCK_ROWS + 3
+    rng = np.random.default_rng(rows)
+    fields = [("x", order + "f8"), ("i", order + "i8"), ("flag", bool), ("y", order + "f8")]
+    record = np.zeros(rows, fields)
+    record["x"] = rng.uniform(-1e3, 1e3, rows)
+    record["i"] = rng.integers(-10, 10**9, rows)
+    record["flag"] = rng.random(rows) < 0.5
+    record["y"] = np.round(rng.uniform(0.0, 1.0, rows), 3)
+    floats = rng.uniform(-1e9, 1e9, 2 * rows).astype(order + "f8")
+    ints = rng.integers(0, 10**8, 2 * rows).astype(order + "i8")
+    bools = rng.random(2 * rows) < 0.5
+    if last == "float":
+        tail = record["y"]
+        tail[::7], tail[1::7], tail[2::7] = math.nan, math.inf, -math.inf
+    else:
+        tail = record["i"]
+        tail[::5] = 10**8 + np.arange(0, rows, 5)
+    columns = [record["x"], record["i"], record["flag"], floats[::2], ints[::2], bools[::2], tail]
+    assert all(c.strides[0] > c.itemsize for c in columns)
+    assert _vectorizable(columns)
+    assert b"".join(vectorized_rows(columns)) == _printf_rows(columns)
+
+
 def test_object_columns_and_unequal_lengths_take_printf():
     rows = _VECTORIZED_MIN_CELLS
     floats = np.linspace(0.0, 1.0, rows)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,3 +411,77 @@ def test_unsorted_plan_rejected(plan21, config):
     )
     with pytest.raises(PlannerError, match="ordered by ascending line frequency"):
         stitched_response(shuffled, config.channels, 8.13e9, 1e-5)
+
+
+# ---------------------------------------------------------------- stimulus
+# _stimulus validates the caller's frequencies and fields and hands the pass
+# read-only views of them: no copy of float frequencies, and a scalar field
+# broadcast rather than expanded.
+
+
+def _copied_stimulus(frequencies, fields):
+    """Full-length float copies of the stimulus: the reference the views must
+    match bit for bit."""
+    frequencies = np.array(frequencies, dtype=float, ndmin=1)
+    return frequencies, np.array(np.broadcast_to(fields, frequencies.shape), dtype=float)
+
+
+def test_stimulus_leaves_the_callers_arrays_writable_and_unchanged(plan21, config):
+    frequencies = np.linspace(8.02e9, 8.24e9, 11)
+    fields = np.geomspace(1e-9, 1e-2, 11)
+    tone, tone_field = np.array(8.13e9), np.array([1e-5])
+    callers = (frequencies, fields, tone, tone_field)
+    before = [a.copy() for a in callers]
+    stitched_response(plan21, config.channels, frequencies, fields)
+    stitched_response(plan21, config.channels, frequencies[::2], fields[3])
+    evaluate_channels(plan21, config.channels, tone, tone_field)
+    viewed, broadcast = starkcomb.receiver._stimulus(frequencies, fields)
+    assert np.shares_memory(viewed, frequencies) and np.shares_memory(broadcast, fields)
+    assert not viewed.flags.writeable and not broadcast.flags.writeable
+    for array, saved in zip(callers, before):
+        assert array.flags.writeable
+        assert array.tobytes() == saved.tobytes()
+        array[...] = 0.0  # still writable
+
+
+STIMULI = {
+    "array field": (np.linspace(8.02e9, 8.24e9, 101), np.geomspace(1e-9, 1e-2, 101)),
+    "scalar field": (np.linspace(8.02e9, 8.24e9, 101), 1e-5),
+    "zero int field": (np.linspace(8.02e9, 8.24e9, 101), 0),
+    "strided": (np.linspace(8.02e9, 8.24e9, 202)[::2], np.geomspace(1e-9, 1e-2, 303)[::3]),
+    "float32 list": (np.linspace(8.02e9, 8.24e9, 7, dtype=np.float32), [1e-5] * 7),
+    "big-endian": (np.linspace(8.02e9, 8.24e9, 9).astype(">f8"), np.array(2e-5, ">f8")),
+    "one tone": (8.13e9, np.array([1e-5])),
+    "past two blocks": (
+        np.linspace(8.02e9, 8.24e9, 2 * starkcomb.receiver._BLOCK + 3),
+        np.array([3e-5]),
+    ),
+}
+
+
+@pytest.mark.parametrize("stimulus", list(STIMULI))
+def test_stimulus_views_give_the_rows_of_full_copies(plan21, config, stimulus):
+    frequencies, fields = STIMULI[stimulus]
+    copied = _copied_stimulus(frequencies, fields)
+    rows = stitched_response(plan21, config.channels, frequencies, fields).rows
+    expected = starkcomb.receiver._evaluate(plan21, config.channels, *copied)
+    assert rows.dtype == expected.dtype and rows.tobytes() == expected.tobytes()
+    index = np.arange(len(plan21.entries))
+    copied = copied[0][:1], copied[1][:1], index
+    expected = starkcomb.receiver._evaluate(plan21, config.channels, *copied)
+    tone = np.atleast_1d(frequencies)[:1], np.atleast_1d(fields)[:1]
+    assert evaluate_channels(plan21, config.channels, *tone).tobytes() == expected.tobytes()
+
+
+def test_scalar_field_is_not_expanded():
+    # A million frequencies and one field: _stimulus allocates less than one
+    # full-length float array (8 MB); a copy of either input would exceed it.
+    frequencies = np.linspace(8.02e9, 8.24e9, 10**6)
+    tracemalloc.start()
+    try:
+        viewed, fields = starkcomb.receiver._stimulus(frequencies, 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fields.shape == frequencies.shape and fields.strides == (0,)
+    assert peak < frequencies.nbytes, peak
