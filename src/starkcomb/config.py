@@ -11,8 +11,8 @@ constraint), converted to model units and checked again. Of several faults
 the first in schema order is reported. The walk returns the merged mapping,
 retained for hashing so scenario outputs can embed a configuration
 fingerprint, and each section as the keyword arguments of its constructor.
-The channels, one per comb line, are calibrated on first use of
-``ReceiverConfig.channels``. Row counts are capped at ``MAX_ROWS``.
+``build_channels`` calibrates one channel per entry of a plan, for the
+scenarios that use channels. Row counts are capped at ``MAX_ROWS``.
 
 Every YAML text, a file's and the bundled defaults', is parsed by one
 function, ``_parse``. It uses libyaml when PyYAML was built with it (the same
@@ -33,7 +33,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -97,13 +97,6 @@ class ReceiverConfig:
     def sha256(self) -> str:
         canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
-
-    @cached_property
-    def channels(self) -> np.recarray:
-        """One calibrated channel per comb line, built on first use; may raise ConfigError."""
-        return _construct(
-            "channel", build_channels, self.channel_defaults, self.comb.line_count
-        )
 
 
 def _is_number(value) -> bool:
@@ -468,23 +461,28 @@ def load_config(path: str | Path) -> ReceiverConfig:
     return _build(data)
 
 
-def build_channels(defaults: ChannelDefaults, line_count: int) -> np.recarray:
-    """One calibrated channel per comb line, as a :data:`ChannelRow` table.
+def build_channels(defaults: ChannelDefaults, entries: np.recarray) -> np.recarray:
+    """One calibrated channel per plan entry, as a :data:`ChannelRow` table.
 
     The minimum detectable field and the gain scale interpolate linearly in
-    line index between their center and edge values; each channel's noise
-    floor is then set so it detects exactly its target field.
+    entry index between their center and edge values; each channel's noise
+    floor is then set so it detects exactly its target field. A calibration
+    fault is a ConfigError starting ``channel: ``.
     """
-    center = (line_count - 1) / 2.0
-    t = np.abs(np.arange(line_count) - center) / center if line_count > 1 else np.zeros(line_count)
+    count = len(entries)
+    center = (count - 1) / 2.0
+    t = np.abs(np.arange(count) - center) / center if count > 1 else np.zeros(count)
     g0, g1 = defaults.gain_scale_endpoints
     e0, e1 = defaults.center_e_det, defaults.edge_e_det
     peak = defaults.peak_power
-    uncalibrated = channel_table(
-        peak, defaults.reference_field, defaults.half_width_3db, defaults.rolloff_order,
-        noise_floor=peak - 200.0, gain_scale=g0 + t * (g1 - g0),
+    uncalibrated = _construct(
+        "channel", channel_table, peak, defaults.reference_field, defaults.half_width_3db,
+        defaults.rolloff_order, noise_floor=peak - 200.0, gain_scale=g0 + t * (g1 - g0),
     )
-    return calibrate_noise_floor(uncalibrated, e0 + t * (e1 - e0), defaults.reference_detuning)
+    return _construct(
+        "channel", calibrate_noise_floor, uncalibrated, e0 + t * (e1 - e0),
+        defaults.reference_detuning,
+    )
 
 
 def _build(override: dict) -> ReceiverConfig:

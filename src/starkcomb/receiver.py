@@ -52,7 +52,7 @@ __all__ = [
 
 
 # One linear heterodyne channel bound to one comb line: the record type of
-# ``channel_table`` and of ``ReceiverConfig.channels``. ``peak_power`` is the
+# ``channel_table`` and of ``config.build_channels``. ``peak_power`` is the
 # beat power at ``reference_field`` on line center; ``gain_scale`` is a
 # dimensionless per-channel factor modeling transition dipole-moment
 # degradation; ``noise_floor`` is the analyzer noise power in the analysis

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .bloch import LadderSystem, probe_absorption
 from .comb import CellArrayPlan, FrequencyComb, place_cells
-from .config import MAX_ROWS, ReceiverConfig, _construct, build_channels
+from .config import MAX_ROWS, ReceiverConfig, build_channels
 from .errors import ConfigError, InfeasiblePlanError
 from .field_map import field_at
 from .receiver import min_detectable_field, sensitivity, stitched_response
@@ -129,13 +129,14 @@ def _plan(config: ReceiverConfig, comb: FrequencyComb | None = None) -> CellArra
 
 
 def _sweep(
-    config: ReceiverConfig, params: dict, plan: CellArrayPlan, channels
+    config: ReceiverConfig, params: dict, plan: CellArrayPlan
 ) -> tuple[float, dict[str, np.ndarray]]:
     """The swept field (the reference field unless set) and the stitched beat columns."""
     field = params["field"]
     if field is None:
         field = config.channel_defaults.reference_field
     frequencies = np.linspace(params["start"], params["stop"], params["points"])
+    channels = build_channels(config.channel_defaults, plan.entries)
     rows = stitched_response(plan, channels, frequencies, field).rows
     return field, {
         "signal_GHz": rows.signal_frequency / 1e9,
@@ -169,7 +170,7 @@ def _run_plan(config: ReceiverConfig) -> Tables:
 
 def _run_response(config: ReceiverConfig) -> Tables:
     plan = _plan(config)
-    field, columns = _sweep(config, config.scenarios["response"], plan, config.channels)
+    field, columns = _sweep(config, config.scenarios["response"], plan)
     return {"response.csv": ([("field_V_per_cm", field)], columns)}
 
 
@@ -189,7 +190,8 @@ def _run_linearity(config: ReceiverConfig) -> Tables:
     # Every field on every line, line-major, in one stitched call.
     lines = np.repeat(plan.entries.line_frequency, fields.size)
     tiled = np.tile(fields, len(plan.entries))
-    spectrum = stitched_response(plan, config.channels, lines + delta, tiled)
+    channels = build_channels(config.channel_defaults, plan.entries)
+    spectrum = stitched_response(plan, channels, lines + delta, tiled)
     columns = {
         "channel_index": np.repeat(plan.entries.line_index, fields.size),
         "line_GHz": lines / 1e9,
@@ -202,7 +204,7 @@ def _run_linearity(config: ReceiverConfig) -> Tables:
 def _run_sensitivity(config: ReceiverConfig) -> Tables:
     plan = _plan(config)
     delta = config.channel_defaults.reference_detuning
-    e_det = min_detectable_field(config.channels, delta)
+    e_det = min_detectable_field(build_channels(config.channel_defaults, plan.entries), delta)
     meta = [("delta_f_kHz", delta / 1e3), ("measurement_time_s", config.measurement_time)]
     columns = {
         "channel_index": plan.entries.line_index,
@@ -223,8 +225,7 @@ def _run_sweep2cell(config: ReceiverConfig) -> Tables:
         total_power=config.comb.total_power,
     )
     plan = _plan(config, comb)
-    channels = _construct("channel", build_channels, config.channel_defaults, 2)
-    field, columns = _sweep(config, params, plan, channels)
+    field, columns = _sweep(config, params, plan)
     meta = [
         ("field_V_per_cm", field),
         ("position_low_line_cm", plan.entries.position[0]),

@@ -13,6 +13,7 @@ from starkcomb import (
     FrequencyComb,
     RydbergTransition,
     StarkCombError,
+    build_channels,
     default_config,
     fit_profile,
     place_cells,
@@ -134,3 +135,8 @@ def plan21(profile, transition, comb21):
 @pytest.fixture(scope="session")
 def config():
     return default_config()
+
+
+@pytest.fixture(scope="session")
+def channels21(config, plan21):
+    return build_channels(config.channel_defaults, plan21.entries)

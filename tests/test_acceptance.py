@@ -98,11 +98,11 @@ def test_criterion_2_two_cell_sweep(config, tmp_path):
     )
 
 
-def test_criterion_3_sensitivity_chain(config):
+def test_criterion_3_sensitivity_chain(config, channels21):
     delta = config.channel_defaults.reference_detuning
     t = config.measurement_time
 
-    center_e_det = min_detectable_field(config.channels[10], delta)
+    center_e_det = min_detectable_field(channels21[10], delta)
     assert math.isclose(center_e_det, 798.2e-9, rel_tol=1e-9), (
         f"center E_det {center_e_det*1e9:.4f} nV/cm"
     )
@@ -112,7 +112,7 @@ def test_criterion_3_sensitivity_chain(config):
     )
 
     worst_s = max(
-        sensitivity(min_detectable_field(ch, delta), t) for ch in config.channels
+        sensitivity(min_detectable_field(ch, delta), t) for ch in channels21
     )
     assert math.isclose(worst_s, 326.6e-9, rel_tol=0.01), (
         f"worst sensitivity {worst_s*1e9:.4f}"
@@ -124,11 +124,11 @@ def test_criterion_3_sensitivity_chain(config):
     )
 
 
-def test_criterion_4_linearity(config):
+def test_criterion_4_linearity(config, channels21):
     delta = config.channel_defaults.reference_detuning
 
     # Pre-floor slope is exactly 20 dB/decade.
-    for channel in config.channels:
+    for channel in channels21:
         for field in (1e-7, 1e-6, 1e-5):
             step = beat_signal_power(channel, 10 * field, delta) - beat_signal_power(
                 channel, field, delta
@@ -137,7 +137,7 @@ def test_criterion_4_linearity(config):
 
     # Floored slope within +/- 0.1 dB/decade for fields >= 10 * E_det.
     worst_slope_error = 0.0
-    for channel in config.channels:
+    for channel in channels21:
         e_det = min_detectable_field(channel, delta)
         fields = 10 * e_det * 10.0 ** np.arange(0, 4)
         for low, high in zip(fields, fields[1:]):
@@ -147,11 +147,11 @@ def test_criterion_4_linearity(config):
 
     # All 21 channels coincide within 0.2 dB at equal field in the linear region.
     floor_field = 10 * max(
-        min_detectable_field(ch, delta) for ch in config.channels
+        min_detectable_field(ch, delta) for ch in channels21
     )
     worst_spread = 0.0
     for field in floor_field * 10.0 ** np.arange(0, 4):
-        powers = [beat_power(ch, field, delta) for ch in config.channels]
+        powers = [beat_power(ch, field, delta) for ch in channels21]
         worst_spread = max(worst_spread, max(powers) - min(powers))
     assert worst_spread <= 0.2, f"channel curves spread {worst_spread:.4f} dB"
     report(

@@ -5,7 +5,14 @@ import time
 import pytest
 import yaml
 
-from starkcomb import ConfigError, comb_lines, load_config, min_detectable_field
+from starkcomb import (
+    ConfigError,
+    build_channels,
+    comb_lines,
+    load_config,
+    min_detectable_field,
+    place_cells,
+)
 from starkcomb.cli import main
 
 TWO_PI = 2 * math.pi
@@ -27,13 +34,13 @@ class TestDefaults:
         assert config.profile.reference_position == 2.0
         assert config.profile.valid_range == (2.0, 7.98)
 
-    def test_channel_calibration(self, config):
-        assert len(config.channels) == 21
+    def test_channel_calibration(self, config, channels21):
+        assert len(channels21) == 21
         delta = config.channel_defaults.reference_detuning
         assert delta == 500e3
-        center = min_detectable_field(config.channels[10], delta)
+        center = min_detectable_field(channels21[10], delta)
         assert math.isclose(center, 798.2e-9, rel_tol=1e-9)
-        for channel in config.channels:
+        for channel in channels21:
             assert channel.peak_power == -36.5
             assert channel.gain_scale == 1.0
 
@@ -78,7 +85,8 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.comb.line_count == 5
         assert cfg.comb.center_frequency == 8.13e9  # default retained
-        assert len(cfg.channels) == 5
+        plan = place_cells(cfg.profile, cfg.transition, cfg.comb)
+        assert len(build_channels(cfg.channel_defaults, plan.entries)) == 5
         assert cfg.sha256 != config.sha256
 
     def test_per_line_count_mismatch_names_both_counts(self, tmp_path):

@@ -4,6 +4,7 @@ Each failing input below names the exact error type and text that the site
 gave before the guard was shared, so the texts are part of the contract.
 """
 
+import dataclasses
 import math
 import re
 
@@ -12,6 +13,7 @@ import pytest
 
 from starkcomb import (
     CellArrayPlan,
+    ConfigError,
     CoverageError,
     DegenerateSystemError,
     DegenerateTransitionError,
@@ -32,6 +34,7 @@ from starkcomb import (
     at_splitting,
     beat_power,
     beat_signal_power,
+    build_channels,
     channel_table,
     coverage_union,
     default_config,
@@ -60,7 +63,8 @@ FLAT = RydbergTransition(FIELD_FREE_HZ, 0.0)  # cannot be tuned
 P = fit_profile(ANCHORS, T)  # valid over [2.0, 7.98] cm
 COMB = FrequencyComb(8.13e9, 10e6, 21, total_power=11.0)
 PLAN = place_cells(P, T, COMB)
-CH = default_config().channels
+DEFAULTS = default_config().channel_defaults
+CH = build_channels(DEFAULTS, PLAN.entries)
 GAMMA = 2.0 * math.pi * 5.2e6
 S = LadderSystem(0.1 * GAMMA, GAMMA, 0.0)
 STRONG = LadderSystem(0.1 * GAMMA, GAMMA, 20.0 * GAMMA)
@@ -212,6 +216,11 @@ FAILURES = {
     "beat_signal_power": (
         lambda: beat_signal_power(CH[10], [1e-5, 1e308], 0.0),
         DomainError, "beat signal power must be below +inf dBm, got inf"),
+    "build_channels calibration": (
+        # Beside a 1e291 V/cm center target, the edge target e0 + t * (e1 - e0)
+        # cancels to 0.0 V/cm.
+        lambda: build_channels(dataclasses.replace(DEFAULTS, center_e_det=1e291), PLAN.entries),
+        ConfigError, "channel: field must be finite and > 0, got 0.0"),
     "stimulus 2-D": (
         lambda: evaluate_channels(PLAN, CH, [[8.13e9]], 1e-5),
         DomainError, "stimulus needs a non-empty 1-D array of frequencies"),
@@ -297,6 +306,13 @@ EMPTY = {
 @pytest.mark.parametrize("call", EMPTY.values(), ids=EMPTY.keys())
 def test_empty_input_passes(call):
     call()
+
+
+@pytest.mark.parametrize("count", [1, 2, 21])
+def test_build_channels_gives_one_channel_per_plan_entry(count):
+    plan = place_cells(P, T, FrequencyComb(8.13e9, 10e6, count))
+    assert len(plan.entries) == count
+    assert build_channels(DEFAULTS, plan.entries).shape == (count,)
 
 
 # ---------------------------------------------------------------- the guard

@@ -13,6 +13,7 @@ from starkcomb import (
     PlanRow,
     beat_power,
     beat_signal_power,
+    build_channels,
     calibrate_noise_floor,
     channel_table,
     evaluate_channels,
@@ -244,13 +245,13 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match=message):
             load_config(path)
 
-    def test_tone_list_required(self, plan21, config):
+    def test_tone_list_required(self, plan21, channels21):
         with pytest.raises(DomainError, match="non-empty 1-D array of frequencies"):
-            stitched_response(plan21, config.channels, [], 1e-5)
+            stitched_response(plan21, channels21, [], 1e-5)
 
-    def test_negative_field(self, plan21, config):
+    def test_negative_field(self, plan21, channels21):
         with pytest.raises(DomainError, match="field must be finite and >= 0, got -1.0"):
-            stitched_response(plan21, config.channels, [8.13e9, 8.14e9], [1e-5, -1.0])
+            stitched_response(plan21, channels21, [8.13e9, 8.14e9], [1e-5, -1.0])
 
 
 class TestStitchedResponse:
@@ -261,34 +262,34 @@ class TestStitchedResponse:
         with pytest.raises(PlannerError, match="plan has no entries"):
             stitched_response(empty, (), 8.13e9, 1e-5)
 
-    def test_channel_count_mismatch(self, plan21, config):
+    def test_channel_count_mismatch(self, plan21, channels21):
         with pytest.raises(PlannerError, match="got 20 channel responses for 21 plan entries"):
-            stitched_response(plan21, config.channels[:-1], 8.13e9, 1e-5)
+            stitched_response(plan21, channels21[:-1], 8.13e9, 1e-5)
         with pytest.raises(PlannerError, match="got 1 channel responses for 21 plan entries"):
             stitched_response(plan21, CHANNEL, 8.13e9, 1e-5)
 
-    def test_rows_floored_and_ordered(self, plan21, config):
+    def test_rows_floored_and_ordered(self, plan21, channels21):
         sweep = np.linspace(8.02e9, 8.24e9, 201)
-        spectrum = stitched_response(plan21, config.channels, sweep, 1e-6)
+        spectrum = stitched_response(plan21, channels21, sweep, 1e-6)
         assert len(spectrum.rows) == 201
         freqs = [row.signal_frequency for row in spectrum.rows]
         assert freqs == sorted(freqs)
         for row in spectrum.rows:
-            channel = config.channels[row.channel_index]
+            channel = channels21[row.channel_index]
             assert row.beat_power >= channel.noise_floor
 
-    def test_routed_row_is_max_over_channels(self, plan21, config):
+    def test_routed_row_is_max_over_channels(self, plan21, config, channels21):
         # Well above the floor the nearest channel is also the strongest, so
         # routed rows trace the per-frequency maximum. At exact channel
         # midpoints the neighbors differ only through their unequal noise
         # floors, a sub-0.01 dB flooring effect.
         sweep = np.linspace(8.025e9, 8.235e9, 85)
         field = config.channel_defaults.reference_field
-        spectrum = stitched_response(plan21, config.channels, sweep, field)
+        spectrum = stitched_response(plan21, channels21, sweep, field)
         for row in spectrum.rows:
             per_channel = evaluate_channels(
                 plan21,
-                config.channels,
+                channels21,
                 row.signal_frequency,
                 config.channel_defaults.reference_field,
             )
@@ -298,51 +299,50 @@ class TestStitchedResponse:
                 abs_tol=0.01,
             )
 
-    def test_out_of_band_rows_flagged(self, plan21, config):
+    def test_out_of_band_rows_flagged(self, plan21, channels21):
         tones = [8.022e9, 8.03e9, 8.238e9]
-        spectrum = stitched_response(plan21, config.channels, tones, 1e-5)
+        spectrum = stitched_response(plan21, channels21, tones, 1e-5)
         assert [row.in_band for row in spectrum.rows] == [False, True, False]
 
-    def test_single_tone_isolated_when_small(self, plan21, config):
+    def test_single_tone_isolated_when_small(self, plan21, channels21):
         # A tone just above its own channel's threshold but below every
         # neighbor's stays confined to one channel.
         line = plan21.entries[10].line_frequency
-        field = 2.0 * min_detectable_field(config.channels[10], 0.0)
-        rows = evaluate_channels(plan21, config.channels, line, field)
+        field = 2.0 * min_detectable_field(channels21[10], 0.0)
+        rows = evaluate_channels(plan21, channels21, line, field)
         above = [row.channel_index for row in rows if row.above_noise]
         assert above == [10]
 
-    def test_tiny_tone_nowhere_above_noise(self, plan21, config):
+    def test_tiny_tone_nowhere_above_noise(self, plan21, channels21):
         line = plan21.entries[10].line_frequency
         neighbor_threshold = min(
-            min_detectable_field(config.channels[9], -10e6),
-            min_detectable_field(config.channels[11], 10e6),
+            min_detectable_field(channels21[9], -10e6),
+            min_detectable_field(channels21[11], 10e6),
         )
         rows = evaluate_channels(
-            plan21, config.channels, line, neighbor_threshold / 10.0
+            plan21, channels21, line, neighbor_threshold / 10.0
         )
         above = [row.channel_index for row in rows if row.above_noise]
         assert above == [] or above == [10]
         assert all(row.channel_index != 9 and row.channel_index != 11
                    for row in rows if row.above_noise)
 
-    def test_stitching_ripple_is_exactly_three_db(self, plan21, config):
+    def test_stitching_ripple_is_exactly_three_db(self, plan21, config, channels21):
         # Channels meet at their half-power points, so the stitched band
         # minimum sits 10*log10(2) below the peak.
         field = config.channel_defaults.reference_field
         sweep = np.linspace(8.025e9, 8.235e9, 421)
-        spectrum = stitched_response(plan21, config.channels, sweep, field)
+        spectrum = stitched_response(plan21, channels21, sweep, field)
         beats = [row.beat_power for row in spectrum.rows]
         ripple = max(beats) - min(beats)
         assert math.isclose(ripple, 10 * math.log10(2.0), abs_tol=0.01)
 
     def test_two_cell_sweep_peak_separation(self, profile, transition, config):
         from starkcomb import FrequencyComb, place_cells
-        from starkcomb.config import build_channels
 
         comb = FrequencyComb(8.13e9, 200e6, 2, total_power=11.0)
         plan = place_cells(profile, transition, comb)
-        channels = build_channels(config.channel_defaults, 2)
+        channels = build_channels(config.channel_defaults, plan.entries)
         field = config.channel_defaults.reference_field
         sweep = np.linspace(8.02e9, 8.24e9, 221)
         spectrum = stitched_response(plan, channels, sweep, field)
@@ -414,32 +414,30 @@ class TestChannelTable:
         with pytest.raises(ValueError, match="read-only"):
             CHANNEL.noise_floor[()] = 0.0
 
-    def test_array_calls_equal_per_channel_calls(self, config):
-        channels = config.channels
+    def test_array_calls_equal_per_channel_calls(self, config, channels21):
         delta = config.channel_defaults.reference_detuning
-        assert min_detectable_field(channels, delta).tolist() == [
-            min_detectable_field(channel, delta) for channel in channels
+        assert min_detectable_field(channels21, delta).tolist() == [
+            min_detectable_field(channel, delta) for channel in channels21
         ]
         field = config.channel_defaults.reference_field
-        assert beat_power(channels, field, delta).tolist() == [
-            beat_power(channel, field, delta) for channel in channels
+        assert beat_power(channels21, field, delta).tolist() == [
+            beat_power(channel, field, delta) for channel in channels21
         ]
 
-    def test_calibration_takes_and_returns_a_table(self, config):
-        channels = config.channels
-        targets = np.linspace(7e-7, 9e-7, len(channels))
-        calibrated = calibrate_noise_floor(channels, targets, 500e3)
+    def test_calibration_takes_and_returns_a_table(self, channels21):
+        targets = np.linspace(7e-7, 9e-7, len(channels21))
+        calibrated = calibrate_noise_floor(channels21, targets, 500e3)
         assert calibrated.dtype == ChannelRow and not calibrated.flags.writeable
         assert calibrated.noise_floor.tolist() == [
             calibrate_noise_floor(channel, target, 500e3).noise_floor
-            for channel, target in zip(channels, targets)
+            for channel, target in zip(channels21, targets)
         ]
         assert np.allclose(min_detectable_field(calibrated, 500e3), targets, rtol=1e-9)
         for name in ChannelRow.names:
             if name != "noise_floor":
-                assert np.array_equal(calibrated[name], channels[name])
+                assert np.array_equal(calibrated[name], channels21[name])
 
-    def test_default_channels_are_a_table(self, config):
-        assert config.channels.dtype == ChannelRow
-        assert config.channels.shape == (config.comb.line_count,)
-        assert not config.channels.flags.writeable
+    def test_default_channels_are_a_table(self, config, channels21):
+        assert channels21.dtype == ChannelRow
+        assert channels21.shape == (config.comb.line_count,)
+        assert not channels21.flags.writeable

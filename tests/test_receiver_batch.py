@@ -1,5 +1,6 @@
 """The array receiver against the per-point loop it replaced."""
 
+import functools
 import hashlib
 import json
 import math
@@ -23,7 +24,6 @@ from starkcomb import (
     default_config,
     evaluate_channels,
     min_detectable_field,
-    place_cells,
     run_scenario,
     stitched_response,
 )
@@ -231,9 +231,9 @@ SMALL_BLOCK = 5
 @pytest.mark.parametrize(
     "size", [1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 2]
 )
-def test_block_edges_match_per_point_loop(monkeypatch, plan21, config, size):
+def test_block_edges_match_per_point_loop(monkeypatch, plan21, channels21, size):
     # Unequal channels, so that every term of the dB sum differs by point.
-    table = {name: config.channels[name] for name in ChannelRow.names}
+    table = {name: channels21[name] for name in ChannelRow.names}
     table["gain_scale"] = np.linspace(0.3, 1.9, 21)
     table["peak_power"] = table["peak_power"] - np.linspace(0.0, 7.0, 21)
     channels = channel_table(**table)
@@ -334,9 +334,9 @@ def test_linearity_is_one_stitched_call(monkeypatch, tmp_path):
     assert calls == [config.comb.line_count * points]
 
 
-def test_spectrum_rows_are_records(plan21, config):
+def test_spectrum_rows_are_records(plan21, channels21):
     sweep = np.linspace(8.02e9, 8.24e9, 11)
-    rows = stitched_response(plan21, config.channels, sweep, 1e-5).rows
+    rows = stitched_response(plan21, channels21, sweep, 1e-5).rows
     assert len(rows) == 11
     assert rows[3].beat_power == rows.beat_power[3]
     assert rows.channel_index.tolist() == [
@@ -344,11 +344,11 @@ def test_spectrum_rows_are_records(plan21, config):
     ]
 
 
-def test_spectrum_rows_are_read_only(plan21, config):
+def test_spectrum_rows_are_read_only(plan21, channels21):
     sweep = np.linspace(8.02e9, 8.24e9, 11)
     for rows in (
-        stitched_response(plan21, config.channels, sweep, 1e-5).rows,
-        evaluate_channels(plan21, config.channels, 8.13e9, 1e-5),
+        stitched_response(plan21, channels21, sweep, 1e-5).rows,
+        evaluate_channels(plan21, channels21, 8.13e9, 1e-5),
     ):
         before = rows.beat_power.tolist()
         with pytest.raises(ValueError, match="read-only"):
@@ -358,59 +358,55 @@ def test_spectrum_rows_are_read_only(plan21, config):
         assert rows.beat_power.tolist() == before
 
 
-def test_tone_list_from_arrays_equals_pairs(plan21, config):
+def test_tone_list_from_arrays_equals_pairs(plan21, channels21):
     # The stimulus arrays evaluate each (frequency, field) pair as a one-tone
     # call would, and one field applies to every tone.
     frequencies = np.array([8.1e9, 8.2e9, 8.15e9])
     fields = np.array([1e-5, 0.0, 2e-5])
-    rows = stitched_response(plan21, config.channels, frequencies, fields).rows
+    rows = stitched_response(plan21, channels21, frequencies, fields).rows
     pairs = zip(frequencies, fields)
-    one_tone = [stitched_response(plan21, config.channels, f, e).rows[0] for f, e in pairs]
+    one_tone = [stitched_response(plan21, channels21, f, e).rows[0] for f, e in pairs]
     assert rows.tolist() == [row.tolist() for row in one_tone]
-    one_field = stitched_response(plan21, config.channels, frequencies, 3e-5).rows
-    tiled = stitched_response(plan21, config.channels, frequencies, [3e-5] * 3).rows
+    one_field = stitched_response(plan21, channels21, frequencies, 3e-5).rows
+    tiled = stitched_response(plan21, channels21, frequencies, [3e-5] * 3).rows
     assert one_field.tolist() == tiled.tolist()
-
-
-def _stitched(frequencies, fields):
-    config = default_config()
-    plan = place_cells(config.profile, config.transition, config.comb)
-    return stitched_response(plan, config.channels, frequencies, fields)
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: _stitched([math.nan], 1e-5),
-        lambda: _stitched([math.inf], 1e-5),
-        lambda: _stitched([8.1e9], math.nan),
-        lambda: _stitched([8.1e9], math.inf),
-        lambda: _stitched([8.1e9, 8.2e9], [1e-5, -1e-5]),
-        lambda: _stitched([8.1e9, -math.inf], 1e-5),
-        lambda: _stitched([8.1e9, 8.2e9], [math.nan, 1e-5]),
-        lambda: _stitched(np.linspace(8.1e9, 8.2e9, 11), [1e-5] * 10 + [math.nan]),
-        lambda: beat_power(default_config().channels[0], math.nan, 0.0),
-        lambda: beat_power(default_config().channels[0], np.array([1e-5, math.inf]), 0.0),
+        lambda stitched, channel: stitched([math.nan], 1e-5),
+        lambda stitched, channel: stitched([math.inf], 1e-5),
+        lambda stitched, channel: stitched([8.1e9], math.nan),
+        lambda stitched, channel: stitched([8.1e9], math.inf),
+        lambda stitched, channel: stitched([8.1e9, 8.2e9], [1e-5, -1e-5]),
+        lambda stitched, channel: stitched([8.1e9, -math.inf], 1e-5),
+        lambda stitched, channel: stitched([8.1e9, 8.2e9], [math.nan, 1e-5]),
+        lambda stitched, channel: stitched(
+            np.linspace(8.1e9, 8.2e9, 11), [1e-5] * 10 + [math.nan]
+        ),
+        lambda stitched, channel: beat_power(channel, math.nan, 0.0),
+        lambda stitched, channel: beat_power(channel, np.array([1e-5, math.inf]), 0.0),
     ],
 )
-def test_non_finite_stimulus_rejected(build):
+def test_non_finite_stimulus_rejected(build, plan21, channels21):
     with pytest.raises(DomainError):
-        build()
+        build(functools.partial(stitched_response, plan21, channels21), channels21[0])
 
 
-def test_non_finite_single_tone_rejected(plan21, config):
+def test_non_finite_single_tone_rejected(plan21, channels21):
     with pytest.raises(DomainError):
-        evaluate_channels(plan21, config.channels, math.nan, 1e-5)
+        evaluate_channels(plan21, channels21, math.nan, 1e-5)
     with pytest.raises(DomainError):
-        evaluate_channels(plan21, config.channels, 8.13e9, math.nan)
+        evaluate_channels(plan21, channels21, 8.13e9, math.nan)
 
 
-def test_unsorted_plan_rejected(plan21, config):
+def test_unsorted_plan_rejected(plan21, channels21):
     shuffled = CellArrayPlan(
         entries=plan21.entries[::-1], min_spacing=plan21.min_spacing, feasible=True
     )
     with pytest.raises(PlannerError, match="ordered by ascending line frequency"):
-        stitched_response(shuffled, config.channels, 8.13e9, 1e-5)
+        stitched_response(shuffled, channels21, 8.13e9, 1e-5)
 
 
 # ---------------------------------------------------------------- stimulus
@@ -426,15 +422,15 @@ def _copied_stimulus(frequencies, fields):
     return frequencies, np.array(np.broadcast_to(fields, frequencies.shape), dtype=float)
 
 
-def test_stimulus_leaves_the_callers_arrays_writable_and_unchanged(plan21, config):
+def test_stimulus_leaves_the_callers_arrays_writable_and_unchanged(plan21, channels21):
     frequencies = np.linspace(8.02e9, 8.24e9, 11)
     fields = np.geomspace(1e-9, 1e-2, 11)
     tone, tone_field = np.array(8.13e9), np.array([1e-5])
     callers = (frequencies, fields, tone, tone_field)
     before = [a.copy() for a in callers]
-    stitched_response(plan21, config.channels, frequencies, fields)
-    stitched_response(plan21, config.channels, frequencies[::2], fields[3])
-    evaluate_channels(plan21, config.channels, tone, tone_field)
+    stitched_response(plan21, channels21, frequencies, fields)
+    stitched_response(plan21, channels21, frequencies[::2], fields[3])
+    evaluate_channels(plan21, channels21, tone, tone_field)
     viewed, broadcast = starkcomb.receiver._stimulus(frequencies, fields)
     assert np.shares_memory(viewed, frequencies) and np.shares_memory(broadcast, fields)
     assert not viewed.flags.writeable and not broadcast.flags.writeable
@@ -460,17 +456,17 @@ STIMULI = {
 
 
 @pytest.mark.parametrize("stimulus", list(STIMULI))
-def test_stimulus_views_give_the_rows_of_full_copies(plan21, config, stimulus):
+def test_stimulus_views_give_the_rows_of_full_copies(plan21, channels21, stimulus):
     frequencies, fields = STIMULI[stimulus]
     copied = _copied_stimulus(frequencies, fields)
-    rows = stitched_response(plan21, config.channels, frequencies, fields).rows
-    expected = starkcomb.receiver._evaluate(plan21, config.channels, *copied)
+    rows = stitched_response(plan21, channels21, frequencies, fields).rows
+    expected = starkcomb.receiver._evaluate(plan21, channels21, *copied)
     assert rows.dtype == expected.dtype and rows.tobytes() == expected.tobytes()
     index = np.arange(len(plan21.entries))
     copied = copied[0][:1], copied[1][:1], index
-    expected = starkcomb.receiver._evaluate(plan21, config.channels, *copied)
+    expected = starkcomb.receiver._evaluate(plan21, channels21, *copied)
     tone = np.atleast_1d(frequencies)[:1], np.atleast_1d(fields)[:1]
-    assert evaluate_channels(plan21, config.channels, *tone).tobytes() == expected.tobytes()
+    assert evaluate_channels(plan21, channels21, *tone).tobytes() == expected.tobytes()
 
 
 def test_scalar_field_is_not_expanded():

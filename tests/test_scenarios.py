@@ -300,6 +300,41 @@ class TestCli:
         )
         assert not (tmp_path / "linearity.csv").exists()
 
+    # Two faults in one file: the plan, and linearity's row cap, are checked
+    # before the channels calibrate. sweep2cell places its own two lines.
+    @pytest.mark.parametrize(
+        "scenario, code, text",
+        [
+            (name, 3, "infeasible plan: line 0: line at 8900000000.0 Hz outside reachable "
+                      "band [8030000000.0, 8230000000.0] Hz")
+            for name in ("response", "linearity", "sensitivity")
+        ] + [("sweep2cell", 2, "configuration error: channel: field must be finite and > 0, "
+                               "got 0.0")],
+        ids=["response", "linearity", "sensitivity", "sweep2cell"],
+    )
+    def test_plan_fault_reported_before_calibration_fault(
+        self, tmp_path, capsys, scenario, code, text
+    ):
+        cfg = tmp_path / "two_faults.yaml"
+        cfg.write_text(
+            "comb:\n  center_frequency_ghz: 9.0\n"
+            "channel:\n  center_min_detectable_field_nv_cm: 1.0e+300\n"
+        )
+        assert main([scenario, "--config", str(cfg), "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err == text + "\n"
+
+    def test_linearity_row_cap_reported_before_calibration_fault(self, tmp_path, capsys):
+        cfg = tmp_path / "two_faults.yaml"
+        cfg.write_text(
+            "scenarios:\n  linearity:\n    points: 50000\n"
+            "channel:\n  center_min_detectable_field_nv_cm: 1.0e+300\n"
+        )
+        assert main(["linearity", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: comb.line_count x scenarios.linearity.points "
+            "must be <= 1000000, got 1050000\n"
+        )
+
     def test_console_script_entry_point(self, tmp_path):
         import subprocess
         import sys
