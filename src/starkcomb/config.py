@@ -480,7 +480,7 @@ def build_channels(defaults: ChannelDefaults, entries: np.recarray) -> np.recarr
         defaults.rolloff_order, noise_floor=peak - 200.0, gain_scale=g0 + t * (g1 - g0),
     )
     return _construct(
-        "channel", calibrate_noise_floor, uncalibrated, e0 + t * (e1 - e0),
+        "channel", calibrate_noise_floor, uncalibrated, (1 - t) * e0 + t * e1,
         defaults.reference_detuning,
     )
 

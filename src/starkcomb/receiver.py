@@ -18,7 +18,9 @@ and detunings, and a channel row or a table of them (one per point). A
 stimulus is a 1-D array of frequencies and a field for each (or one for all):
 :func:`stitched_response` routes and evaluates it in array passes over fixed
 blocks of points, and :func:`evaluate_channels` reads one tone on every
-channel.
+channel. All of them evaluate one kernel, ``_beat``, the only place that
+sums the channel's dB terms, so an array call gives its elementwise scalar
+calls' results bit for bit.
 
 All fields are in V/cm, powers in dBm, frequencies in Hz.
 """
@@ -112,39 +114,52 @@ def rolloff(channel, delta_f):
     """
     require(~np.isnan(delta_f), DomainError, "delta_f must not be NaN, got {}", delta_f)
     x = np.abs(delta_f) / channel.half_width_3db
-    return 1.0 / (1.0 + x ** (2 * channel.rolloff_order))
+    exponent = 2 * channel.rolloff_order
+    # numpy squares exactly for one exponent of 2 but not for an array of
+    # them, so x**2 is x * x here for every shape of call.
+    return 1.0 / (1.0 + np.where(exponent == 2, x * x, np.power(x, exponent)))
 
 
-def _rolloff_db(channel, delta_f):
-    # 10 log10 |H(delta_f)|^2. A rolloff that underflows to 0 far off line
-    # gives -inf dB.
+def _terms(channels) -> SimpleNamespace:
+    # The channel columns and the terms that depend on the channel alone.
     with np.errstate(divide="ignore", over="ignore"):
-        return 10.0 * np.log10(rolloff(channel, delta_f))
+        return SimpleNamespace(
+            peak_power=channels.peak_power,
+            reference_field=channels.reference_field,
+            half_width_3db=channels.half_width_3db,
+            rolloff_order=channels.rolloff_order,
+            noise_floor=channels.noise_floor,
+            scale_db=20.0 * np.log10(channels.gain_scale),
+            floor_power=np.power(10.0, channels.noise_floor / 10.0),
+            margin_db=channels.peak_power - channels.noise_floor,
+        )
 
 
-def _scale_db(gain_scale):
-    # 20 log10 gain_scale.
-    with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(gain_scale)
-
-
-def _gain_db(lead_db, rolloff_db, scale_db):
-    # The one dB sum of the channel model, in this order:
-    # lead + 10 log10 |H(delta_f)|^2 + 20 log10 gain_scale.
-    with np.errstate(over="ignore"):
-        return lead_db + rolloff_db + scale_db
-
-
-def _lead_db(channel, field):
-    # peak_power + 20 log10(field / reference_field), for positive fields.
-    with np.errstate(over="ignore"):
-        return channel.peak_power + 20.0 * np.log10(field / channel.reference_field)
-
-
-def _signal_db(lead_db, rolloff_db, scale_db):
-    s = _gain_db(lead_db, rolloff_db, scale_db)
-    require(s < math.inf, DomainError, "beat signal power must be below +inf dBm, got {}", s)
-    return s
+def _beat(channel, field, delta_f):
+    # The one dB sum of the channel model, for channel terms from _terms and
+    # fields >= 0: the signal power, the observed power (the signal
+    # power-summed with the noise floor) and the minimum detectable field.
+    # A zero field is evaluated at the reference field, and its power is then
+    # the floor exactly. A rolloff that underflows far off line gives -inf dB.
+    positive = np.where(field > 0, field, channel.reference_field)
+    floor = channel.noise_floor
+    with np.errstate(divide="ignore", over="ignore"):
+        rolloff_db = 10.0 * np.log10(rolloff(channel, delta_f))
+        lead = channel.peak_power + 20.0 * np.log10(positive / channel.reference_field)
+        signal = lead + rolloff_db + channel.scale_db
+        message = "beat signal power must be below +inf dBm, got {}"
+        require(signal < math.inf, DomainError, message, signal)
+        power = 10.0 * np.log10(np.power(10.0, signal / 10.0) + channel.floor_power)
+        # Where the direct sum leaves the float range, factor out the larger term.
+        if not np.isfinite(power).all():
+            hi, lo = np.maximum(signal, floor), np.minimum(signal, floor)
+            factored = hi + 10.0 * np.log10(1.0 + np.power(10.0, (lo - hi) / 10.0))
+            power = np.where(np.isfinite(power), power, factored)
+        # The reference field's signal sits margin dB above the floor. Below
+        # about -6160 dB the power overflows: no field is detectable (inf).
+        margin = channel.margin_db + rolloff_db + channel.scale_db
+        detectable = channel.reference_field * np.power(10.0, -margin / 20.0)
+    return signal, np.where(field == 0, floor, power), detectable
 
 
 def beat_signal_power(channel, field, delta_f):
@@ -153,26 +168,7 @@ def beat_signal_power(channel, field, delta_f):
     A power of +inf dBm (``field / reference_field`` overflows) is a DomainError.
     """
     field = _finite("field", field, positive=True)
-    lead = _lead_db(channel, field)
-    return _signal_db(lead, _rolloff_db(channel, delta_f), _scale_db(channel.gain_scale))[()]
-
-
-def _floor_power(floor):
-    with np.errstate(over="ignore"):
-        return 10.0 ** (floor / 10.0)
-
-
-def _observed_db(field, signal_db, floor, floor_power):
-    # The signal power-summed with the noise floor, whose power is
-    # floor_power; a zero field gives the floor exactly.
-    with np.errstate(over="ignore", divide="ignore"):
-        power = 10.0 * np.log10(10.0 ** (signal_db / 10.0) + floor_power)
-        # Where the direct sum leaves the float range, factor out the larger term.
-        if not np.isfinite(power).all():
-            hi, lo = np.maximum(signal_db, floor), np.minimum(signal_db, floor)
-            factored = hi + 10.0 * np.log10(1.0 + 10.0 ** ((lo - hi) / 10.0))
-            power = np.where(np.isfinite(power), power, factored)
-    return np.where(field == 0, floor, power)
+    return _beat(_terms(channel), field, delta_f)[0][()]
 
 
 def beat_power(channel, field, delta_f):
@@ -181,29 +177,13 @@ def beat_power(channel, field, delta_f):
     A zero field returns the noise floor exactly.
     """
     field = _finite("field", field)
-    # A zero field is evaluated at the reference field, then replaced.
-    positive = np.where(field > 0, field, channel.reference_field)
-    s = beat_signal_power(channel, positive, delta_f)
-    floor = channel.noise_floor
-    return _observed_db(field, s, floor, _floor_power(floor))[()]
-
-
-def _detectable_field(reference_field, margin_db):
-    # The field whose signal sits margin_db below the reference field's. Below
-    # about -6160 dB the power overflows: no field is detectable (inf).
-    with np.errstate(over="ignore"):
-        return reference_field * 10.0 ** (-margin_db / 20.0)
+    return _beat(_terms(channel), field, delta_f)[1][()]
 
 
 def min_detectable_field(channel, delta_f=0.0):
     """Field (V/cm) whose beat signal power equals the noise floor."""
-    # The reference field's signal sits margin dB above the floor.
-    margin = _gain_db(
-        channel.peak_power - channel.noise_floor,
-        _rolloff_db(channel, delta_f),
-        _scale_db(channel.gain_scale),
-    )
-    return _detectable_field(channel.reference_field, margin)
+    terms = _terms(channel)
+    return _beat(terms, terms.reference_field, delta_f)[2][()]
 
 
 def calibrate_noise_floor(channels, target_field, delta_f=0.0) -> np.recarray:
@@ -302,19 +282,9 @@ def _evaluate(
     require(np.diff(lines) >= 0, PlannerError, message)
     if index is not None:
         frequencies, fields, index = np.broadcast_arrays(frequencies, fields, index)
-    # The channel columns by plan entry and the terms that depend on the
-    # channel alone: rows of one table, which each block gathers from.
-    columns = {
-        "line_frequency": lines,
-        "peak_power": channels.peak_power,
-        "reference_field": channels.reference_field,
-        "half_width_3db": channels.half_width_3db,
-        "rolloff_order": channels.rolloff_order,
-        "noise_floor": channels.noise_floor,
-        "scale_db": _scale_db(channels.gain_scale),
-        "floor_power": _floor_power(channels.noise_floor),
-        "margin_db": channels.peak_power - channels.noise_floor,
-    }
+    # The channel terms by plan entry: rows of one table, which each block
+    # gathers from.
+    columns = {"line_frequency": lines, **vars(_terms(channels))}
     table = np.array(list(columns.values()))
     line_index = plan.entries.line_index
     rows = np.recarray(frequencies.shape, BeatRow)
@@ -325,14 +295,8 @@ def _evaluate(
         i = nearest_line_index(lines, frequency) if index is None else index[block]
         channel = SimpleNamespace(**dict(zip(columns, table.take(i, axis=1))))
         delta_f = frequency - channel.line_frequency
-        # A zero field is evaluated at the reference field, then replaced.
-        positive = np.where(field > 0, field, channel.reference_field)
-        _finite("field", positive, positive=True)
-        rolloff_db = _rolloff_db(channel, delta_f)
-        s = _signal_db(_lead_db(channel, positive), rolloff_db, channel.scale_db)
-        power = _observed_db(field, s, channel.noise_floor, channel.floor_power)
-        margin = _gain_db(channel.margin_db, rolloff_db, channel.scale_db)
-        above = (field > 0) & (field >= _detectable_field(channel.reference_field, margin))
+        _, power, detectable = _beat(channel, field, delta_f)
+        above = (field > 0) & (field >= detectable)
         in_band = np.abs(delta_f) <= channel.half_width_3db
         values = (frequency, line_index[i], delta_f, power, above, in_band)
         for column, value in zip(out, values):

@@ -28,7 +28,7 @@ from .comb import CellArrayPlan, FrequencyComb, place_cells
 from .config import MAX_ROWS, ReceiverConfig, build_channels
 from .errors import ConfigError, InfeasiblePlanError
 from .field_map import field_at
-from .receiver import min_detectable_field, sensitivity, stitched_response
+from .receiver import beat_power, min_detectable_field, sensitivity, stitched_response
 from .stark import stark_shifted_frequency
 
 __all__ = ["SCENARIO_NAMES", "run_scenario"]
@@ -187,16 +187,13 @@ def _run_linearity(config: ReceiverConfig) -> Tables:
         params["points"],
     )
     delta = config.channel_defaults.reference_detuning
-    # Every field on every line, line-major, in one stitched call.
-    lines = np.repeat(plan.entries.line_frequency, fields.size)
-    tiled = np.tile(fields, len(plan.entries))
+    # Every field on each line's own channel at delta, line-major.
     channels = build_channels(config.channel_defaults, plan.entries)
-    spectrum = stitched_response(plan, channels, lines + delta, tiled)
     columns = {
         "channel_index": np.repeat(plan.entries.line_index, fields.size),
-        "line_GHz": lines / 1e9,
-        "field_V_per_cm": tiled,
-        "beat_dBm": spectrum.rows.beat_power,
+        "line_GHz": np.repeat(plan.entries.line_frequency / 1e9, fields.size),
+        "field_V_per_cm": np.tile(fields, len(plan.entries)),
+        "beat_dBm": beat_power(channels[:, None], fields, delta).ravel(),
     }
     return {"linearity.csv": ([("delta_f_kHz", delta / 1e3)], columns)}
 

@@ -217,10 +217,11 @@ FAILURES = {
         lambda: beat_signal_power(CH[10], [1e-5, 1e308], 0.0),
         DomainError, "beat signal power must be below +inf dBm, got inf"),
     "build_channels calibration": (
-        # Beside a 1e291 V/cm center target, the edge target e0 + t * (e1 - e0)
-        # cancels to 0.0 V/cm.
+        # A 1e291 V/cm center target needs a noise floor far above the peak.
         lambda: build_channels(dataclasses.replace(DEFAULTS, center_e_det=1e291), PLAN.entries),
-        ConfigError, "channel: field must be finite and > 0, got 0.0"),
+        ConfigError,
+        "channel: noise_floor (5848.728353180034 dBm) must be below peak_power (-36.5 dBm), "
+        "both finite"),
     "stimulus 2-D": (
         lambda: evaluate_channels(PLAN, CH, [[8.13e9]], 1e-5),
         DomainError, "stimulus needs a non-empty 1-D array of frequencies"),

@@ -67,6 +67,15 @@ class TestBeatPower:
             beat_power(CHANNEL, 1e-12, 0.0), CHANNEL.noise_floor, abs_tol=1e-6
         )
 
+    def test_field_ratio_underflow_floors_without_warning(self):
+        # 5e-324 V/cm over a 10 V/cm reference field underflows to 0: the
+        # signal is -inf dBm and the power the floor, without a warning.
+        coarse = replace(reference_field=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert beat_signal_power(coarse, 5e-324, 0.0) == -math.inf
+            assert beat_power(coarse, 5e-324, 0.0) == coarse.noise_floor
+
     def test_negative_field_rejected(self):
         with pytest.raises(DomainError):
             beat_power(CHANNEL, -1.0, 0.0)
@@ -164,6 +173,66 @@ class TestMinDetectableField:
             scalar = min_detectable_field(weak[0], 0.0)
         assert fields[0] == scalar == math.inf
         assert fields[1] == min_detectable_field(weak[1], 0.0) < math.inf
+
+
+class TestBroadcastBeats:
+    # Three channels of rolloff orders 1 to 3, one of whose floor power
+    # overflows (the factored power sum), and stimulus k: field k (zero
+    # among them) at detuning k, the last two so far off line that the
+    # rolloff underflows to 0.
+    CHANNELS = replace(
+        peak_power=[-36.5, -36.5, 4000.0],
+        noise_floor=[-80.0, -60.0, 3500.0],
+        gain_scale=[1.0, 0.5, 2.0],
+        rolloff_order=[1, 2, 3],
+    )
+    DETUNINGS = np.append(np.random.default_rng(0).uniform(-3e7, 3e7, 100), [1e80, -math.inf])
+    FIELDS = np.resize(np.append(0.0, np.geomspace(1e-9, 3e-2, 10)), DETUNINGS.size)
+
+    @staticmethod
+    def assert_bits_equal(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def calls(self):
+        # Each public beat function as a call of (channel, field, delta_f),
+        # and the stimuli it takes: beat_signal_power needs a field > 0, and
+        # rolloff, which warns where its square overflows, is read on line.
+        def detuned(function):
+            return lambda channel, _, delta_f: function(channel, delta_f)
+
+        every = np.ones_like(self.FIELDS, dtype=bool)
+        return [
+            (beat_signal_power, self.FIELDS > 0),
+            (beat_power, every),
+            (detuned(min_detectable_field), every),
+            (detuned(rolloff), np.abs(self.DETUNINGS) < 1e80),
+        ]
+
+    def test_scalar_calls_are_scalars(self):
+        # Shape (): a 0-d table gives what its record gives.
+        for record in self.CHANNELS:
+            channel = channel_table(**{name: record[name] for name in ChannelRow.names})
+            for function, use in self.calls():
+                for field, delta_f in zip(self.FIELDS[use], self.DETUNINGS[use]):
+                    got = function(channel, field, delta_f)
+                    assert np.ndim(got) == 0
+                    self.assert_bits_equal(got, function(record, field, delta_f))
+
+    def test_1d_calls_equal_scalar_calls(self):
+        # Shape (n,): stimulus k on channel k % 3.
+        channels = self.CHANNELS[np.arange(self.FIELDS.size) % len(self.CHANNELS)]
+        for function, use in self.calls():
+            args = channels[use], self.FIELDS[use], self.DETUNINGS[use]
+            self.assert_bits_equal(function(*args), [function(*arg) for arg in zip(*args)])
+
+    def test_2d_broadcast_equals_scalar_calls(self):
+        # Shape (n, 1) x (m,): every stimulus on every channel.
+        for function, use in self.calls():
+            fields, detunings = self.FIELDS[use], self.DETUNINGS[use]
+            want = [[function(c, *arg) for arg in zip(fields, detunings)] for c in self.CHANNELS]
+            self.assert_bits_equal(function(self.CHANNELS[:, None], fields, detunings), want)
 
 
 class TestSensitivity:

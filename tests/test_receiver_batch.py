@@ -20,9 +20,11 @@ from starkcomb import (
     PlannerError,
     PlanRow,
     beat_power,
+    build_channels,
     channel_table,
     default_config,
     evaluate_channels,
+    load_config,
     min_detectable_field,
     run_scenario,
     stitched_response,
@@ -320,18 +322,24 @@ def test_default_pins_cover_both_csv_paths():
     assert kinds == set("bif")
 
 
-def test_linearity_is_one_stitched_call(monkeypatch, tmp_path):
-    config = default_config()
-    calls = []
-
-    def counting(plan, responses, frequencies, fields):
-        calls.append(np.size(frequencies))
-        return stitched_response(plan, responses, frequencies, fields)
-
-    monkeypatch.setattr(starkcomb.scenarios, "stitched_response", counting)
-    run_scenario(config, "linearity", tmp_path)
+@pytest.mark.parametrize("detuning_khz", [500.0, 6000.0])
+def test_linearity_rows_read_each_lines_own_channel(tmp_path, detuning_khz):
+    # At 6 MHz, more than half the 10 MHz line spacing, line i + delta is
+    # nearer line i + 1; row i must still read channel i at exactly delta.
+    path = tmp_path / "detuning.yaml"
+    path.write_text(f"channel:\n  reference_detuning_khz: {detuning_khz}\n")
+    config = load_config(path)
+    ((_, columns),) = starkcomb.scenarios._RUNNERS["linearity"](config).values()
+    entries = starkcomb.scenarios._plan(config).entries
+    channels = build_channels(config.channel_defaults, entries)
+    delta = config.channel_defaults.reference_detuning
     points = config.scenarios["linearity"]["points"]
-    assert calls == [config.comb.line_count * points]
+    rows = np.arange(len(entries) * points) // points
+    assert columns["channel_index"].tolist() == entries.line_index[rows].tolist()
+    assert columns["beat_dBm"].tolist() == [
+        beat_power(channels[i], field, delta)
+        for i, field in zip(rows, columns["field_V_per_cm"])
+    ]
 
 
 def test_spectrum_rows_are_records(plan21, channels21):

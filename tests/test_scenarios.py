@@ -276,16 +276,18 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "scenario, code",
-        [("plan", 0), ("response", 2), ("linearity", 2), ("sensitivity", 2), ("sweep2cell", 2)],
+        [("plan", 0), ("response", 2), ("linearity", 2), ("sensitivity", 2), ("sweep2cell", 0)],
     )
     def test_channel_calibration_checked_on_first_use(self, tmp_path, capsys, scenario, code):
         # The channels are built by the scenarios that use them, not at load.
+        # sweep2cell's two edge channels never read the center target.
         cfg = tmp_path / "calibration.yaml"
         cfg.write_text("channel:\n  center_min_detectable_field_nv_cm: 1.0e+300\n")
         assert main([scenario, "--config", str(cfg), "--out", str(tmp_path)]) == code
         if code:
             assert capsys.readouterr().err == (
-                "configuration error: channel: field must be finite and > 0, got 0.0\n"
+                "configuration error: channel: noise_floor (5848.728353180034 dBm) must be "
+                "below peak_power (-36.5 dBm), both finite\n"
             )
 
     def test_linearity_rows_capped(self, tmp_path, capsys):
@@ -308,8 +310,8 @@ class TestCli:
             (name, 3, "infeasible plan: line 0: line at 8900000000.0 Hz outside reachable "
                       "band [8030000000.0, 8230000000.0] Hz")
             for name in ("response", "linearity", "sensitivity")
-        ] + [("sweep2cell", 2, "configuration error: channel: field must be finite and > 0, "
-                               "got 0.0")],
+        ] + [("sweep2cell", 2, "configuration error: channel: noise_floor (5878.728353180034 "
+                               "dBm) must be below peak_power (-36.5 dBm), both finite")],
         ids=["response", "linearity", "sensitivity", "sweep2cell"],
     )
     def test_plan_fault_reported_before_calibration_fault(
@@ -318,7 +320,7 @@ class TestCli:
         cfg = tmp_path / "two_faults.yaml"
         cfg.write_text(
             "comb:\n  center_frequency_ghz: 9.0\n"
-            "channel:\n  center_min_detectable_field_nv_cm: 1.0e+300\n"
+            "channel:\n  edge_sensitivity_nv_cm_sqrt_hz: 1.0e+300\n"
         )
         assert main([scenario, "--config", str(cfg), "--out", str(tmp_path)]) == code
         assert capsys.readouterr().err == text + "\n"
