@@ -4,30 +4,24 @@
 ``scenarios._printf_rows`` does: floats as ``'%.10g' % float(v)``, ints as
 ``'%d'``, bools as ``true``/``false``. Each cell is a fixed-width run of
 little-endian uint64 words whose unused bytes are NUL, and its last byte
-holds the comma or newline after it. A block of rows is one word-major
-table, one row of words per word of a cell, which each column's kernel fills
-in place; its transpose is the block's rows, and deleting their NULs lays
-them out. Cells the arithmetic below cannot print exactly (0, inf, nan, a
-rounding tie, a float exponent outside -13..31, an int outside 0..10**8 - 1)
-are printed by printf into their run.
+holds the comma or newline after it. The rows of one call are one
+word-major table, one row of words per word of a cell, which each column's
+kernel fills in place; its transpose is the rows, and deleting their NULs
+lays them out. ``scenarios`` passes a large table one block of rows at a
+time, so that the word table stays in the CPU cache. Cells the arithmetic
+below cannot print exactly (0, inf, nan, a rounding tie, a float exponent
+outside -13..31, an int outside 0..10**8 - 1) are printed by printf into
+their run.
 
-``scenarios`` imports this module on its first large table, so that smaller
+``scenarios`` imports this module on its first large block, so that smaller
 runs do not pay for building its tables.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-
-# Rows per block, so that a block's arrays stay in the CPU cache (a response
-# block's table is 0.5 MB). On a 2-vCPU Xeon VM, broadband-sweep medians of
-# wall_s and op_ms_p50 in bench/run.py were 0.122 s and 19.3 ms at 4096 rows
-# against 0.124 s and 21.3 ms at 8192 (6 pairs), and 0.122 s and 19.5 ms
-# against 0.138 s and 22.2 ms at 2048 (4 pairs).
-BLOCK_ROWS = 4096
-
 
 def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For 0..9999: words of the four ASCII digits, first in the low byte,
@@ -193,7 +187,8 @@ def _cell_words(values: np.ndarray) -> int:
     return (max(8, len("%d" % values.min()), len("%d" % values.max())) + 8) // 8
 
 
-def _block(columns: Sequence[np.ndarray]) -> bytes:
+def vectorized_rows(columns: Sequence[np.ndarray]) -> bytes:
+    """The CSV rows of equal-length 1-D bool, int and float columns."""
     # One uninitialised word-major table: a column's cells take ``width`` rows,
     # row k holding word k of every cell, so each write fills contiguous rows.
     # A kernel writes every word of its rows, printf texts overwrite the cells
@@ -212,10 +207,3 @@ def _block(columns: Sequence[np.ndarray]) -> bytes:
             cell[:, fallback] = words.T
         cell[-1] |= np.uint64(ord("\n" if end == len(table) else ",") << 56)
     return np.ascontiguousarray(table.T).tobytes().translate(None, b"\0")
-
-
-def vectorized_rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
-    """The CSV rows of equal-length 1-D bool, int and float columns, one
-    chunk per block of ``BLOCK_ROWS`` rows."""
-    for i in range(0, len(columns[0]), BLOCK_ROWS):
-        yield _block([c[i : i + BLOCK_ROWS] for c in columns])

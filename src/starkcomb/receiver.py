@@ -18,9 +18,11 @@ and detunings, and a channel row or a table of them (one per point). A
 stimulus is a 1-D array of frequencies and a field for each (or one for all):
 :func:`stitched_response` routes and evaluates it in array passes over fixed
 blocks of points, and :func:`evaluate_channels` reads one tone on every
-channel. All of them evaluate one kernel, ``_beat``, the only place that
-sums the channel's dB terms, so an array call gives its elementwise scalar
-calls' results bit for bit.
+channel. Both collect the blocks of one private generator, which
+:mod:`starkcomb.scenarios` streams to its CSV files instead. All of them
+evaluate one kernel, ``_beat``, the only place that sums the channel's dB
+terms, so an array call gives its elementwise scalar calls' results bit for
+bit.
 
 All fields are in V/cm, powers in dBm, frequencies in Hz.
 """
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Iterator
 
 import numpy as np
 
@@ -121,17 +124,19 @@ def rolloff(channel, delta_f):
 
 
 def _terms(channels) -> SimpleNamespace:
-    # The channel columns and the terms that depend on the channel alone.
+    # The channel columns (read from a plain array: a record array's attribute
+    # reads take about 10 us each) and the terms that depend on them alone.
+    channels = np.asarray(channels)
     with np.errstate(divide="ignore", over="ignore"):
         return SimpleNamespace(
-            peak_power=channels.peak_power,
-            reference_field=channels.reference_field,
-            half_width_3db=channels.half_width_3db,
-            rolloff_order=channels.rolloff_order,
-            noise_floor=channels.noise_floor,
-            scale_db=20.0 * np.log10(channels.gain_scale),
-            floor_power=np.power(10.0, channels.noise_floor / 10.0),
-            margin_db=channels.peak_power - channels.noise_floor,
+            peak_power=channels["peak_power"],
+            reference_field=channels["reference_field"],
+            half_width_3db=channels["half_width_3db"],
+            rolloff_order=channels["rolloff_order"],
+            noise_floor=channels["noise_floor"],
+            scale_db=20.0 * np.log10(channels["gain_scale"]),
+            floor_power=np.power(10.0, channels["noise_floor"] / 10.0),
+            margin_db=channels["peak_power"] - channels["noise_floor"],
         )
 
 
@@ -259,9 +264,48 @@ class BeatSpectrum:
     rows: np.recarray
 
 
-# Points per block of the stitched pass (on a 2-vCPU Xeon VM, blocks of 4096
-# measured the same, and 2048 and 16384 slower).
+# Points per block of a pass over a stimulus, and rows per block of the CSV
+# tables that scenarios streams from it, so that a block's temporaries stay in
+# the CPU cache. On a 2-vCPU Xeon VM, streamed broadband-sweep runs of
+# bench/run.py took op_ms_p90 102 ms at 8192 and 108 ms at 4096 (6 seeds).
 _BLOCK = 8192
+
+
+def _blocks(
+    plan: CellArrayPlan,
+    channels: np.recarray,
+    frequencies: np.ndarray,
+    fields: np.ndarray,
+    index: np.ndarray | None = None,
+) -> Iterator[tuple[np.ndarray, ...]]:
+    # The BeatRow columns of equal-length stimulus arrays, one tuple per
+    # block: the plan is checked now, each block evaluated as it is taken.
+    # Point j is read out on plan entry index[j], by default the entry of its
+    # nearest line.
+    require(len(plan.entries) > 0, PlannerError, "plan has no entries")
+    message = f"got {np.size(channels)} channel responses for {len(plan.entries)} plan entries"
+    require(np.shape(channels) == (len(plan.entries),), PlannerError, message)
+    lines = plan.entries.line_frequency
+    message = "plan entries must be ordered by ascending line frequency"
+    require(np.diff(lines) >= 0, PlannerError, message)
+    # The channel terms by plan entry: rows of one table, which each block
+    # gathers from.
+    columns = {"line_frequency": lines, **vars(_terms(channels))}
+    table = np.array(list(columns.values()))
+    line_index = plan.entries.line_index
+
+    def evaluate(start: int) -> tuple[np.ndarray, ...]:
+        block = slice(start, start + _BLOCK)
+        frequency, field = frequencies[block], fields[block]
+        i = nearest_line_index(lines, frequency) if index is None else index[block]
+        channel = SimpleNamespace(**dict(zip(columns, table.take(i, axis=1))))
+        delta_f = frequency - channel.line_frequency
+        _, power, detectable = _beat(channel, field, delta_f)
+        above = (field > 0) & (field >= detectable)
+        in_band = np.abs(delta_f) <= channel.half_width_3db
+        return frequency, line_index[i], delta_f, power, above, in_band
+
+    return (evaluate(start) for start in range(0, frequencies.size, _BLOCK))
 
 
 def _evaluate(
@@ -271,36 +315,14 @@ def _evaluate(
     fields: np.ndarray,
     index: np.ndarray | None = None,
 ) -> np.recarray:
-    # Point j is read out on plan entry index[j], by default the entry of its
-    # nearest line. The points are evaluated _BLOCK at a time, so that each
-    # block's temporaries stay in the CPU cache.
-    require(len(plan.entries) > 0, PlannerError, "plan has no entries")
-    message = f"got {np.size(channels)} channel responses for {len(plan.entries)} plan entries"
-    require(np.shape(channels) == (len(plan.entries),), PlannerError, message)
-    lines = plan.entries.line_frequency
-    message = "plan entries must be ordered by ascending line frequency"
-    require(np.diff(lines) >= 0, PlannerError, message)
+    # The blocks of _blocks, collected into one read-only BeatRow table.
     if index is not None:
         frequencies, fields, index = np.broadcast_arrays(frequencies, fields, index)
-    # The channel terms by plan entry: rows of one table, which each block
-    # gathers from.
-    columns = {"line_frequency": lines, **vars(_terms(channels))}
-    table = np.array(list(columns.values()))
-    line_index = plan.entries.line_index
+    blocks = _blocks(plan, channels, frequencies, fields, index)
     rows = np.recarray(frequencies.shape, BeatRow)
-    out = [rows[name] for name in BeatRow.names]
-    for start in range(0, rows.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        frequency, field = frequencies[block], fields[block]
-        i = nearest_line_index(lines, frequency) if index is None else index[block]
-        channel = SimpleNamespace(**dict(zip(columns, table.take(i, axis=1))))
-        delta_f = frequency - channel.line_frequency
-        _, power, detectable = _beat(channel, field, delta_f)
-        above = (field > 0) & (field >= detectable)
-        in_band = np.abs(delta_f) <= channel.half_width_3db
-        values = (frequency, line_index[i], delta_f, power, above, in_band)
-        for column, value in zip(out, values):
-            column[block] = value
+    for start, values in zip(range(0, rows.size, _BLOCK), blocks):
+        for name, value in zip(BeatRow.names, values):
+            rows[name][start : start + _BLOCK] = value
     rows.flags.writeable = False
     return rows
 

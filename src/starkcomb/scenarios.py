@@ -1,13 +1,16 @@
 """Scenario runners: deterministic CSV data products plus a run manifest.
 
 Each runner is a pure function of the configuration that returns its tables:
-for every CSV file name, the metadata that follows the common header and the
-named data columns. ``run_scenario`` is the one writer. It prefixes each
-table with the common header (package version, configuration hash, scenario
-name), writes each CSV file and hashes it chunk by chunk as the chunks are
-formatted, and writes a JSON manifest listing the SHA-256 of the bytes it
-wrote for each. Output bytes are a pure function of the configuration;
-timestamps are embedded only when explicitly requested.
+for every CSV file name, the metadata that follows the common header, the
+column names and the rows in blocks. Every check runs when the runner is
+called; the ``response``, ``sweep2cell`` and ``linearity`` blocks are then
+computed one at a time as they are written, so no whole column of them is
+held. ``run_scenario`` is the one writer. It prefixes each table with the
+common header (package version, configuration hash, scenario name), writes
+and hashes each block as it is formatted, and writes a JSON manifest listing
+the SHA-256 of the bytes it wrote for each file; a run that fails partway
+removes the files it wrote. Output bytes are a pure function of the
+configuration; timestamps are embedded only when explicitly requested.
 """
 
 from __future__ import annotations
@@ -22,19 +25,30 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, receiver
 from .bloch import LadderSystem, probe_absorption
 from .comb import CellArrayPlan, FrequencyComb, place_cells
 from .config import MAX_ROWS, ReceiverConfig, build_channels
 from .errors import ConfigError, InfeasiblePlanError
 from .field_map import field_at
-from .receiver import beat_power, min_detectable_field, sensitivity, stitched_response
+# stitched_response is not called here, but bench/tracer.py wraps it at this
+# module and bench/tests/test_bench.py reads it here.
+from .receiver import (
+    _blocks, _stimulus, beat_power, min_detectable_field, sensitivity, stitched_response,
+)
 from .stark import stark_shifted_frequency
 
 __all__ = ["SCENARIO_NAMES", "run_scenario"]
 
-# By CSV file name: the metadata after the common header, and the columns.
-Tables = dict[str, tuple[list[tuple[str, object]], dict[str, object]]]
+# One CSV table: the metadata after the common header, the column names, and
+# the rows in blocks, each block one sequence of values per column.
+Table = tuple[list[tuple[str, object]], Sequence[str], Iterable[Sequence]]
+Tables = dict[str, Table]
+
+
+def _whole(meta: list[tuple[str, object]], columns: dict[str, object]) -> Table:
+    # A table of named columns given whole, as one block.
+    return meta, list(columns), [list(columns.values())]
 
 
 def _fmt(value) -> str:
@@ -81,34 +95,43 @@ def _vectorizable(columns: Sequence[np.ndarray]) -> bool:
 
 
 def _format_csv(
-    meta: Sequence[tuple[str, object]], columns: dict[str, object], timestamp: bool
+    meta: Sequence[tuple[str, object]],
+    names: Sequence[str],
+    blocks: Iterable[Sequence],
+    timestamp: bool,
 ) -> Iterator[bytes]:
-    """The encoded CSV of named, equal-length columns (arrays or sequences),
-    in chunks: a small table in one, a large one as its header and then one
-    chunk per block of rows."""
+    """The encoded CSV of a table given in blocks of equal-length columns
+    (arrays or sequences): its header, then the rows of each block as the
+    block is taken."""
     lines = [f"# {key}: {_fmt(value)}" for key, value in meta]
     if timestamp:
         lines.append(f"# generated_at: {datetime.now(timezone.utc).isoformat()}")
-    lines.append(",".join(columns))
-    header = ("\n".join(lines) + "\n").encode()
-    arrays = [np.asarray(values) for values in columns.values()]
-    if not _vectorizable(arrays):
-        yield header + _printf_rows(arrays)
-        return
-    # Imported here, so that runs without a large table skip its set-up.
-    from ._vectorized_csv import vectorized_rows
+    lines.append(",".join(names))
+    yield ("\n".join(lines) + "\n").encode()
+    for columns in blocks:
+        arrays = [np.asarray(values) for values in columns]
+        if _vectorizable(arrays):
+            # Imported here, so that runs without a large block skip its set-up.
+            from ._vectorized_csv import vectorized_rows
 
-    yield header
-    yield from vectorized_rows(arrays)
+            yield vectorized_rows(arrays)
+        else:
+            yield _printf_rows(arrays)
 
 
 def _write(path: Path, chunks: Iterable[bytes]) -> str:
-    """Write the chunks to ``path`` as they come; the SHA-256 of the bytes written."""
+    """Write the chunks to ``path`` as they come; the SHA-256 of the bytes
+    written. If a chunk or a write fails, the file is removed."""
     digest = hashlib.sha256()
-    with open(path, "wb") as file:
-        for chunk in chunks:
-            file.write(chunk)
-            digest.update(chunk)
+    file = open(path, "wb")
+    try:
+        with file:
+            for chunk in chunks:
+                file.write(chunk)
+                digest.update(chunk)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return digest.hexdigest()
 
 
@@ -128,23 +151,24 @@ def _plan(config: ReceiverConfig, comb: FrequencyComb | None = None) -> CellArra
     return plan
 
 
+_SWEEP_COLUMNS = ("signal_GHz", "channel_index", "delta_f_kHz", "beat_dBm", "above_noise")
+
+
 def _sweep(
     config: ReceiverConfig, params: dict, plan: CellArrayPlan
-) -> tuple[float, dict[str, np.ndarray]]:
-    """The swept field (the reference field unless set) and the stitched beat columns."""
+) -> tuple[float, Iterator[tuple]]:
+    """The swept field (the reference field unless set) and the blocks of the
+    stitched beat columns: ``stitched_response`` streamed."""
     field = params["field"]
     if field is None:
         field = config.channel_defaults.reference_field
     frequencies = np.linspace(params["start"], params["stop"], params["points"])
     channels = build_channels(config.channel_defaults, plan.entries)
-    rows = stitched_response(plan, channels, frequencies, field).rows
-    return field, {
-        "signal_GHz": rows.signal_frequency / 1e9,
-        "channel_index": rows.channel_index,
-        "delta_f_kHz": rows.delta_f / 1e3,
-        "beat_dBm": rows.beat_power,
-        "above_noise": rows.above_noise,
-    }
+    blocks = _blocks(plan, channels, *_stimulus(frequencies, field))
+    return field, (
+        (frequency / 1e9, channel, delta_f / 1e3, power, above)
+        for frequency, channel, delta_f, power, above, _ in blocks
+    )
 
 
 def _run_plan(config: ReceiverConfig) -> Tables:
@@ -165,13 +189,13 @@ def _run_plan(config: ReceiverConfig) -> Tables:
         "field_V_per_cm": field,
         "transition_GHz": stark_shifted_frequency(config.transition, field) / 1e9,
     }
-    return {"plan.csv": (meta, columns), "field_profile.csv": ([], profile)}
+    return {"plan.csv": _whole(meta, columns), "field_profile.csv": _whole([], profile)}
 
 
 def _run_response(config: ReceiverConfig) -> Tables:
     plan = _plan(config)
-    field, columns = _sweep(config, config.scenarios["response"], plan)
-    return {"response.csv": ([("field_V_per_cm", field)], columns)}
+    field, blocks = _sweep(config, config.scenarios["response"], plan)
+    return {"response.csv": ([("field_V_per_cm", field)], _SWEEP_COLUMNS, blocks)}
 
 
 def _run_linearity(config: ReceiverConfig) -> Tables:
@@ -187,15 +211,28 @@ def _run_linearity(config: ReceiverConfig) -> Tables:
         params["points"],
     )
     delta = config.channel_defaults.reference_detuning
-    # Every field on each line's own channel at delta, line-major.
     channels = build_channels(config.channel_defaults, plan.entries)
-    columns = {
-        "channel_index": np.repeat(plan.entries.line_index, fields.size),
-        "line_GHz": np.repeat(plan.entries.line_frequency / 1e9, fields.size),
-        "field_V_per_cm": np.tile(fields, len(plan.entries)),
-        "beat_dBm": beat_power(channels[:, None], fields, delta).ravel(),
-    }
-    return {"linearity.csv": ([("delta_f_kHz", delta / 1e3)], columns)}
+    line_index, line_ghz = plan.entries.line_index, plan.entries.line_frequency / 1e9
+    # Every field on each line's own channel at delta, line-major: row r is
+    # field r % points on line r // points. A block is whole lines where one
+    # fits in it, else part of one line, so that its rows are contiguous and
+    # each line's channel terms broadcast over its fields.
+    points = fields.size
+    lines, width = max(receiver._BLOCK // points, 1), min(points, receiver._BLOCK)
+
+    def evaluate(line: int, start: int) -> tuple:
+        field = fields[start : start + width]
+        power = beat_power(channels[line : line + lines, None], field, delta)
+        i, j = np.divmod(line * points + start + np.arange(power.size), points)
+        return line_index[i], line_ghz[i], fields[j], power.ravel()
+
+    blocks = (
+        evaluate(line, start)
+        for line in range(0, len(line_index), lines)
+        for start in range(0, points, width)
+    )
+    names = ("channel_index", "line_GHz", "field_V_per_cm", "beat_dBm")
+    return {"linearity.csv": ([("delta_f_kHz", delta / 1e3)], names, blocks)}
 
 
 def _run_sensitivity(config: ReceiverConfig) -> Tables:
@@ -209,7 +246,7 @@ def _run_sensitivity(config: ReceiverConfig) -> Tables:
         "E_det_nV_per_cm": e_det * 1e9,
         "sensitivity_nV_cm_Hz": sensitivity(e_det, config.measurement_time) * 1e9,
     }
-    return {"sensitivity.csv": (meta, columns)}
+    return {"sensitivity.csv": _whole(meta, columns)}
 
 
 def _run_sweep2cell(config: ReceiverConfig) -> Tables:
@@ -222,13 +259,13 @@ def _run_sweep2cell(config: ReceiverConfig) -> Tables:
         total_power=config.comb.total_power,
     )
     plan = _plan(config, comb)
-    field, columns = _sweep(config, params, plan)
+    field, blocks = _sweep(config, params, plan)
     meta = [
         ("field_V_per_cm", field),
         ("position_low_line_cm", plan.entries.position[0]),
         ("position_high_line_cm", plan.entries.position[1]),
     ]
-    return {"sweep2cell.csv": (meta, columns)}
+    return {"sweep2cell.csv": (meta, _SWEEP_COLUMNS, blocks)}
 
 
 def _run_eit(config: ReceiverConfig) -> Tables:
@@ -249,7 +286,7 @@ def _run_eit(config: ReceiverConfig) -> Tables:
         "probe_detuning_MHz": detunings / (2.0 * math.pi * 1e6),
         "absorption": probe_absorption(ladder, probe_detuning=detunings),
     }
-    return {"eit.csv": (meta, columns)}
+    return {"eit.csv": _whole(meta, columns)}
 
 
 _RUNNERS: dict[str, Callable[[ReceiverConfig], Tables]] = {
@@ -289,16 +326,24 @@ def run_scenario(
         ("config_sha256", config_sha256),
         ("scenario", name),
     ]
-    outputs = {}
-    for file_name, (meta, columns) in tables.items():
-        chunks = _format_csv(header + meta, columns, timestamp)
-        outputs[file_name] = _write(out_dir / file_name, chunks)
-    manifest = {
-        "scenario": name,
-        "version": __version__,
-        "config_sha256": config_sha256,
-        "outputs": outputs,
-    }
-    manifest_path = out_dir / f"{name}_manifest.json"
-    _write(manifest_path, [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])
-    return [out_dir / file_name for file_name in outputs] + [manifest_path]
+    outputs, written = {}, []
+    try:
+        for file_name, (meta, names, blocks) in tables.items():
+            chunks = _format_csv(header + meta, names, blocks, timestamp)
+            outputs[file_name] = _write(out_dir / file_name, chunks)
+            written.append(out_dir / file_name)
+        manifest = {
+            "scenario": name,
+            "version": __version__,
+            "config_sha256": config_sha256,
+            "outputs": outputs,
+        }
+        manifest_path = out_dir / f"{name}_manifest.json"
+        _write(manifest_path, [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])
+    except BaseException:
+        # A block can fail after earlier files are written, and _write removes
+        # only its own: a failed run leaves no file.
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return [*written, manifest_path]

@@ -25,10 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import starkcomb._vectorized_csv
+import starkcomb.receiver
 import starkcomb.scenarios
-from starkcomb import __version__, default_config, run_scenario
-from starkcomb._vectorized_csv import BLOCK_ROWS, vectorized_rows
+from starkcomb import DomainError, __version__, default_config, run_scenario
+from starkcomb._vectorized_csv import vectorized_rows
+from starkcomb.receiver import _BLOCK
 from starkcomb.scenarios import (
     _VECTORIZED_MIN_CELLS,
     _format_csv,
@@ -39,7 +40,13 @@ from starkcomb.scenarios import (
 
 
 def _cells(column) -> list[str]:
-    return b"".join(vectorized_rows([np.asarray(column)])).decode().split("\n")[:-1]
+    return vectorized_rows([np.asarray(column)]).decode().split("\n")[:-1]
+
+
+def _in_blocks(columns: dict, rows: int = _BLOCK) -> list[list[np.ndarray]]:
+    """The columns in blocks of ``rows`` rows, as a streamed table gives them."""
+    arrays = [np.asarray(values) for values in columns.values()]
+    return [[a[i : i + rows] for a in arrays] for i in range(0, len(arrays[0]), rows)]
 
 
 def _decimal(numerator: int, denominator: int, exponent: int) -> float:
@@ -124,7 +131,7 @@ def test_int_cells_match_printf(values):
 def test_every_dtype_and_byte_order_matches_printf(column):
     # Bools print as true/false; narrow, wide and big-endian ints and floats
     # print their Python values.
-    assert b"".join(vectorized_rows([column])) == _printf_rows([column])
+    assert vectorized_rows([column]) == _printf_rows([column])
     if column.dtype.kind == "b":
         assert _cells(column) == ["true" if v else "false" for v in column.tolist()]
 
@@ -154,7 +161,7 @@ def tables(draw, size):
         "one row": 1,
         "below the cutoff": (_VECTORIZED_MIN_CELLS - 1) // len(kinds),
         "at the cutoff": cutoff_rows,
-        "past a block": BLOCK_ROWS + 1,
+        "past a block": _BLOCK + 1,
     }[size]
     columns = {}
     for index, kind in enumerate(kinds):
@@ -172,18 +179,19 @@ def test_tables_are_byte_identical_on_both_sides_of_the_cutoff(size, data):
     arrays = list(columns.values())
     assert _vectorizable(arrays) == (size in ("at the cutoff", "past a block"))
     expected = _printf_rows(arrays)
-    assert b"".join(vectorized_rows(arrays)) == expected
+    assert vectorized_rows(arrays) == expected
     meta = [("scenario", "drawn"), ("feasible", True)]
     header = "# scenario: drawn\n# feasible: true\n" + ",".join(columns) + "\n"
-    assert b"".join(_format_csv(meta, columns, timestamp=False)) == header.encode() + expected
+    chunks = _format_csv(meta, list(columns), _in_blocks(columns), timestamp=False)
+    assert b"".join(chunks) == header.encode() + expected
 
 
 @pytest.mark.parametrize("order", "<>")
 @pytest.mark.parametrize("last", ["float", "int"])
 def test_strided_columns_match_printf(order, last):
-    # Record-array fields (as the response runner passes BeatRow columns) and
-    # step-2 slices, past one block, with printf cells in the last column.
-    rows = BLOCK_ROWS + 3
+    # Record-array fields (as stitched_response gives BeatRow columns) and
+    # step-2 slices, with printf cells in the last column.
+    rows = _BLOCK + 3
     rng = np.random.default_rng(rows)
     fields = [("x", order + "f8"), ("i", order + "i8"), ("flag", bool), ("y", order + "f8")]
     record = np.zeros(rows, fields)
@@ -203,7 +211,7 @@ def test_strided_columns_match_printf(order, last):
     columns = [record["x"], record["i"], record["flag"], floats[::2], ints[::2], bools[::2], tail]
     assert all(c.strides[0] > c.itemsize for c in columns)
     assert _vectorizable(columns)
-    assert b"".join(vectorized_rows(columns)) == _printf_rows(columns)
+    assert vectorized_rows(columns) == _printf_rows(columns)
 
 
 def test_object_columns_and_unequal_lengths_take_printf():
@@ -218,16 +226,17 @@ def test_object_columns_and_unequal_lengths_take_printf():
 def test_default_tables_are_byte_identical_on_both_paths():
     config = default_config()
     for runner in starkcomb.scenarios._RUNNERS.values():
-        for _, columns in runner(config).values():
-            arrays = [np.asarray(c) for c in columns.values()]
-            if all(a.dtype.kind in "biuf" for a in arrays):
-                assert b"".join(vectorized_rows(arrays)) == _printf_rows(arrays)
+        for _, _, blocks in runner(config).values():
+            for columns in blocks:
+                arrays = [np.asarray(c) for c in columns]
+                if all(a.dtype.kind in "biuf" for a in arrays):
+                    assert vectorized_rows(arrays) == _printf_rows(arrays)
 
 
 # ---------------------------------------------------------------- streaming
 # run_scenario writes and hashes each table chunk by chunk as _format_csv
-# yields it: a small table as one chunk, a large one as its header and then
-# one chunk per block of BLOCK_ROWS rows.
+# yields it: the header, then one chunk per block of rows as the table gives
+# it (the receiver's tables in blocks of receiver._BLOCK rows).
 
 
 def _numeric_table(rows: int, bits: bool = False) -> dict[str, np.ndarray]:
@@ -247,12 +256,12 @@ def _numeric_table(rows: int, bits: bool = False) -> dict[str, np.ndarray]:
     }
 
 
-@pytest.mark.parametrize("block_rows", [7, BLOCK_ROWS])
+@pytest.mark.parametrize("block_rows", [7, _BLOCK])
 @pytest.mark.parametrize(
-    "rows", [1, (_VECTORIZED_MIN_CELLS - 1) // 4, _VECTORIZED_MIN_CELLS // 4, BLOCK_ROWS + 1]
+    "rows", [1, (_VECTORIZED_MIN_CELLS - 1) // 4, _VECTORIZED_MIN_CELLS // 4, _BLOCK + 1]
 )
 def test_run_scenario_writes_and_hashes_the_chunks(monkeypatch, tmp_path, block_rows, rows):
-    monkeypatch.setattr(starkcomb._vectorized_csv, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(starkcomb.receiver, "_BLOCK", block_rows)
     columns = _numeric_table(rows, bits=True)
     arrays = list(columns.values())
     # A table with a None cell takes the printf path at any size.
@@ -260,19 +269,25 @@ def test_run_scenario_writes_and_hashes_the_chunks(monkeypatch, tmp_path, block_
     config = default_config()
     meta = [("rows", rows)]
     tables = {"numeric.csv": (meta, columns), "spacing.csv": ([], spacing)}
-    monkeypatch.setitem(starkcomb.scenarios._RUNNERS, "response", lambda _: tables)
+
+    def runner(_):
+        # Each table in blocks of the block constant, as the receiver streams.
+        size = starkcomb.receiver._BLOCK
+        return {name: (m, list(c), _in_blocks(c, size)) for name, (m, c) in tables.items()}
+
+    monkeypatch.setitem(starkcomb.scenarios._RUNNERS, "response", runner)
     *paths, manifest = run_scenario(config, "response", tmp_path)
     common = [("starkcomb_version", __version__), ("config_sha256", config.sha256)]
     common.append(("scenario", "response"))
     outputs = json.loads(manifest.read_bytes().decode("utf-8"))["outputs"]
     assert [path.name for path in paths] == list(tables) == sorted(outputs)
     for path, (table_meta, table) in zip(paths, tables.values()):
-        chunks = list(_format_csv(common + table_meta, table, timestamp=False))
+        blocks = _in_blocks(table, block_rows)
+        chunks = list(_format_csv(common + table_meta, list(table), blocks, timestamp=False))
         table_arrays = [np.asarray(c) for c in table.values()]
-        blocks = -(-rows // block_rows) if _vectorizable(table_arrays) else 0
-        assert len(chunks) == 1 + blocks
+        assert len(chunks) == 1 + -(-rows // block_rows)
         # The bytes on disk are the joined chunks, which are the header and the
-        # printf rows that _format_csv returned whole before it streamed.
+        # printf rows of the whole table.
         header = "".join(f"# {key}: {value}\n" for key, value in common + table_meta)
         header += ",".join(table) + "\n"
         data = path.read_bytes()
@@ -287,7 +302,8 @@ def test_write_memory_does_not_grow_with_the_table(tmp_path):
     peaks, sizes = {}, {}
     for rows in (50_000, 200_000):
         path = tmp_path / f"{rows}.csv"
-        chunks = _format_csv([], _numeric_table(rows), timestamp=False)
+        table = _numeric_table(rows)
+        chunks = _format_csv([], list(table), _in_blocks(table), timestamp=False)
         tracemalloc.start()
         try:
             _write(path, chunks)
@@ -295,6 +311,35 @@ def test_write_memory_does_not_grow_with_the_table(tmp_path):
         finally:
             tracemalloc.stop()
         sizes[rows] = path.stat().st_size
-    block_bytes = sizes[50_000] * BLOCK_ROWS // 50_000
+    block_bytes = sizes[50_000] * _BLOCK // 50_000
     assert sizes[200_000] - sizes[50_000] > 10 * block_bytes
     assert peaks[200_000] - peaks[50_000] < block_bytes
+
+
+def test_a_failed_write_leaves_no_file(tmp_path):
+    # A chunk source that fails after its first chunk, as a full disk or a
+    # model error in a later block would: the partial file is removed.
+    def chunks():
+        yield b"# header\n"
+        raise OSError(28, "No space left on device")
+
+    path = tmp_path / "table.csv"
+    with pytest.raises(OSError, match="No space left on device"):
+        _write(path, chunks())
+    assert not path.exists()
+
+
+def test_a_failed_run_leaves_no_file(monkeypatch, tmp_path):
+    # The second table fails after its first block, when the first table is
+    # written: the run removes both and writes no manifest. A file that the
+    # run did not write stays.
+    def failing():
+        yield [np.arange(3)]
+        raise DomainError("a late block failed")
+
+    tables = {"first.csv": ([], ["x"], [[np.arange(3)]]), "second.csv": ([], ["x"], failing())}
+    monkeypatch.setitem(starkcomb.scenarios._RUNNERS, "response", lambda _: tables)
+    (tmp_path / "other.txt").write_text("kept")
+    with pytest.raises(DomainError, match="a late block failed"):
+        run_scenario(default_config(), "response", tmp_path)
+    assert [path.name for path in tmp_path.iterdir()] == ["other.txt"]

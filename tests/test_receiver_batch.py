@@ -288,6 +288,117 @@ def test_overflow_in_two_blocks_names_the_earlier(monkeypatch, first, text):
             stitched_response(plan, channels, frequencies, fields)
 
 
+# ---------------------------------------------------------------- streaming
+# run_scenario writes response, sweep2cell and linearity a block at a time as
+# the receiver evaluates them. The file must hold the bytes of the collected
+# table printed whole, at every size around a block edge, on the printf path
+# and (with the cutoff at 0) on the vectorized path in every block.
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    return load_config(path)
+
+
+def _written_rows(path, names) -> bytes:
+    """The data rows of a written CSV: the bytes after its column-name line."""
+    header, line, rows = path.read_bytes().partition(("\n" + ",".join(names) + "\n").encode())
+    assert line and header.startswith(b"# starkcomb_version: ")
+    return rows
+
+
+@pytest.mark.parametrize("cutoff", [starkcomb.scenarios._VECTORIZED_MIN_CELLS, 0])
+# A sweep has at least two points.
+@pytest.mark.parametrize(
+    "size", [2, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 2]
+)
+@pytest.mark.parametrize("name", ["response", "sweep2cell"])
+def test_streamed_sweep_equals_the_collected_table(monkeypatch, tmp_path, name, size, cutoff):
+    config = _config(tmp_path, f"scenarios:\n  {name}:\n    points: {size}\n")
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return blocks(*args)
+
+    blocks = starkcomb.scenarios._blocks
+    monkeypatch.setattr(starkcomb.scenarios, "_blocks", spy)
+    monkeypatch.setattr(starkcomb.scenarios, "_VECTORIZED_MIN_CELLS", cutoff)
+    monkeypatch.setattr(starkcomb.receiver, "_BLOCK", SMALL_BLOCK)
+    csv, _ = run_scenario(config, name, tmp_path / "out")
+    monkeypatch.undo()
+    ((plan, channels, frequencies, fields),) = calls
+    rows = stitched_response(plan, channels, frequencies, fields).rows
+    assert len(rows) == size
+    columns = [
+        rows.signal_frequency / 1e9,
+        rows.channel_index,
+        rows.delta_f / 1e3,
+        rows.beat_power,
+        rows.above_noise,
+    ]
+    names = starkcomb.scenarios._SWEEP_COLUMNS
+    assert _written_rows(csv, names) == starkcomb.scenarios._printf_rows(columns)
+
+
+# (comb lines, points per line, at least two): rows 2, block - 1, block,
+# block + 1 and 3 * block + 2, in blocks of whole lines and of parts of one.
+LINEARITY_GRIDS = [(1, 2), (1, 4), (1, 5), (1, 6), (1, 17), (2, 2), (3, 2), (9, 2), (2, 6)]
+
+
+@pytest.mark.parametrize("cutoff", [starkcomb.scenarios._VECTORIZED_MIN_CELLS, 0])
+@pytest.mark.parametrize("lines, points", LINEARITY_GRIDS)
+def test_streamed_linearity_equals_the_collected_table(
+    monkeypatch, tmp_path, lines, points, cutoff
+):
+    text = f"comb:\n  line_count: {lines}\nscenarios:\n  linearity:\n    points: {points}\n"
+    config = _config(tmp_path, text)
+    monkeypatch.setattr(starkcomb.scenarios, "_VECTORIZED_MIN_CELLS", cutoff)
+    monkeypatch.setattr(starkcomb.receiver, "_BLOCK", SMALL_BLOCK)
+    csv, _ = run_scenario(config, "linearity", tmp_path / "out")
+    monkeypatch.undo()
+    # The whole table as one beat_power call over every line and field.
+    entries = starkcomb.scenarios._plan(config).entries
+    channels = build_channels(config.channel_defaults, entries)
+    params = config.scenarios["linearity"]
+    fields = np.logspace(
+        math.log10(params["min_field"]), math.log10(params["max_field"]), params["points"]
+    )
+    delta = config.channel_defaults.reference_detuning
+    columns = [
+        np.repeat(entries.line_index, fields.size),
+        np.repeat(entries.line_frequency / 1e9, fields.size),
+        np.tile(fields, len(entries)),
+        beat_power(channels[:, None], fields, delta).ravel(),
+    ]
+    names = ["channel_index", "line_GHz", "field_V_per_cm", "beat_dBm"]
+    assert _written_rows(csv, names) == starkcomb.scenarios._printf_rows(columns)
+
+
+@pytest.mark.parametrize("name", ["response", "linearity"])
+def test_run_memory_does_not_grow_with_the_table(tmp_path, name):
+    # The receiver's tables stream from model to file, so from 50k to 200k rows
+    # the traced peak of run_scenario grows by less than the 8-byte stimulus
+    # column per row plus one block of the file. A whole-table column would
+    # add at least as much again.
+    peaks, sizes, rows = {}, {}, {}
+    for target in (50_000, 200_000):
+        points = target // 21 if name == "linearity" else target
+        config = _config(tmp_path, f"scenarios:\n  {name}:\n    points: {points}\n")
+        tracemalloc.start()
+        try:
+            csv, _ = run_scenario(config, name, tmp_path / str(target))
+            peaks[target] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sizes[target] = csv.stat().st_size
+        rows[target] = csv.read_bytes().count(b"\n") - csv.read_bytes().count(b"#") - 1
+    block_bytes = sizes[50_000] * starkcomb.receiver._BLOCK // rows[50_000]
+    assert rows[200_000] - rows[50_000] > 10 * starkcomb.receiver._BLOCK
+    assert peaks[200_000] - peaks[50_000] < 8 * (rows[200_000] - rows[50_000]) + block_bytes
+
+
 # ---------------------------------------------------------------- guards
 
 
@@ -310,14 +421,15 @@ def test_default_pins_cover_both_csv_paths():
     cutoff = starkcomb.scenarios._VECTORIZED_MIN_CELLS
     vectorized, kinds = set(), set()
     for name in DEFAULT_SHA256:
-        for file_name, (_, columns) in starkcomb.scenarios._RUNNERS[name](config).items():
-            arrays = [np.asarray(c) for c in columns.values()]
-            numeric = all(a.dtype.kind in "biuf" for a in arrays)
-            large = len(arrays[0]) * len(arrays) >= cutoff
-            assert starkcomb.scenarios._vectorizable(arrays) == (numeric and large)
-            if numeric and large:
-                vectorized.add(file_name)
-                kinds.update(a.dtype.kind for a in arrays)
+        for file_name, (_, _, blocks) in starkcomb.scenarios._RUNNERS[name](config).items():
+            for columns in blocks:
+                arrays = [np.asarray(c) for c in columns]
+                numeric = all(a.dtype.kind in "biuf" for a in arrays)
+                large = len(arrays[0]) * len(arrays) >= cutoff
+                assert starkcomb.scenarios._vectorizable(arrays) == (numeric and large)
+                if numeric and large:
+                    vectorized.add(file_name)
+                    kinds.update(a.dtype.kind for a in arrays)
     assert vectorized == {"response.csv", "linearity.csv"}
     assert kinds == set("bif")
 
@@ -329,7 +441,8 @@ def test_linearity_rows_read_each_lines_own_channel(tmp_path, detuning_khz):
     path = tmp_path / "detuning.yaml"
     path.write_text(f"channel:\n  reference_detuning_khz: {detuning_khz}\n")
     config = load_config(path)
-    ((_, columns),) = starkcomb.scenarios._RUNNERS["linearity"](config).values()
+    ((_, names, blocks),) = starkcomb.scenarios._RUNNERS["linearity"](config).values()
+    columns = dict(zip(names, map(np.concatenate, zip(*blocks))))
     entries = starkcomb.scenarios._plan(config).entries
     channels = build_channels(config.channel_defaults, entries)
     delta = config.channel_defaults.reference_detuning

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import starkcomb.receiver
 from starkcomb import ConfigError, InfeasiblePlanError, load_config, run_scenario
 from starkcomb.cli import main
 from starkcomb.scenarios import SCENARIO_NAMES
@@ -193,6 +194,30 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "infeasible plan: line 0: line at 1e+308 Hz outside reachable band ["
         )
+
+    @pytest.mark.parametrize("block", [None, 4096])
+    def test_late_overflow_exits_2_and_leaves_no_file(self, monkeypatch, tmp_path, capsys, block):
+        # The field sweep's beat signal overflows at row 7860 of 10 000; with
+        # blocks of 4096 rows that is after a block of the CSV is written. The
+        # run still exits 2 with the error alone, and removes its partial file.
+        if block is not None:
+            monkeypatch.setattr(starkcomb.receiver, "_BLOCK", block)
+        cfg = tmp_path / "overflow.yaml"
+        cfg.write_text(
+            "channel:\n"
+            "  stimulus:\n"
+            "    power_dbm: -3000.0\n"
+            "  center_min_detectable_field_nv_cm: 1.0e-151\n"
+            "  edge_sensitivity_nv_cm_sqrt_hz: 1.0e-151\n"
+            "scenarios:\n"
+            "  linearity: {min_field_v_cm: 1.0e-8, max_field_v_cm: 1.0e+200, points: 10000}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["linearity", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: beat signal power must be below +inf dBm, got inf\n"
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
 
     def test_infeasible_plan_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "gap.yaml"
