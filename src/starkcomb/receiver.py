@@ -18,11 +18,11 @@ and detunings, and a channel row or a table of them (one per point). A
 stimulus is a 1-D array of frequencies and a field for each (or one for all):
 :func:`stitched_response` routes and evaluates it in array passes over fixed
 blocks of points, and :func:`evaluate_channels` reads one tone on every
-channel. Both collect the blocks of one private generator, which
-:mod:`starkcomb.scenarios` streams to its CSV files instead. All of them
-evaluate one kernel, ``_beat``, the only place that sums the channel's dB
-terms, so an array call gives its elementwise scalar calls' results bit for
-bit.
+channel. Both collect the blocks that :func:`response_blocks` hands out one
+at a time, as :mod:`starkcomb.scenarios` streams them to its CSV files. All
+of them evaluate one kernel, ``_beat``, the only place that sums the
+channel's dB terms, so an array call gives its elementwise scalar calls'
+results bit for bit.
 
 All fields are in V/cm, powers in dBm, frequencies in Hz.
 """
@@ -53,6 +53,8 @@ __all__ = [
     "far_field_strength",
     "evaluate_channels",
     "stitched_response",
+    "response_blocks",
+    "row_blocks",
 ]
 
 
@@ -124,19 +126,17 @@ def rolloff(channel, delta_f):
 
 
 def _terms(channels) -> SimpleNamespace:
-    # The channel columns (read from a plain array: a record array's attribute
-    # reads take about 10 us each) and the terms that depend on them alone.
-    channels = np.asarray(channels)
+    # The channel columns and the terms that depend on the channel alone.
     with np.errstate(divide="ignore", over="ignore"):
         return SimpleNamespace(
-            peak_power=channels["peak_power"],
-            reference_field=channels["reference_field"],
-            half_width_3db=channels["half_width_3db"],
-            rolloff_order=channels["rolloff_order"],
-            noise_floor=channels["noise_floor"],
-            scale_db=20.0 * np.log10(channels["gain_scale"]),
-            floor_power=np.power(10.0, channels["noise_floor"] / 10.0),
-            margin_db=channels["peak_power"] - channels["noise_floor"],
+            peak_power=channels.peak_power,
+            reference_field=channels.reference_field,
+            half_width_3db=channels.half_width_3db,
+            rolloff_order=channels.rolloff_order,
+            noise_floor=channels.noise_floor,
+            scale_db=20.0 * np.log10(channels.gain_scale),
+            floor_power=np.power(10.0, channels.noise_floor / 10.0),
+            margin_db=channels.peak_power - channels.noise_floor,
         )
 
 
@@ -264,11 +264,24 @@ class BeatSpectrum:
     rows: np.recarray
 
 
-# Points per block of a pass over a stimulus, and rows per block of the CSV
-# tables that scenarios streams from it, so that a block's temporaries stay in
-# the CPU cache. On a 2-vCPU Xeon VM, streamed broadband-sweep runs of
-# bench/run.py took op_ms_p90 102 ms at 8192 and 108 ms at 4096 (6 seeds).
+# Rows per block of a pass over a stimulus, and of every CSV table that
+# scenarios streams, so that a block's temporaries stay in the CPU cache. On a
+# 2-vCPU Xeon VM, streamed broadband-sweep runs of bench/run.py took
+# op_ms_p90 102 ms at 8192 and 108 ms at 4096 (6 seeds).
 _BLOCK = 8192
+
+
+def row_blocks(size: int, group: int = 1) -> Iterator[slice]:
+    """Consecutive blocks of ``size`` rows that fall in runs of ``group``: each
+    block is as many whole runs as fit in a block, or part of one run where a
+    run is longer. These are the blocks of :func:`response_blocks` and of the
+    tables that :mod:`starkcomb.scenarios` writes."""
+    step = max(_BLOCK // group, 1) * group
+    width = min(step, _BLOCK)
+    for runs in range(0, size, step):
+        end = min(runs + step, size)
+        for start in range(runs, end, width):
+            yield slice(start, min(start + width, end))
 
 
 def _blocks(
@@ -294,8 +307,7 @@ def _blocks(
     table = np.array(list(columns.values()))
     line_index = plan.entries.line_index
 
-    def evaluate(start: int) -> tuple[np.ndarray, ...]:
-        block = slice(start, start + _BLOCK)
+    def evaluate(block: slice) -> tuple[np.ndarray, ...]:
         frequency, field = frequencies[block], fields[block]
         i = nearest_line_index(lines, frequency) if index is None else index[block]
         channel = SimpleNamespace(**dict(zip(columns, table.take(i, axis=1))))
@@ -305,7 +317,7 @@ def _blocks(
         in_band = np.abs(delta_f) <= channel.half_width_3db
         return frequency, line_index[i], delta_f, power, above, in_band
 
-    return (evaluate(start) for start in range(0, frequencies.size, _BLOCK))
+    return map(evaluate, row_blocks(frequencies.size))
 
 
 def _evaluate(
@@ -320,9 +332,9 @@ def _evaluate(
         frequencies, fields, index = np.broadcast_arrays(frequencies, fields, index)
     blocks = _blocks(plan, channels, frequencies, fields, index)
     rows = np.recarray(frequencies.shape, BeatRow)
-    for start, values in zip(range(0, rows.size, _BLOCK), blocks):
+    for block, values in zip(row_blocks(rows.size), blocks):
         for name, value in zip(BeatRow.names, values):
-            rows[name][start : start + _BLOCK] = value
+            rows[name][block] = value
     rows.flags.writeable = False
     return rows
 
@@ -350,3 +362,13 @@ def stitched_response(
     ``in_band = False``.
     """
     return BeatSpectrum(rows=_evaluate(plan, channels, *_stimulus(frequencies, fields)))
+
+
+def response_blocks(
+    plan: CellArrayPlan, channels: np.recarray, frequencies, fields
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The rows of :func:`stitched_response` as they are evaluated: for each
+    block of :func:`row_blocks`, a tuple of its :data:`BeatRow` columns. The
+    stimulus and the plan are checked at the call, and each block is
+    evaluated when it is taken."""
+    return _blocks(plan, channels, *_stimulus(frequencies, fields))

@@ -2,15 +2,17 @@
 
 Each runner is a pure function of the configuration that returns its tables:
 for every CSV file name, the metadata that follows the common header, the
-column names and the rows in blocks. Every check runs when the runner is
-called; the ``response``, ``sweep2cell`` and ``linearity`` blocks are then
-computed one at a time as they are written, so no whole column of them is
-held. ``run_scenario`` is the one writer. It prefixes each table with the
-common header (package version, configuration hash, scenario name), writes
-and hashes each block as it is formatted, and writes a JSON manifest listing
-the SHA-256 of the bytes it wrote for each file; a run that fails partway
-removes the files it wrote. Output bytes are a pure function of the
-configuration; timestamps are embedded only when explicitly requested.
+column names and the rows in the blocks of ``receiver.row_blocks``. Every
+check runs when the runner is called; the ``response``, ``sweep2cell`` and
+``linearity`` blocks are then computed one at a time as they are written, so
+no whole column of them is held. ``run_scenario`` is the one writer. It
+prefixes each table with the common header (package version, configuration
+hash, scenario name), writes and hashes each block as it is formatted, and
+writes a JSON manifest listing the SHA-256 of the bytes it wrote for each
+file. The files are moved into place only once all of them are written, so a
+run that fails partway leaves no file of its own and an earlier run's files
+whole. Output bytes are a pure function of the configuration; timestamps are
+embedded only when explicitly requested.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__, receiver
+from . import __version__
 from .bloch import LadderSystem, probe_absorption
 from .comb import CellArrayPlan, FrequencyComb, place_cells
 from .config import MAX_ROWS, ReceiverConfig, build_channels
@@ -34,7 +36,8 @@ from .field_map import field_at
 # stitched_response is not called here, but bench/tracer.py wraps it at this
 # module and bench/tests/test_bench.py reads it here.
 from .receiver import (
-    _blocks, _stimulus, beat_power, min_detectable_field, sensitivity, stitched_response,
+    beat_power, min_detectable_field, response_blocks, row_blocks, sensitivity,
+    stitched_response,
 )
 from .stark import stark_shifted_frequency
 
@@ -47,8 +50,10 @@ Tables = dict[str, Table]
 
 
 def _whole(meta: list[tuple[str, object]], columns: dict[str, object]) -> Table:
-    # A table of named columns given whole, as one block.
-    return meta, list(columns), [list(columns.values())]
+    # A table of named whole columns, handed out in blocks of rows.
+    arrays = [np.asarray(values) for values in columns.values()]
+    blocks = ([a[block] for a in arrays] for block in row_blocks(len(arrays[0])))
+    return meta, list(columns), blocks
 
 
 def _fmt(value) -> str:
@@ -121,17 +126,12 @@ def _format_csv(
 
 def _write(path: Path, chunks: Iterable[bytes]) -> str:
     """Write the chunks to ``path`` as they come; the SHA-256 of the bytes
-    written. If a chunk or a write fails, the file is removed."""
+    written."""
     digest = hashlib.sha256()
-    file = open(path, "wb")
-    try:
-        with file:
-            for chunk in chunks:
-                file.write(chunk)
-                digest.update(chunk)
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
+    with open(path, "wb") as file:
+        for chunk in chunks:
+            file.write(chunk)
+            digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -164,7 +164,7 @@ def _sweep(
         field = config.channel_defaults.reference_field
     frequencies = np.linspace(params["start"], params["stop"], params["points"])
     channels = build_channels(config.channel_defaults, plan.entries)
-    blocks = _blocks(plan, channels, *_stimulus(frequencies, field))
+    blocks = response_blocks(plan, channels, frequencies, field)
     return field, (
         (frequency / 1e9, channel, delta_f / 1e3, power, above)
         for frequency, channel, delta_f, power, above, _ in blocks
@@ -201,36 +201,27 @@ def _run_response(config: ReceiverConfig) -> Tables:
 def _run_linearity(config: ReceiverConfig) -> Tables:
     plan = _plan(config)
     params = config.scenarios["linearity"]
-    rows = len(plan.entries) * params["points"]
+    points = params["points"]
+    rows = len(plan.entries) * points
     if rows > MAX_ROWS:
         raise ConfigError(
             f"comb.line_count x scenarios.linearity.points must be <= {MAX_ROWS}, got {rows}"
         )
     fields = np.logspace(
-        math.log10(params["min_field"]), math.log10(params["max_field"]),
-        params["points"],
+        math.log10(params["min_field"]), math.log10(params["max_field"]), points
     )
     delta = config.channel_defaults.reference_detuning
     channels = build_channels(config.channel_defaults, plan.entries)
     line_index, line_ghz = plan.entries.line_index, plan.entries.line_frequency / 1e9
-    # Every field on each line's own channel at delta, line-major: row r is
-    # field r % points on line r // points. A block is whole lines where one
-    # fits in it, else part of one line, so that its rows are contiguous and
-    # each line's channel terms broadcast over its fields.
-    points = fields.size
-    lines, width = max(receiver._BLOCK // points, 1), min(points, receiver._BLOCK)
 
-    def evaluate(line: int, start: int) -> tuple:
-        field = fields[start : start + width]
-        power = beat_power(channels[line : line + lines, None], field, delta)
-        i, j = np.divmod(line * points + start + np.arange(power.size), points)
-        return line_index[i], line_ghz[i], fields[j], power.ravel()
+    def evaluate(block: slice) -> tuple:
+        # Row r is field r % points on line r // points. A block is whole lines
+        # or part of one, so its fields broadcast over its lines' own channels.
+        i, j = np.divmod(np.arange(block.start, block.stop), points)
+        lines, field = channels[i[0] : i[-1] + 1, None], fields[j[0] : j[-1] + 1]
+        return line_index[i], line_ghz[i], fields[j], beat_power(lines, field, delta).ravel()
 
-    blocks = (
-        evaluate(line, start)
-        for line in range(0, len(line_index), lines)
-        for start in range(0, points, width)
-    )
+    blocks = map(evaluate, row_blocks(rows, points))
     names = ("channel_index", "line_GHz", "field_V_per_cm", "beat_dBm")
     return {"linearity.csv": ([("delta_f_kHz", delta / 1e3)], names, blocks)}
 
@@ -326,24 +317,33 @@ def run_scenario(
         ("config_sha256", config_sha256),
         ("scenario", name),
     ]
-    outputs, written = {}, []
+    # Each file is written under a temporary name and moved into place once
+    # every file of the run is written, so a run that fails in any block or
+    # write leaves no file of its own and an earlier run's files whole.
+    files = {}  # final path: temporary path
+
+    def write(file_name: str, chunks: Iterable[bytes]) -> str:
+        path = out_dir / file_name
+        files[path] = out_dir / f".{file_name}.partial"
+        return _write(files[path], chunks)
+
     try:
-        for file_name, (meta, names, blocks) in tables.items():
-            chunks = _format_csv(header + meta, names, blocks, timestamp)
-            outputs[file_name] = _write(out_dir / file_name, chunks)
-            written.append(out_dir / file_name)
+        outputs = {
+            file_name: write(file_name, _format_csv(header + meta, names, blocks, timestamp))
+            for file_name, (meta, names, blocks) in tables.items()
+        }
         manifest = {
             "scenario": name,
             "version": __version__,
             "config_sha256": config_sha256,
             "outputs": outputs,
         }
-        manifest_path = out_dir / f"{name}_manifest.json"
-        _write(manifest_path, [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        write(f"{name}_manifest.json", [text.encode()])
     except BaseException:
-        # A block can fail after earlier files are written, and _write removes
-        # only its own: a failed run leaves no file.
-        for path in written:
-            path.unlink(missing_ok=True)
+        for temporary in files.values():
+            temporary.unlink(missing_ok=True)
         raise
-    return [*written, manifest_path]
+    for path, temporary in files.items():
+        temporary.replace(path)
+    return list(files)

@@ -27,7 +27,7 @@ from hypothesis.extra import numpy as hnp
 
 import starkcomb.receiver
 import starkcomb.scenarios
-from starkcomb import DomainError, __version__, default_config, run_scenario
+from starkcomb import __version__, default_config, run_scenario
 from starkcomb._vectorized_csv import vectorized_rows
 from starkcomb.receiver import _BLOCK
 from starkcomb.scenarios import (
@@ -35,18 +35,13 @@ from starkcomb.scenarios import (
     _format_csv,
     _printf_rows,
     _vectorizable,
+    _whole,
     _write,
 )
 
 
 def _cells(column) -> list[str]:
     return vectorized_rows([np.asarray(column)]).decode().split("\n")[:-1]
-
-
-def _in_blocks(columns: dict, rows: int = _BLOCK) -> list[list[np.ndarray]]:
-    """The columns in blocks of ``rows`` rows, as a streamed table gives them."""
-    arrays = [np.asarray(values) for values in columns.values()]
-    return [[a[i : i + rows] for a in arrays] for i in range(0, len(arrays[0]), rows)]
 
 
 def _decimal(numerator: int, denominator: int, exponent: int) -> float:
@@ -182,7 +177,7 @@ def test_tables_are_byte_identical_on_both_sides_of_the_cutoff(size, data):
     assert vectorized_rows(arrays) == expected
     meta = [("scenario", "drawn"), ("feasible", True)]
     header = "# scenario: drawn\n# feasible: true\n" + ",".join(columns) + "\n"
-    chunks = _format_csv(meta, list(columns), _in_blocks(columns), timestamp=False)
+    chunks = _format_csv(*_whole(meta, columns), timestamp=False)
     assert b"".join(chunks) == header.encode() + expected
 
 
@@ -235,8 +230,8 @@ def test_default_tables_are_byte_identical_on_both_paths():
 
 # ---------------------------------------------------------------- streaming
 # run_scenario writes and hashes each table chunk by chunk as _format_csv
-# yields it: the header, then one chunk per block of rows as the table gives
-# it (the receiver's tables in blocks of receiver._BLOCK rows).
+# yields it: the header, then one chunk per block of receiver._BLOCK rows,
+# the blocks in which every table (whole columns through _whole) is given.
 
 
 def _numeric_table(rows: int, bits: bool = False) -> dict[str, np.ndarray]:
@@ -271,9 +266,7 @@ def test_run_scenario_writes_and_hashes_the_chunks(monkeypatch, tmp_path, block_
     tables = {"numeric.csv": (meta, columns), "spacing.csv": ([], spacing)}
 
     def runner(_):
-        # Each table in blocks of the block constant, as the receiver streams.
-        size = starkcomb.receiver._BLOCK
-        return {name: (m, list(c), _in_blocks(c, size)) for name, (m, c) in tables.items()}
+        return {name: _whole(*table) for name, table in tables.items()}
 
     monkeypatch.setitem(starkcomb.scenarios._RUNNERS, "response", runner)
     *paths, manifest = run_scenario(config, "response", tmp_path)
@@ -282,8 +275,7 @@ def test_run_scenario_writes_and_hashes_the_chunks(monkeypatch, tmp_path, block_
     outputs = json.loads(manifest.read_bytes().decode("utf-8"))["outputs"]
     assert [path.name for path in paths] == list(tables) == sorted(outputs)
     for path, (table_meta, table) in zip(paths, tables.values()):
-        blocks = _in_blocks(table, block_rows)
-        chunks = list(_format_csv(common + table_meta, list(table), blocks, timestamp=False))
+        chunks = list(_format_csv(*_whole(common + table_meta, table), timestamp=False))
         table_arrays = [np.asarray(c) for c in table.values()]
         assert len(chunks) == 1 + -(-rows // block_rows)
         # The bytes on disk are the joined chunks, which are the header and the
@@ -296,14 +288,14 @@ def test_run_scenario_writes_and_hashes_the_chunks(monkeypatch, tmp_path, block_
 
 
 def test_write_memory_does_not_grow_with_the_table(tmp_path):
-    # The writer holds about one block at a time, so from 50k to 200k rows its
-    # traced peak grows by less than one block of the file. Joining the whole
-    # file before writing would add the 150k rows between the two.
+    # A table of whole columns is formatted a block at a time, and the writer
+    # holds about one block, so from 50k to 200k rows its traced peak grows by
+    # less than one block of the file. Formatting the whole table at once, or
+    # joining the file before writing it, would add the 150k rows between.
     peaks, sizes = {}, {}
     for rows in (50_000, 200_000):
         path = tmp_path / f"{rows}.csv"
-        table = _numeric_table(rows)
-        chunks = _format_csv([], list(table), _in_blocks(table), timestamp=False)
+        chunks = _format_csv(*_whole([], _numeric_table(rows)), timestamp=False)
         tracemalloc.start()
         try:
             _write(path, chunks)
@@ -316,30 +308,30 @@ def test_write_memory_does_not_grow_with_the_table(tmp_path):
     assert peaks[200_000] - peaks[50_000] < block_bytes
 
 
-def test_a_failed_write_leaves_no_file(tmp_path):
-    # A chunk source that fails after its first chunk, as a full disk or a
-    # model error in a later block would: the partial file is removed.
-    def chunks():
-        yield b"# header\n"
-        raise OSError(28, "No space left on device")
+@pytest.mark.parametrize("failing", ["first.csv", "second.csv"])
+def test_a_failed_run_leaves_no_file(monkeypatch, tmp_path, failing):
+    # One table's chunks fail after its first block, as a full disk or a model
+    # error in a later block would. The run leaves no file of its own in a new
+    # directory, and over an earlier run it leaves that run's files as they
+    # were, its manifest included.
+    def blocks(offset, fail):
+        yield [np.arange(3) + offset]
+        if fail:
+            raise OSError(28, "No space left on device")
+        yield [np.arange(3, 5) + offset]
 
-    path = tmp_path / "table.csv"
-    with pytest.raises(OSError, match="No space left on device"):
-        _write(path, chunks())
-    assert not path.exists()
+    def runner(offset, fail):
+        names = ("first.csv", "second.csv")
+        tables = {name: ([], ["x"], blocks(offset, fail and name == failing)) for name in names}
+        monkeypatch.setitem(starkcomb.scenarios._RUNNERS, "response", lambda _: tables)
 
-
-def test_a_failed_run_leaves_no_file(monkeypatch, tmp_path):
-    # The second table fails after its first block, when the first table is
-    # written: the run removes both and writes no manifest. A file that the
-    # run did not write stays.
-    def failing():
-        yield [np.arange(3)]
-        raise DomainError("a late block failed")
-
-    tables = {"first.csv": ([], ["x"], [[np.arange(3)]]), "second.csv": ([], ["x"], failing())}
-    monkeypatch.setitem(starkcomb.scenarios._RUNNERS, "response", lambda _: tables)
-    (tmp_path / "other.txt").write_text("kept")
-    with pytest.raises(DomainError, match="a late block failed"):
-        run_scenario(default_config(), "response", tmp_path)
-    assert [path.name for path in tmp_path.iterdir()] == ["other.txt"]
+    config = default_config()
+    runner(0, fail=False)
+    run_scenario(config, "response", tmp_path / "earlier")
+    before = {path.name: path.read_bytes() for path in (tmp_path / "earlier").iterdir()}
+    assert sorted(before) == ["first.csv", "response_manifest.json", "second.csv"]
+    for out, files in (("new", {}), ("earlier", before)):
+        runner(10, fail=True)
+        with pytest.raises(OSError, match="No space left on device"):
+            run_scenario(config, "response", tmp_path / out)
+        assert {path.name: path.read_bytes() for path in (tmp_path / out).iterdir()} == files

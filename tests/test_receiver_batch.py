@@ -295,6 +295,30 @@ def test_overflow_in_two_blocks_names_the_earlier(monkeypatch, first, text):
 # and (with the cutoff at 0) on the vectorized path in every block.
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    block=st.integers(1, 12), group=st.integers(1, 30), runs=st.integers(0, 6),
+    tail=st.integers(0, 29),
+)
+def test_row_blocks_are_whole_runs_or_part_of_one(block, group, runs, tail):
+    # The blocks tile the rows in order, none longer than a block, each whole
+    # runs of ``group`` rows (as many as fit) or part of one longer run.
+    size = runs * group + tail % group
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(starkcomb.receiver, "_BLOCK", block)
+        blocks = list(starkcomb.receiver.row_blocks(size, group))
+    edges = [0] + [b.stop for b in blocks]
+    assert [b.start for b in blocks] == edges[:-1] and edges[-1] == size
+    for b in blocks:
+        assert 0 < b.stop - b.start <= block
+        whole = b.start % group == 0 and (b.stop % group == 0 or b.stop == size)
+        if group <= block:
+            full = b.stop - b.start == block // group * group
+            assert whole and (full or b.stop == size)
+        else:
+            assert b.start // group == (b.stop - 1) // group
+
+
 def _config(tmp_path, text):
     path = tmp_path / "config.yaml"
     path.write_text(text)
@@ -322,8 +346,8 @@ def test_streamed_sweep_equals_the_collected_table(monkeypatch, tmp_path, name, 
         calls.append(args)
         return blocks(*args)
 
-    blocks = starkcomb.scenarios._blocks
-    monkeypatch.setattr(starkcomb.scenarios, "_blocks", spy)
+    blocks = starkcomb.scenarios.response_blocks
+    monkeypatch.setattr(starkcomb.scenarios, "response_blocks", spy)
     monkeypatch.setattr(starkcomb.scenarios, "_VECTORIZED_MIN_CELLS", cutoff)
     monkeypatch.setattr(starkcomb.receiver, "_BLOCK", SMALL_BLOCK)
     csv, _ = run_scenario(config, name, tmp_path / "out")
@@ -343,7 +367,8 @@ def test_streamed_sweep_equals_the_collected_table(monkeypatch, tmp_path, name, 
 
 
 # (comb lines, points per line, at least two): rows 2, block - 1, block,
-# block + 1 and 3 * block + 2, in blocks of whole lines and of parts of one.
+# block + 1 and 3 * block + 2, in blocks that hold part of one line, whole
+# lines, or cross from one line into the next.
 LINEARITY_GRIDS = [(1, 2), (1, 4), (1, 5), (1, 6), (1, 17), (2, 2), (3, 2), (9, 2), (2, 6)]
 
 

@@ -199,7 +199,8 @@ class TestCli:
     def test_late_overflow_exits_2_and_leaves_no_file(self, monkeypatch, tmp_path, capsys, block):
         # The field sweep's beat signal overflows at row 7860 of 10 000; with
         # blocks of 4096 rows that is after a block of the CSV is written. The
-        # run still exits 2 with the error alone, and removes its partial file.
+        # run still exits 2 with the error alone and leaves no file; over an
+        # earlier, successful run it leaves that run's CSV and manifest whole.
         if block is not None:
             monkeypatch.setattr(starkcomb.receiver, "_BLOCK", block)
         cfg = tmp_path / "overflow.yaml"
@@ -218,6 +219,11 @@ class TestCli:
         assert captured.err == "error: beat signal power must be below +inf dBm, got inf\n"
         assert captured.out == ""
         assert list(out.iterdir()) == []
+        assert main(["linearity", "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == ["linearity.csv", "linearity_manifest.json"]
+        assert main(["linearity", "--config", str(cfg), "--out", str(out)]) == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_infeasible_plan_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "gap.yaml"
