@@ -206,4 +206,4 @@ def vectorized_rows(columns: Sequence[np.ndarray]) -> bytes:
             words = np.array(texts, f"S{8 * width}").view("<u8").reshape(-1, width)
             cell[:, fallback] = words.T
         cell[-1] |= np.uint64(ord("\n" if end == len(table) else ",") << 56)
-    return np.ascontiguousarray(table.T).tobytes().translate(None, b"\0")
+    return table.T.tobytes().translate(None, b"\0")

@@ -1,7 +1,8 @@
-"""Command-line interface for running receiver scenarios.
+"""Command-line interface: one parser, built from ``scenarios.SCENARIOS``, for
+``starkcomb <scenario> [--config FILE] [--out DIR] [--timestamp]``.
 
-Exit codes: 0 success, 2 configuration error or unwritable output path,
-3 infeasible plan or band coverage failure, 4 numerical-solver failure.
+Exit codes: 0 success, 2 configuration error, unwritable output path or usage
+error, 3 infeasible plan or band coverage failure, 4 numerical-solver failure.
 """
 
 from __future__ import annotations
@@ -13,45 +14,31 @@ from pathlib import Path
 
 from .config import default_config, load_config
 from .errors import ConfigError, CoverageError, PlannerError, SolverError, StarkCombError
-from .scenarios import SCENARIO_NAMES, run_scenario
-
-_DESCRIPTIONS = {
-    "plan": "place one cell per comb line and export the placement table",
-    "response": "stitched broadband beat response over a frequency sweep",
-    "linearity": "beat power versus signal field strength per channel",
-    "sensitivity": "minimum detectable field and sensitivity per channel",
-    "sweep2cell": "frequency-swept reception with a two-cell array",
-    "eit": "probe-transmission spectrum of a single cell",
-}
+from .scenarios import SCENARIO_NAMES, SCENARIOS, run_scenario
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starkcomb",
         description="Channelized Rydberg vapor-cell microwave receiver simulator.",
+        epilog="scenarios:\n"
+        + "\n".join(f"  {name:<13}{text}" for name, (_, text) in SCENARIOS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    subparsers = parser.add_subparsers(dest="scenario", required=True)
-    for name in SCENARIO_NAMES:
-        sub = subparsers.add_parser(name, help=_DESCRIPTIONS[name])
-        sub.add_argument(
-            "--config",
-            type=Path,
-            default=None,
-            help="YAML configuration file (bundled defaults if omitted)",
-        )
-        sub.add_argument(
-            "--out", type=Path, default=Path("."), help="output directory"
-        )
-        sub.add_argument(
-            "--timestamp",
-            action="store_true",
-            help="embed a generation timestamp in CSV headers (breaks "
-            "byte-for-byte reproducibility)",
-        )
+    parser.add_argument(
+        "scenario", choices=SCENARIO_NAMES, metavar="scenario", help="one of the scenarios below"
+    )
+    parser.add_argument(
+        "--config", type=Path, help="YAML configuration file (bundled defaults if omitted)"
+    )
+    parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    parser.add_argument(
+        "--timestamp",
+        action="store_true",
+        help="embed a generation timestamp in CSV headers (outputs are then not byte-reproducible)",
+    )
     return parser
-
-
-_parser = cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:

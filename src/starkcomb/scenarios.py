@@ -2,17 +2,19 @@
 
 Each runner is a pure function of the configuration that returns its tables:
 for every CSV file name, the metadata that follows the common header, the
-column names and the rows in the blocks of ``receiver.row_blocks``. Every
-check runs when the runner is called; the ``response``, ``sweep2cell`` and
-``linearity`` blocks are then computed one at a time as they are written, so
-no whole column of them is held. ``run_scenario`` is the one writer. It
-prefixes each table with the common header (package version, configuration
-hash, scenario name), writes and hashes each block as it is formatted, and
-writes a JSON manifest listing the SHA-256 of the bytes it wrote for each
-file. The files are moved into place only once all of them are written, so a
-run that fails partway leaves no file of its own and an earlier run's files
-whole. Output bytes are a pure function of the configuration; timestamps are
-embedded only when explicitly requested.
+column names and the rows in the blocks of ``receiver.row_blocks``.
+``SCENARIOS`` maps each scenario name to its runner and its help text. Every
+check runs when the runner is called, before the output directory is made;
+the ``response``, ``sweep2cell`` and ``linearity`` blocks are then computed
+one at a time as they are written, so no whole column of them is held.
+``run_scenario`` is the one writer. It prefixes each table with the common
+header (package version, configuration hash, scenario name), writes and
+hashes each block as it is formatted, and writes a JSON manifest listing the
+SHA-256 of the bytes it wrote for each file. The files are moved into place
+only once all of them are written, so a run that fails partway leaves no
+file of its own and an earlier run's files whole. Output bytes are a pure
+function of the configuration; timestamps are embedded only when explicitly
+requested.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .receiver import (
 )
 from .stark import stark_shifted_frequency
 
-__all__ = ["SCENARIO_NAMES", "run_scenario"]
+__all__ = ["SCENARIOS", "SCENARIO_NAMES", "run_scenario"]
 
 # One CSV table: the metadata after the common header, the column names, and
 # the rows in blocks, each block one sequence of values per column.
@@ -280,16 +282,17 @@ def _run_eit(config: ReceiverConfig) -> Tables:
     return {"eit.csv": _whole(meta, columns)}
 
 
-_RUNNERS: dict[str, Callable[[ReceiverConfig], Tables]] = {
-    "plan": _run_plan,
-    "response": _run_response,
-    "linearity": _run_linearity,
-    "sensitivity": _run_sensitivity,
-    "sweep2cell": _run_sweep2cell,
-    "eit": _run_eit,
+# Each scenario's runner, and the one line that ``starkcomb --help`` prints for it.
+SCENARIOS: dict[str, tuple[Callable[[ReceiverConfig], Tables], str]] = {
+    "plan": (_run_plan, "place one cell per comb line and export the placement table"),
+    "response": (_run_response, "stitched broadband beat response over a frequency sweep"),
+    "linearity": (_run_linearity, "beat power versus signal field strength per channel"),
+    "sensitivity": (_run_sensitivity, "minimum detectable field and sensitivity per channel"),
+    "sweep2cell": (_run_sweep2cell, "frequency-swept reception with a two-cell array"),
+    "eit": (_run_eit, "probe-transmission spectrum of a single cell"),
 }
 
-SCENARIO_NAMES = tuple(_RUNNERS)
+SCENARIO_NAMES = tuple(SCENARIOS)
 
 
 def run_scenario(
@@ -303,14 +306,15 @@ def run_scenario(
 
     Writes each table of the scenario as a CSV under ``out_dir``, then
     ``<name>_manifest.json`` with the SHA-256 of the bytes written for each.
+    ``out_dir`` is made only once every check has passed.
     """
-    if name not in _RUNNERS:
+    if name not in SCENARIOS:
         raise ConfigError(
             f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
         )
+    tables = SCENARIOS[name][0](config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables = _RUNNERS[name](config)
     config_sha256 = config.sha256
     header = [
         ("starkcomb_version", __version__),

@@ -220,7 +220,7 @@ def test_object_columns_and_unequal_lengths_take_printf():
 
 def test_default_tables_are_byte_identical_on_both_paths():
     config = default_config()
-    for runner in starkcomb.scenarios._RUNNERS.values():
+    for runner, _ in starkcomb.scenarios.SCENARIOS.values():
         for _, _, blocks in runner(config).values():
             for columns in blocks:
                 arrays = [np.asarray(c) for c in columns]
@@ -268,7 +268,7 @@ def test_run_scenario_writes_and_hashes_the_chunks(monkeypatch, tmp_path, block_
     def runner(_):
         return {name: _whole(*table) for name, table in tables.items()}
 
-    monkeypatch.setitem(starkcomb.scenarios._RUNNERS, "response", runner)
+    monkeypatch.setitem(starkcomb.scenarios.SCENARIOS, "response", (runner, "test tables"))
     *paths, manifest = run_scenario(config, "response", tmp_path)
     common = [("starkcomb_version", __version__), ("config_sha256", config.sha256)]
     common.append(("scenario", "response"))
@@ -323,7 +323,8 @@ def test_a_failed_run_leaves_no_file(monkeypatch, tmp_path, failing):
     def runner(offset, fail):
         names = ("first.csv", "second.csv")
         tables = {name: ([], ["x"], blocks(offset, fail and name == failing)) for name in names}
-        monkeypatch.setitem(starkcomb.scenarios._RUNNERS, "response", lambda _: tables)
+        scenario = (lambda _: tables, "test tables")
+        monkeypatch.setitem(starkcomb.scenarios.SCENARIOS, "response", scenario)
 
     config = default_config()
     runner(0, fail=False)

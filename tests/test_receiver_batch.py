@@ -446,7 +446,8 @@ def test_default_pins_cover_both_csv_paths():
     cutoff = starkcomb.scenarios._VECTORIZED_MIN_CELLS
     vectorized, kinds = set(), set()
     for name in DEFAULT_SHA256:
-        for file_name, (_, _, blocks) in starkcomb.scenarios._RUNNERS[name](config).items():
+        runner, _ = starkcomb.scenarios.SCENARIOS[name]
+        for file_name, (_, _, blocks) in runner(config).items():
             for columns in blocks:
                 arrays = [np.asarray(c) for c in columns]
                 numeric = all(a.dtype.kind in "biuf" for a in arrays)
@@ -466,7 +467,8 @@ def test_linearity_rows_read_each_lines_own_channel(tmp_path, detuning_khz):
     path = tmp_path / "detuning.yaml"
     path.write_text(f"channel:\n  reference_detuning_khz: {detuning_khz}\n")
     config = load_config(path)
-    ((_, names, blocks),) = starkcomb.scenarios._RUNNERS["linearity"](config).values()
+    runner, _ = starkcomb.scenarios.SCENARIOS["linearity"]
+    ((_, names, blocks),) = runner(config).values()
     columns = dict(zip(names, map(np.concatenate, zip(*blocks))))
     entries = starkcomb.scenarios._plan(config).entries
     channels = build_channels(config.channel_defaults, entries)

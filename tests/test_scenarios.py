@@ -7,7 +7,7 @@ import pytest
 import starkcomb.receiver
 from starkcomb import ConfigError, InfeasiblePlanError, load_config, run_scenario
 from starkcomb.cli import main
-from starkcomb.scenarios import SCENARIO_NAMES
+from starkcomb.scenarios import SCENARIO_NAMES, SCENARIOS
 
 
 def read_csv(path):
@@ -148,6 +148,56 @@ class TestCli:
         out = capsys.readouterr().out
         assert "plan.csv" in out
         assert (tmp_path / "plan.csv").exists()
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_main_writes_the_run_scenario_bytes(self, tmp_path, capsys, name):
+        cfg = tmp_path / "design.yaml"
+        cfg.write_text("comb:\n  line_count: 11\nscenarios:\n  eit:\n    points: 101\n")
+        out = tmp_path / "cli"
+        assert main([name, "--config", str(cfg), "--out", str(out)]) == 0
+        paths = run_scenario(load_config(cfg), name, tmp_path / "library")
+        assert capsys.readouterr().out == "".join(f"{out / p.name}\n" for p in paths)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            p.name: p.read_bytes() for p in paths
+        }
+
+    def test_help_lists_every_scenario(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        for option in ("--config", "--out", "--timestamp"):
+            assert out.count(option) == 2  # the usage line and its own help line
+        for name, (_, text) in SCENARIOS.items():
+            assert re.search(rf"^  {name} +{re.escape(text)}$", out, re.MULTILINE), name
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            ([], "the following arguments are required: scenario"),
+            (["nope"], "argument scenario: invalid choice: 'nope'"),
+            (["plan", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_usage_errors_exit_2(self, capsys, argv, error):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: starkcomb [-h] [--config CONFIG] [--out OUT]")
+        assert f"starkcomb: error: {error}" in err
+
+    @pytest.mark.parametrize("out", ["new", "afile/sub"])
+    def test_failed_check_makes_no_output_directory(self, tmp_path, capsys, out):
+        # Every check runs before the output directory is made, so an
+        # out-of-band line leaves no new directory, and is reported ahead of
+        # an --out path that could not be made.
+        cfg = tmp_path / "oob.yaml"
+        cfg.write_text("comb:\n  center_frequency_ghz: 9.0\n")
+        (tmp_path / "afile").write_bytes(b"")
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / out)]) == 3
+        assert capsys.readouterr().err.startswith("infeasible plan: line 0: ")
+        assert not (tmp_path / out).exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
