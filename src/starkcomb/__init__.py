@@ -45,7 +45,6 @@ from .errors import (
 from .field_map import FieldProfile, field_at, fit_profile, position_at, transition_frequency_at
 from .receiver import (
     BeatRow,
-    BeatSpectrum,
     ChannelRow,
     beat_power,
     beat_signal_power,

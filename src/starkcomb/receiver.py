@@ -15,11 +15,12 @@ justified separately by :mod:`starkcomb.bloch`.
 The channels of an array are one read-only :data:`ChannelRow` record array,
 built by :func:`channel_table`. The beat functions take scalar or array fields
 and detunings, and a channel row or a table of them (one per point). A
-stimulus is a 1-D array of frequencies and a field for each (or one for all):
-:func:`stitched_response` routes and evaluates it in array passes over fixed
-blocks of points, and :func:`evaluate_channels` reads one tone on every
-channel. Both collect the blocks that :func:`response_blocks` hands out one
-at a time, as :mod:`starkcomb.scenarios` streams them to its CSV files. All
+stimulus is a 1-D array of frequencies and a field for each (or one for all).
+:func:`response_blocks` is the one pass that routes a stimulus: it hands out
+the :data:`BeatRow` columns of fixed blocks of points one at a time, as
+:mod:`starkcomb.scenarios` streams them to its CSV files, and
+:func:`stitched_response` collects them into one read-only table.
+:func:`evaluate_channels` reads one tone on every channel in one call. All
 of them evaluate one kernel, ``_beat``, the only place that sums the
 channel's dB terms, so an array call gives its elementwise scalar calls'
 results bit for bit.
@@ -30,7 +31,6 @@ All fields are in V/cm, powers in dBm, frequencies in Hz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterator
 
@@ -43,7 +43,6 @@ __all__ = [
     "ChannelRow",
     "channel_table",
     "BeatRow",
-    "BeatSpectrum",
     "rolloff",
     "beat_signal_power",
     "beat_power",
@@ -228,22 +227,28 @@ def far_field_strength(
     return strength
 
 
-def _stimulus(frequencies, fields) -> tuple[np.ndarray, np.ndarray]:
+def _stimulus(frequencies, fields, single: bool = False) -> tuple[np.ndarray, np.ndarray]:
     # Read-only 1-D float views, of the caller's arrays where they are float
-    # already; a scalar field is broadcast to every frequency, not copied.
+    # already; one field is broadcast to every frequency, not copied. A
+    # single tone is one frequency.
     frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float)).view()
     message = "stimulus needs a non-empty 1-D array of frequencies"
     require(frequencies.ndim == 1 and frequencies.size > 0, DomainError, message)
+    message = "a single tone needs one frequency, got {}"
+    require(not single or frequencies.size == 1, DomainError, message, frequencies.size)
     given = np.asarray(fields, dtype=float)
-    fields = np.broadcast_to(given, frequencies.shape)
+    message = "stimulus needs one field or one per frequency, got {} fields for {} frequencies"
+    ok = given.size == 1 or given.shape == frequencies.shape
+    require(ok, DomainError, message, given.size, frequencies.size)
+    fields = np.broadcast_to(given.reshape(-1), frequencies.shape)
     _finite("signal frequency", frequencies, positive=True)
     _finite("field", given)
     frequencies.flags.writeable = False
     return frequencies, fields
 
 
-# One evaluated signal frequency routed to a channel: the record type of
-# ``BeatSpectrum.rows`` and of ``evaluate_channels``.
+# One evaluated signal frequency read on a channel: the record type of
+# ``stitched_response`` and of ``evaluate_channels``.
 BeatRow = np.dtype(
     [
         ("signal_frequency", float),
@@ -254,14 +259,6 @@ BeatRow = np.dtype(
         ("in_band", bool),
     ]
 )
-
-
-@dataclass(frozen=True, eq=False)
-class BeatSpectrum:
-    """Beat powers for a stimulus: a read-only :data:`BeatRow` record array,
-    one row per evaluated frequency; ``rows.beat_power`` etc. are its columns."""
-
-    rows: np.recarray
 
 
 # Rows per block of a pass over a stimulus, and of every CSV table that
@@ -284,23 +281,48 @@ def row_blocks(size: int, group: int = 1) -> Iterator[slice]:
             yield slice(start, min(start + width, end))
 
 
-def _blocks(
-    plan: CellArrayPlan,
-    channels: np.recarray,
-    frequencies: np.ndarray,
-    fields: np.ndarray,
-    index: np.ndarray | None = None,
-) -> Iterator[tuple[np.ndarray, ...]]:
-    # The BeatRow columns of equal-length stimulus arrays, one tuple per
-    # block: the plan is checked now, each block evaluated as it is taken.
-    # Point j is read out on plan entry index[j], by default the entry of its
-    # nearest line.
+def _lines(plan: CellArrayPlan, channels: np.recarray) -> np.ndarray:
+    # The plan's line frequencies, once the plan is checked against the
+    # channels: one channel per entry, entries in ascending line order.
     require(len(plan.entries) > 0, PlannerError, "plan has no entries")
     message = f"got {np.size(channels)} channel responses for {len(plan.entries)} plan entries"
     require(np.shape(channels) == (len(plan.entries),), PlannerError, message)
     lines = plan.entries.line_frequency
     message = "plan entries must be ordered by ascending line frequency"
     require(np.diff(lines) >= 0, PlannerError, message)
+    return lines
+
+
+def _row(channel, line_frequency, frequency, field) -> tuple[np.ndarray, ...]:
+    # The BeatRow columns from delta_f on, of each frequency and field read on
+    # a channel (terms from _terms) whose comb line is at line_frequency.
+    delta_f = frequency - line_frequency
+    _, power, detectable = _beat(channel, field, delta_f)
+    above = (field > 0) & (field >= detectable)
+    in_band = np.abs(delta_f) <= channel.half_width_3db
+    return delta_f, power, above, in_band
+
+
+def _table(size: int, blocks) -> np.recarray:
+    # A read-only BeatRow table of ``size`` rows, filled from the pairs of a
+    # block of rows and its tuple of BeatRow columns.
+    rows = np.recarray(size, BeatRow)
+    for block, values in blocks:
+        for name, value in zip(BeatRow.names, values):
+            rows[name][block] = value
+    rows.flags.writeable = False
+    return rows
+
+
+def response_blocks(
+    plan: CellArrayPlan, channels: np.recarray, frequencies, fields
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The rows of :func:`stitched_response` as they are evaluated: for each
+    block of :func:`row_blocks`, a tuple of its :data:`BeatRow` columns. The
+    stimulus and the plan are checked at the call, and each block is routed
+    and evaluated when it is taken."""
+    frequencies, fields = _stimulus(frequencies, fields)
+    lines = _lines(plan, channels)
     # The channel terms by plan entry: rows of one table, which each block
     # gathers from.
     columns = {"line_frequency": lines, **vars(_terms(channels))}
@@ -309,48 +331,29 @@ def _blocks(
 
     def evaluate(block: slice) -> tuple[np.ndarray, ...]:
         frequency, field = frequencies[block], fields[block]
-        i = nearest_line_index(lines, frequency) if index is None else index[block]
+        i = nearest_line_index(lines, frequency)
         channel = SimpleNamespace(**dict(zip(columns, table.take(i, axis=1))))
-        delta_f = frequency - channel.line_frequency
-        _, power, detectable = _beat(channel, field, delta_f)
-        above = (field > 0) & (field >= detectable)
-        in_band = np.abs(delta_f) <= channel.half_width_3db
-        return frequency, line_index[i], delta_f, power, above, in_band
+        return frequency, line_index[i], *_row(channel, channel.line_frequency, frequency, field)
 
     return map(evaluate, row_blocks(frequencies.size))
-
-
-def _evaluate(
-    plan: CellArrayPlan,
-    channels: np.recarray,
-    frequencies: np.ndarray,
-    fields: np.ndarray,
-    index: np.ndarray | None = None,
-) -> np.recarray:
-    # The blocks of _blocks, collected into one read-only BeatRow table.
-    if index is not None:
-        frequencies, fields, index = np.broadcast_arrays(frequencies, fields, index)
-    blocks = _blocks(plan, channels, frequencies, fields, index)
-    rows = np.recarray(frequencies.shape, BeatRow)
-    for block, values in zip(row_blocks(rows.size), blocks):
-        for name, value in zip(BeatRow.names, values):
-            rows[name][block] = value
-    rows.flags.writeable = False
-    return rows
 
 
 def evaluate_channels(
     plan: CellArrayPlan, channels: np.recarray, frequency: float, field: float
 ) -> np.recarray:
-    """Beat response of every channel to a single tone (isolation checks)."""
-    index = np.arange(len(plan.entries))
-    return _evaluate(plan, channels, *_stimulus(frequency, field), index)
+    """Beat response of every channel to a single tone (isolation checks): a
+    read-only :data:`BeatRow` record array, one row per plan entry."""
+    frequency, field = _stimulus(frequency, field, single=True)
+    lines = _lines(plan, channels)
+    row = _row(_terms(channels), lines, frequency, field)
+    return _table(lines.size, [(slice(None), (frequency, plan.entries.line_index, *row))])
 
 
 def stitched_response(
     plan: CellArrayPlan, channels: np.recarray, frequencies, fields
-) -> BeatSpectrum:
-    """Broadband response stitched from the per-cell channels.
+) -> np.recarray:
+    """Broadband response stitched from the per-cell channels: a read-only
+    :data:`BeatRow` record array, one row per frequency.
 
     ``frequencies`` (Hz) is a non-empty 1-D array; ``fields`` (V/cm) gives
     one field per frequency, or one for all. Non-finite or negative values
@@ -361,14 +364,6 @@ def stitched_response(
     outside every channel's 3 dB band are still evaluated but flagged
     ``in_band = False``.
     """
-    return BeatSpectrum(rows=_evaluate(plan, channels, *_stimulus(frequencies, fields)))
-
-
-def response_blocks(
-    plan: CellArrayPlan, channels: np.recarray, frequencies, fields
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """The rows of :func:`stitched_response` as they are evaluated: for each
-    block of :func:`row_blocks`, a tuple of its :data:`BeatRow` columns. The
-    stimulus and the plan are checked at the call, and each block is
-    evaluated when it is taken."""
-    return _blocks(plan, channels, *_stimulus(frequencies, fields))
+    frequencies = np.asarray(frequencies, dtype=float)
+    blocks = response_blocks(plan, channels, frequencies, fields)
+    return _table(frequencies.size, zip(row_blocks(frequencies.size), blocks))

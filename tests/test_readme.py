@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+from starkcomb import BeatRow
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -10,6 +12,8 @@ def test_library_usage_example_runs():
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
     exec(compile(code, f"{README}:Library usage", "exec"), namespace)
-    assert len(namespace["spectrum"].rows) == 441
+    spectrum = namespace["spectrum"]
+    assert spectrum.dtype == BeatRow and len(spectrum) == 441
+    assert not spectrum.flags.writeable
     assert namespace["beat_dbm"].shape == (441,)
     assert len(namespace["positions_cm"]) == namespace["cfg"].comb.line_count

@@ -340,10 +340,10 @@ class TestStitchedResponse:
     def test_rows_floored_and_ordered(self, plan21, channels21):
         sweep = np.linspace(8.02e9, 8.24e9, 201)
         spectrum = stitched_response(plan21, channels21, sweep, 1e-6)
-        assert len(spectrum.rows) == 201
-        freqs = [row.signal_frequency for row in spectrum.rows]
+        assert len(spectrum) == 201
+        freqs = [row.signal_frequency for row in spectrum]
         assert freqs == sorted(freqs)
-        for row in spectrum.rows:
+        for row in spectrum:
             channel = channels21[row.channel_index]
             assert row.beat_power >= channel.noise_floor
 
@@ -355,7 +355,7 @@ class TestStitchedResponse:
         sweep = np.linspace(8.025e9, 8.235e9, 85)
         field = config.channel_defaults.reference_field
         spectrum = stitched_response(plan21, channels21, sweep, field)
-        for row in spectrum.rows:
+        for row in spectrum:
             per_channel = evaluate_channels(
                 plan21,
                 channels21,
@@ -371,7 +371,7 @@ class TestStitchedResponse:
     def test_out_of_band_rows_flagged(self, plan21, channels21):
         tones = [8.022e9, 8.03e9, 8.238e9]
         spectrum = stitched_response(plan21, channels21, tones, 1e-5)
-        assert [row.in_band for row in spectrum.rows] == [False, True, False]
+        assert [row.in_band for row in spectrum] == [False, True, False]
 
     def test_single_tone_isolated_when_small(self, plan21, channels21):
         # A tone just above its own channel's threshold but below every
@@ -402,7 +402,7 @@ class TestStitchedResponse:
         field = config.channel_defaults.reference_field
         sweep = np.linspace(8.025e9, 8.235e9, 421)
         spectrum = stitched_response(plan21, channels21, sweep, field)
-        beats = [row.beat_power for row in spectrum.rows]
+        beats = [row.beat_power for row in spectrum]
         ripple = max(beats) - min(beats)
         assert math.isclose(ripple, 10 * math.log10(2.0), abs_tol=0.01)
 
@@ -416,7 +416,7 @@ class TestStitchedResponse:
         sweep = np.linspace(8.02e9, 8.24e9, 221)
         spectrum = stitched_response(plan, channels, sweep, field)
         peaks = {}
-        for row in spectrum.rows:
+        for row in spectrum:
             if (
                 row.channel_index not in peaks
                 or row.beat_power > peaks[row.channel_index][1]

@@ -195,7 +195,7 @@ def test_stitched_response_matches_per_point_loop(data, receiver):
     tones = data.draw(stimuli(plan, channels))
     frequencies, fields = (list(column) for column in zip(*tones))
     spectrum = stitched_response(plan, channels, frequencies, fields)
-    assert_rows_match(spectrum.rows, reference_response(plan, channels, frequencies, fields))
+    assert_rows_match(spectrum, reference_response(plan, channels, frequencies, fields))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -242,11 +242,11 @@ def test_block_edges_match_per_point_loop(monkeypatch, plan21, channels21, size)
     frequencies = np.linspace(8.02e9, 8.24e9, size)
     fields = np.geomspace(1e-9, 1e-2, size)
     fields[::3] = 0.0
-    whole = stitched_response(plan21, channels, frequencies, fields).rows
+    whole = stitched_response(plan21, channels, frequencies, fields)
     plan = CellArrayPlan(entries=plan21.entries[:size], min_spacing=1.0, feasible=True)
     one_tone = evaluate_channels(plan, channels[:size], 8.1e9, 1e-5)
     monkeypatch.setattr(starkcomb.receiver, "_BLOCK", SMALL_BLOCK)
-    rows = stitched_response(plan21, channels, frequencies, fields).rows
+    rows = stitched_response(plan21, channels, frequencies, fields)
     assert_rows_match(rows, reference_response(plan21, channels, frequencies, fields))
     assert rows.tobytes() == whole.tobytes()
     # Bit for bit what the public functions give on each point's channel.
@@ -353,7 +353,7 @@ def test_streamed_sweep_equals_the_collected_table(monkeypatch, tmp_path, name, 
     csv, _ = run_scenario(config, name, tmp_path / "out")
     monkeypatch.undo()
     ((plan, channels, frequencies, fields),) = calls
-    rows = stitched_response(plan, channels, frequencies, fields).rows
+    rows = stitched_response(plan, channels, frequencies, fields)
     assert len(rows) == size
     columns = [
         rows.signal_frequency / 1e9,
@@ -484,7 +484,7 @@ def test_linearity_rows_read_each_lines_own_channel(tmp_path, detuning_khz):
 
 def test_spectrum_rows_are_records(plan21, channels21):
     sweep = np.linspace(8.02e9, 8.24e9, 11)
-    rows = stitched_response(plan21, channels21, sweep, 1e-5).rows
+    rows = stitched_response(plan21, channels21, sweep, 1e-5)
     assert len(rows) == 11
     assert rows[3].beat_power == rows.beat_power[3]
     assert rows.channel_index.tolist() == [
@@ -495,7 +495,7 @@ def test_spectrum_rows_are_records(plan21, channels21):
 def test_spectrum_rows_are_read_only(plan21, channels21):
     sweep = np.linspace(8.02e9, 8.24e9, 11)
     for rows in (
-        stitched_response(plan21, channels21, sweep, 1e-5).rows,
+        stitched_response(plan21, channels21, sweep, 1e-5),
         evaluate_channels(plan21, channels21, 8.13e9, 1e-5),
     ):
         before = rows.beat_power.tolist()
@@ -511,13 +511,14 @@ def test_tone_list_from_arrays_equals_pairs(plan21, channels21):
     # call would, and one field applies to every tone.
     frequencies = np.array([8.1e9, 8.2e9, 8.15e9])
     fields = np.array([1e-5, 0.0, 2e-5])
-    rows = stitched_response(plan21, channels21, frequencies, fields).rows
+    rows = stitched_response(plan21, channels21, frequencies, fields)
     pairs = zip(frequencies, fields)
-    one_tone = [stitched_response(plan21, channels21, f, e).rows[0] for f, e in pairs]
+    one_tone = [stitched_response(plan21, channels21, f, e)[0] for f, e in pairs]
     assert rows.tolist() == [row.tolist() for row in one_tone]
-    one_field = stitched_response(plan21, channels21, frequencies, 3e-5).rows
-    tiled = stitched_response(plan21, channels21, frequencies, [3e-5] * 3).rows
-    assert one_field.tolist() == tiled.tolist()
+    one_field = stitched_response(plan21, channels21, frequencies, 3e-5)
+    tiled = stitched_response(plan21, channels21, frequencies, [3e-5] * 3)
+    nested = stitched_response(plan21, channels21, frequencies, [[3e-5]])
+    assert one_field.tolist() == tiled.tolist() == nested.tolist()
 
 
 @pytest.mark.parametrize(
@@ -535,6 +536,9 @@ def test_tone_list_from_arrays_equals_pairs(plan21, channels21):
         ),
         lambda stitched, channel: beat_power(channel, math.nan, 0.0),
         lambda stitched, channel: beat_power(channel, np.array([1e-5, math.inf]), 0.0),
+        # A field count that is neither one nor the frequency count.
+        lambda stitched, channel: stitched([8.1e9, 8.2e9, 8.3e9], [1e-5, 2e-5]),
+        lambda stitched, channel: stitched([8.1e9, 8.2e9], np.full((2, 1), 1e-5)),
     ],
 )
 def test_non_finite_stimulus_rejected(build, plan21, channels21):
@@ -542,11 +546,19 @@ def test_non_finite_stimulus_rejected(build, plan21, channels21):
         build(functools.partial(stitched_response, plan21, channels21), channels21[0])
 
 
-def test_non_finite_single_tone_rejected(plan21, channels21):
-    with pytest.raises(DomainError):
-        evaluate_channels(plan21, channels21, math.nan, 1e-5)
-    with pytest.raises(DomainError):
-        evaluate_channels(plan21, channels21, 8.13e9, math.nan)
+@pytest.mark.parametrize(
+    "frequency, field, message",
+    [
+        (math.nan, 1e-5, "signal frequency"),
+        (8.13e9, math.nan, "field"),
+        ([8.1e9, 8.2e9], 1e-5, "^a single tone needs one frequency, got 2$"),
+        (8.1e9, [1e-5, 2e-5], "got 2 fields for 1 frequencies$"),
+    ],
+    ids=["nan frequency", "nan field", "two frequencies", "two fields"],
+)
+def test_non_finite_single_tone_rejected(plan21, channels21, frequency, field, message):
+    with pytest.raises(DomainError, match=message):
+        evaluate_channels(plan21, channels21, frequency, field)
 
 
 def test_unsorted_plan_rejected(plan21, channels21):
@@ -607,12 +619,10 @@ STIMULI = {
 def test_stimulus_views_give_the_rows_of_full_copies(plan21, channels21, stimulus):
     frequencies, fields = STIMULI[stimulus]
     copied = _copied_stimulus(frequencies, fields)
-    rows = stitched_response(plan21, channels21, frequencies, fields).rows
-    expected = starkcomb.receiver._evaluate(plan21, channels21, *copied)
+    rows = stitched_response(plan21, channels21, frequencies, fields)
+    expected = stitched_response(plan21, channels21, *copied)
     assert rows.dtype == expected.dtype and rows.tobytes() == expected.tobytes()
-    index = np.arange(len(plan21.entries))
-    copied = copied[0][:1], copied[1][:1], index
-    expected = starkcomb.receiver._evaluate(plan21, channels21, *copied)
+    expected = evaluate_channels(plan21, channels21, copied[0][:1].copy(), copied[1][:1].copy())
     tone = np.atleast_1d(frequencies)[:1], np.atleast_1d(fields)[:1]
     assert evaluate_channels(plan21, channels21, *tone).tobytes() == expected.tobytes()
 
