@@ -227,15 +227,12 @@ def far_field_strength(
     return strength
 
 
-def _stimulus(frequencies, fields, single: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _stimulus(frequencies, fields) -> tuple[np.ndarray, np.ndarray]:
     # Read-only 1-D float views, of the caller's arrays where they are float
-    # already; one field is broadcast to every frequency, not copied. A
-    # single tone is one frequency.
+    # already; one field is broadcast to every frequency, not copied.
     frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float)).view()
     message = "stimulus needs a non-empty 1-D array of frequencies"
     require(frequencies.ndim == 1 and frequencies.size > 0, DomainError, message)
-    message = "a single tone needs one frequency, got {}"
-    require(not single or frequencies.size == 1, DomainError, message, frequencies.size)
     given = np.asarray(fields, dtype=float)
     message = "stimulus needs one field or one per frequency, got {} fields for {} frequencies"
     ok = given.size == 1 or given.shape == frequencies.shape
@@ -343,7 +340,9 @@ def evaluate_channels(
 ) -> np.recarray:
     """Beat response of every channel to a single tone (isolation checks): a
     read-only :data:`BeatRow` record array, one row per plan entry."""
-    frequency, field = _stimulus(frequency, field, single=True)
+    frequency, field = _stimulus(frequency, field)
+    message = "a single tone needs one frequency, got {}"
+    require(frequency.size == 1, DomainError, message, frequency.size)
     lines = _lines(plan, channels)
     row = _row(_terms(channels), lines, frequency, field)
     return _table(lines.size, [(slice(None), (frequency, plan.entries.line_index, *row))])
