@@ -14,7 +14,6 @@ from .comb import (
     CellArrayPlan,
     FrequencyComb,
     PlanRow,
-    assign_channel,
     comb_lines,
     coverage_union,
     place_cells,
@@ -50,7 +49,6 @@ from .receiver import (
     beat_signal_power,
     calibrate_noise_floor,
     channel_table,
-    evaluate_channels,
     far_field_strength,
     min_detectable_field,
     rolloff,

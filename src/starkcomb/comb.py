@@ -9,6 +9,7 @@ frequency, and the power-law field profile gives the position for that field.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -24,7 +25,6 @@ __all__ = [
     "PlanRow",
     "comb_lines",
     "place_cells",
-    "assign_channel",
     "coverage_union",
     "nearest_line_index",
 ]
@@ -64,6 +64,8 @@ class FrequencyComb:
             message = f"{name} must be finite and > 0, got {{}}"
             require(0 < value < math.inf, DomainError, message, value)
         count = self.line_count
+        message = "line_count must be an integer, got {}"
+        require(isinstance(count, numbers.Integral), DomainError, message, count)
         require(count >= 1, DomainError, "line_count must be >= 1, got {}", count)
         levels = self.per_line_power
         if not levels:
@@ -84,11 +86,13 @@ class FrequencyComb:
         require(abs(self.total_power) < MAX_LEVEL_DB, DomainError, message, self.total_power)
 
 
-def comb_lines(comb: FrequencyComb) -> list[float]:
-    """Line frequencies in Hz, sorted ascending."""
+def comb_lines(comb: FrequencyComb) -> np.ndarray:
+    """Line frequencies in Hz, sorted ascending, as a read-only array."""
     half_span = (comb.line_count - 1) / 2.0
     offsets = np.arange(comb.line_count) - half_span
-    return (comb.center_frequency + offsets * comb.line_spacing).tolist()
+    lines = comb.center_frequency + offsets * comb.line_spacing
+    lines.flags.writeable = False
+    return lines
 
 
 # One cell bound to one comb line: the record type of ``CellArrayPlan.entries``.
@@ -145,7 +149,7 @@ def place_cells(
     # Lines within tol of a band end sit exactly at that end, so anchor lines
     # map back to their anchor positions; the others are inverted in closed
     # form and checked against tol.
-    lines = np.array(comb_lines(comb))
+    lines = comb_lines(comb)
     index = np.arange(lines.size)
     at_lo = np.abs(f_lo - lines) <= tol
     inner = ~at_lo & ~(np.abs(f_hi - lines) <= tol)
@@ -179,30 +183,6 @@ def place_cells(
     )
 
 
-def assign_channel(
-    comb: FrequencyComb, signal_frequency: float, half_width: float
-) -> tuple[int, float]:
-    """Route a signal to its nearest comb line.
-
-    Returns ``(line_index, detuning)`` with signed detuning
-    ``signal_frequency - line``. A signal exactly midway between two lines
-    resolves to the lower index. Signals outside
-    ``[first_line - half_width, last_line + half_width]`` raise
-    :class:`CoverageError`. ``signal_frequency`` must be finite and
-    ``half_width`` finite and > 0 (:class:`DomainError`).
-    """
-    message = "half_width must be finite and > 0, got {}"
-    require(0 < half_width < math.inf, DomainError, message, half_width)
-    message = "signal_frequency must be finite, got {}"
-    require(math.isfinite(signal_frequency), DomainError, message, signal_frequency)
-    lines = comb_lines(comb)
-    low, high = lines[0] - half_width, lines[-1] + half_width
-    message = f"signal at {{}} Hz outside covered band [{low}, {high}] Hz"
-    require(low <= signal_frequency <= high, CoverageError, message, signal_frequency)
-    index = int(nearest_line_index(lines, signal_frequency))
-    return index, signal_frequency - lines[index]
-
-
 def nearest_line_index(lines, frequencies) -> np.ndarray:
     """Index of the line nearest to each frequency; ties go to the lower index.
 
@@ -229,14 +209,16 @@ def coverage_union(lines, half_width: float) -> list[tuple[float, float]]:
 
     Intervals that touch exactly are merged, so a comb with spacing equal to
     ``2 * half_width`` yields a single contiguous interval of width
-    ``line_count * 2 * half_width``. ``lines`` is a sequence or an array;
-    ``half_width`` must be finite and > 0.
+    ``line_count * 2 * half_width``. ``lines`` is a non-empty 1-D sequence
+    or array; ``half_width`` must be finite and > 0.
     """
     message = "half_width must be finite and > 0, got {}"
     require(0 < half_width < math.inf, DomainError, message, half_width)
-    require(len(lines) > 0, DomainError, "coverage requires at least one line")
+    lines = np.asarray(lines, dtype=float)
+    require(lines.ndim == 1, DomainError, f"lines must be 1-D, got {lines.ndim}-D")
+    require(lines.size > 0, DomainError, "coverage requires at least one line")
     require(np.isfinite(lines), DomainError, "lines must be finite, got {}", lines)
-    lines = np.sort(np.asarray(lines, dtype=float))
+    lines = np.sort(lines)
     lo, hi = lines - half_width, lines + half_width
     # Sorted, so a merged interval's upper end is the previous interval's.
     breaks = np.flatnonzero(lo[1:] > hi[:-1]) + 1

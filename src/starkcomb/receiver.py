@@ -19,11 +19,10 @@ stimulus is a 1-D array of frequencies and a field for each (or one for all).
 :func:`response_blocks` is the one pass that routes a stimulus: it hands out
 the :data:`BeatRow` columns of fixed blocks of points one at a time, as
 :mod:`starkcomb.scenarios` streams them to its CSV files, and
-:func:`stitched_response` collects them into one read-only table.
-:func:`evaluate_channels` reads one tone on every channel in one call. All
-of them evaluate one kernel, ``_beat``, the only place that sums the
-channel's dB terms, so an array call gives its elementwise scalar calls'
-results bit for bit.
+:func:`stitched_response` collects them into one read-only table. The pass
+and the beat functions evaluate one kernel, ``_beat``, the only place that
+sums the channel's dB terms, so an array call gives its elementwise scalar
+calls' results bit for bit.
 
 All fields are in V/cm, powers in dBm, frequencies in Hz.
 """
@@ -50,7 +49,6 @@ __all__ = [
     "calibrate_noise_floor",
     "sensitivity",
     "far_field_strength",
-    "evaluate_channels",
     "stitched_response",
     "response_blocks",
     "row_blocks",
@@ -244,8 +242,8 @@ def _stimulus(frequencies, fields) -> tuple[np.ndarray, np.ndarray]:
     return frequencies, fields
 
 
-# One evaluated signal frequency read on a channel: the record type of
-# ``stitched_response`` and of ``evaluate_channels``.
+# One evaluated signal frequency read on its channel: the record type of
+# ``stitched_response`` and the columns of ``response_blocks``.
 BeatRow = np.dtype(
     [
         ("signal_frequency", float),
@@ -278,39 +276,6 @@ def row_blocks(size: int, group: int = 1) -> Iterator[slice]:
             yield slice(start, min(start + width, end))
 
 
-def _lines(plan: CellArrayPlan, channels: np.recarray) -> np.ndarray:
-    # The plan's line frequencies, once the plan is checked against the
-    # channels: one channel per entry, entries in ascending line order.
-    require(len(plan.entries) > 0, PlannerError, "plan has no entries")
-    message = f"got {np.size(channels)} channel responses for {len(plan.entries)} plan entries"
-    require(np.shape(channels) == (len(plan.entries),), PlannerError, message)
-    lines = plan.entries.line_frequency
-    message = "plan entries must be ordered by ascending line frequency"
-    require(np.diff(lines) >= 0, PlannerError, message)
-    return lines
-
-
-def _row(channel, line_frequency, frequency, field) -> tuple[np.ndarray, ...]:
-    # The BeatRow columns from delta_f on, of each frequency and field read on
-    # a channel (terms from _terms) whose comb line is at line_frequency.
-    delta_f = frequency - line_frequency
-    _, power, detectable = _beat(channel, field, delta_f)
-    above = (field > 0) & (field >= detectable)
-    in_band = np.abs(delta_f) <= channel.half_width_3db
-    return delta_f, power, above, in_band
-
-
-def _table(size: int, blocks) -> np.recarray:
-    # A read-only BeatRow table of ``size`` rows, filled from the pairs of a
-    # block of rows and its tuple of BeatRow columns.
-    rows = np.recarray(size, BeatRow)
-    for block, values in blocks:
-        for name, value in zip(BeatRow.names, values):
-            rows[name][block] = value
-    rows.flags.writeable = False
-    return rows
-
-
 def response_blocks(
     plan: CellArrayPlan, channels: np.recarray, frequencies, fields
 ) -> Iterator[tuple[np.ndarray, ...]]:
@@ -319,33 +284,30 @@ def response_blocks(
     stimulus and the plan are checked at the call, and each block is routed
     and evaluated when it is taken."""
     frequencies, fields = _stimulus(frequencies, fields)
-    lines = _lines(plan, channels)
+    entries = plan.entries
+    require(len(entries) > 0, PlannerError, "plan has no entries")
+    message = f"got {np.size(channels)} channel responses for {len(entries)} plan entries"
+    require(np.shape(channels) == (len(entries),), PlannerError, message)
+    lines = entries.line_frequency
+    message = "plan entries must be ordered by ascending line frequency"
+    require(np.diff(lines) >= 0, PlannerError, message)
     # The channel terms by plan entry: rows of one table, which each block
     # gathers from.
     columns = {"line_frequency": lines, **vars(_terms(channels))}
     table = np.array(list(columns.values()))
-    line_index = plan.entries.line_index
+    line_index = entries.line_index
 
     def evaluate(block: slice) -> tuple[np.ndarray, ...]:
         frequency, field = frequencies[block], fields[block]
         i = nearest_line_index(lines, frequency)
         channel = SimpleNamespace(**dict(zip(columns, table.take(i, axis=1))))
-        return frequency, line_index[i], *_row(channel, channel.line_frequency, frequency, field)
+        delta_f = frequency - channel.line_frequency
+        _, power, detectable = _beat(channel, field, delta_f)
+        above = (field > 0) & (field >= detectable)
+        in_band = np.abs(delta_f) <= channel.half_width_3db
+        return frequency, line_index[i], delta_f, power, above, in_band
 
     return map(evaluate, row_blocks(frequencies.size))
-
-
-def evaluate_channels(
-    plan: CellArrayPlan, channels: np.recarray, frequency: float, field: float
-) -> np.recarray:
-    """Beat response of every channel to a single tone (isolation checks): a
-    read-only :data:`BeatRow` record array, one row per plan entry."""
-    frequency, field = _stimulus(frequency, field)
-    message = "a single tone needs one frequency, got {}"
-    require(frequency.size == 1, DomainError, message, frequency.size)
-    lines = _lines(plan, channels)
-    row = _row(_terms(channels), lines, frequency, field)
-    return _table(lines.size, [(slice(None), (frequency, plan.entries.line_index, *row))])
 
 
 def stitched_response(
@@ -365,4 +327,9 @@ def stitched_response(
     """
     frequencies = np.asarray(frequencies, dtype=float)
     blocks = response_blocks(plan, channels, frequencies, fields)
-    return _table(frequencies.size, zip(row_blocks(frequencies.size), blocks))
+    rows = np.recarray(frequencies.size, BeatRow)
+    for block, values in zip(row_blocks(frequencies.size), blocks):
+        for name, value in zip(BeatRow.names, values):
+            rows[name][block] = value
+    rows.flags.writeable = False
+    return rows

@@ -14,7 +14,6 @@ import pytest
 from starkcomb import (
     LadderSystem,
     SCENARIO_NAMES,
-    assign_channel,
     beat_power,
     beat_signal_power,
     comb_lines,
@@ -24,6 +23,7 @@ from starkcomb import (
     run_scenario,
     sensitivity,
     steady_state,
+    stitched_response,
     transition_frequency_at,
 )
 from starkcomb.bloch import at_splitting
@@ -229,15 +229,15 @@ def test_criterion_6_eit_at_physics():
     )
 
 
-def test_criterion_7_channel_assignment(config, comb21):
-    lines = np.array(comb_lines(comb21))
+def test_criterion_7_channel_assignment(config, comb21, plan21, channels21):
+    # The router the scenarios run: the rows of one stitched_response call.
+    lines = comb_lines(comb21)
     rng = np.random.default_rng(1234)
     frequencies = rng.uniform(lines[0] - 5e6, lines[-1] + 5e6, 10_000)
-    for f in frequencies:
-        index, delta = assign_channel(comb21, float(f), half_width=5e6)
-        brute = int(np.argmin(np.abs(f - lines)))
-        assert index == brute
-        assert delta == f - lines[brute]
+    rows = stitched_response(plan21, channels21, frequencies, 1e-5)
+    brute = np.argmin(np.abs(frequencies[:, None] - lines), axis=1)  # first minimum
+    assert rows.channel_index.tolist() == brute.tolist()
+    assert rows.delta_f.tolist() == (frequencies - lines[brute]).tolist()
 
     half_width = 5e6
     from starkcomb import FrequencyComb
@@ -249,8 +249,8 @@ def test_criterion_7_channel_assignment(config, comb21):
     assert width == 4 * half_width
     report(
         7,
-        "assign_channel matches exhaustive search on 10^4 random in-band "
-        f"frequencies; two-cell coverage contiguous, width {width/1e6:.1f} MHz "
+        "stitched_response routes 10^4 random in-band frequencies as exhaustive "
+        f"search does; two-cell coverage contiguous, width {width/1e6:.1f} MHz "
         "= 4 x half-width",
     )
 

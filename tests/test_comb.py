@@ -12,12 +12,14 @@ from starkcomb import (
     FrequencyComb,
     PlannerError,
     PlanRow,
-    assign_channel,
+    channel_table,
     comb_lines,
     coverage_union,
     place_cells,
+    stitched_response,
     transition_frequency_at,
 )
+from starkcomb.comb import nearest_line_index
 
 
 def test_default_comb_lines(comb21):
@@ -31,7 +33,20 @@ def test_default_comb_lines(comb21):
 
 def test_single_line_comb():
     c = FrequencyComb(8.13e9, 10e6, 1, total_power=11.0)
-    assert comb_lines(c) == [8.13e9]
+    assert comb_lines(c).tolist() == [8.13e9]
+
+
+def test_comb_lines_are_a_read_only_array(comb21, plan21):
+    lines = comb_lines(comb21)
+    assert lines.dtype == float
+    with pytest.raises(ValueError, match="read-only"):
+        lines[0] = 0.0
+    assert plan21.entries.line_frequency.tobytes() == lines.tobytes()
+
+
+def test_numpy_integer_line_count_accepted():
+    c = FrequencyComb(8.13e9, 10e6, np.int64(3), total_power=11.0)
+    assert comb_lines(c).tolist() == comb_lines(FrequencyComb(8.13e9, 10e6, 3)).tolist()
 
 
 def test_two_line_comb_symmetric_pair():
@@ -97,7 +112,7 @@ class TestPlaceCells:
             assert len(entries) == 21
             assert entries.dtype == PlanRow
             assert entries.line_index.tolist() == list(range(21))
-            assert entries.line_frequency.tolist() == comb_lines(comb)
+            assert entries.line_frequency.tolist() == comb_lines(comb).tolist()
             assert entries.lo_power.tolist() == list(comb.per_line_power)
             assert all(entries[k].position == entries.position[k] for k in range(21))
             positions = [e.position for e in entries]
@@ -170,54 +185,60 @@ class TestPlaceCells:
                 place_cells(profile, transition, comb21)
 
 
-class TestAssignChannel:
-    def test_half_megahertz_detuning(self, comb21):
-        index, delta = assign_channel(comb21, 8.1305e9, half_width=5e6)
-        assert index == 10
-        assert math.isclose(delta, 500e3, rel_tol=1e-9)
+class TestRouting:
+    # The router the scenarios run: nearest_line_index, as stitched_response
+    # applies it to the plan's lines and reports in its rows.
+    def route(self, plan21, channels21, frequencies):
+        lines = plan21.entries.line_frequency
+        rows = stitched_response(plan21, channels21, frequencies, 1e-5)
+        assert rows.channel_index.tolist() == nearest_line_index(lines, frequencies).tolist()
+        return rows
 
-    def test_on_line_zero_detuning(self, comb21):
-        for k, line in enumerate(comb_lines(comb21)):
-            index, delta = assign_channel(comb21, line, half_width=5e6)
-            assert index == k
-            assert delta == 0.0
+    def test_half_megahertz_detuning(self, plan21, channels21):
+        (row,) = self.route(plan21, channels21, [8.1305e9])
+        assert row.channel_index == 10
+        assert math.isclose(row.delta_f, 500e3, rel_tol=1e-9)
 
-    def test_band_edge(self, comb21):
-        index, delta = assign_channel(comb21, 8.025e9, half_width=5e6)
-        assert index == 0
-        assert math.isclose(delta, -5e6, rel_tol=1e-12)
+    def test_on_line_zero_detuning(self, comb21, plan21, channels21):
+        rows = self.route(plan21, channels21, comb_lines(comb21))
+        assert rows.channel_index.tolist() == list(range(21))
+        assert rows.delta_f.tolist() == [0.0] * 21
 
-    def test_out_of_band(self, comb21):
-        with pytest.raises(CoverageError):
-            assign_channel(comb21, 8.0249e9, half_width=5e6)
-        with pytest.raises(CoverageError):
-            assign_channel(comb21, 8.2351e9, half_width=5e6)
+    def test_band_edge(self, plan21, channels21):
+        (row,) = self.route(plan21, channels21, [8.025e9])
+        assert row.channel_index == 0
+        assert math.isclose(row.delta_f, -5e6, rel_tol=1e-12)
+        assert row.in_band
 
-    def test_midpoint_resolves_to_lower_index(self, comb21):
-        index, delta = assign_channel(comb21, 8.035e9, half_width=5e6)
-        assert index == 0
-        assert math.isclose(delta, 5e6, rel_tol=1e-12)
+    def test_out_of_band(self, plan21, channels21):
+        rows = self.route(plan21, channels21, [8.0249e9, 8.2351e9, 9e9])
+        assert rows.channel_index.tolist() == [0, 20, 20]
+        assert rows.in_band.tolist() == [False, False, False]
+
+    def test_midpoint_resolves_to_lower_index(self, plan21, channels21):
+        (row,) = self.route(plan21, channels21, [8.035e9])
+        assert row.channel_index == 0
+        assert math.isclose(row.delta_f, 5e6, rel_tol=1e-12)
 
     @pytest.mark.parametrize("half_width", [0.0, -1.0, math.nan, math.inf])
-    def test_bad_half_width_rejected(self, comb21, half_width):
-        with pytest.raises(DomainError, match="half_width must be finite and > 0"):
-            assign_channel(comb21, 8.13e9, half_width=half_width)
+    def test_bad_half_width_rejected(self, half_width):
+        with pytest.raises(DomainError, match="half_width_3db must be > 0"):
+            channel_table(-36.5, 1e-5, half_width_3db=half_width)
 
     @pytest.mark.parametrize("frequency", [math.nan, math.inf, -math.inf])
-    def test_non_finite_signal_rejected(self, comb21, frequency):
+    def test_non_finite_signal_rejected(self, plan21, channels21, frequency):
         # An invalid input, not a coverage failure.
-        with pytest.raises(DomainError, match="signal_frequency must be finite"):
-            assign_channel(comb21, frequency, half_width=5e6)
+        with pytest.raises(DomainError, match="signal frequency must be finite"):
+            stitched_response(plan21, channels21, frequency, 1e-5)
 
-    def test_exhaustive_search_equivalence(self, comb21):
-        lines = np.array(comb_lines(comb21))
+    def test_exhaustive_search_equivalence(self, comb21, plan21, channels21):
+        lines = comb_lines(comb21)
         rng = np.random.default_rng(42)
         freqs = rng.uniform(lines[0] - 5e6, lines[-1] + 5e6, 10_000)
-        for f in freqs:
-            index, delta = assign_channel(comb21, float(f), half_width=5e6)
-            brute = int(np.argmin(np.abs(f - lines)))  # first minimum = lower index
-            assert index == brute
-            assert delta == f - lines[brute]
+        rows = self.route(plan21, channels21, freqs)
+        brute = np.argmin(np.abs(freqs[:, None] - lines), axis=1)  # first minimum = lower index
+        assert rows.channel_index.tolist() == brute.tolist()
+        assert rows.delta_f.tolist() == (freqs - lines[brute]).tolist()
 
 
 def _merged_by_loop(lines, half_width):

@@ -30,7 +30,6 @@ from starkcomb import (
     StarkCombError,
     UnderdeterminedError,
     UnreachableFrequencyError,
-    assign_channel,
     at_splitting,
     beat_power,
     beat_signal_power,
@@ -38,7 +37,6 @@ from starkcomb import (
     channel_table,
     coverage_union,
     default_config,
-    evaluate_channels,
     far_field_strength,
     field_at,
     field_for_frequency,
@@ -52,6 +50,7 @@ from starkcomb import (
     sensitivity,
     stark_shifted_frequency,
     steady_state,
+    stitched_response,
     transition_frequency_at,
 )
 from starkcomb.errors import after_first_failure, require
@@ -153,6 +152,12 @@ FAILURES = {
     "FrequencyComb line_count": (
         lambda: FrequencyComb(8e9, 1e7, 0),
         DomainError, "line_count must be >= 1, got 0"),
+    "FrequencyComb line_count float": (
+        lambda: FrequencyComb(8e9, 1e7, 2.5),
+        DomainError, "line_count must be an integer, got 2.5"),
+    "FrequencyComb line_count whole float": (
+        lambda: FrequencyComb(8e9, 1e7, 2.0, per_line_power=(0.0, 0.0)),
+        DomainError, "line_count must be an integer, got 2.0"),
     "FrequencyComb per_line_power length": (
         lambda: FrequencyComb(8e9, 1e7, 3, per_line_power=(0.0, 1.0)),
         DomainError, "per_line_power has 2 entries but line_count is 3"),
@@ -178,22 +183,24 @@ FAILURES = {
         lambda: place_cells(P, T, FrequencyComb(8.13e9, 10e6, 3), tol=1e9),
         PlannerError,
         "positions not strictly decreasing with line frequency: x[0] = 2.0 cm, x[1] = 2.0 cm"),
-    "assign_channel half_width": (
-        lambda: assign_channel(COMB, 8.13e9, 0.0),
-        DomainError, "half_width must be finite and > 0, got 0.0"),
-    "assign_channel signal_frequency": (
-        lambda: assign_channel(COMB, math.nan, 5e6),
-        DomainError, "signal_frequency must be finite, got nan"),
-    "assign_channel coverage": (
-        lambda: assign_channel(COMB, 9e9, 5e6),
-        CoverageError,
-        "signal at 9000000000.0 Hz outside covered band [8025000000.0, 8235000000.0] Hz"),
     "coverage_union half_width": (
         lambda: coverage_union([8e9], math.nan),
         DomainError, "half_width must be finite and > 0, got nan"),
     "coverage_union no lines": (
         lambda: coverage_union([], 5e6),
         DomainError, "coverage requires at least one line"),
+    "coverage_union scalar": (
+        lambda: coverage_union(8e9, 5e6),
+        DomainError, "lines must be 1-D, got 0-D"),
+    "coverage_union row": (
+        lambda: coverage_union([[8e9, 8.01e9]], 5e6),
+        DomainError, "lines must be 1-D, got 2-D"),
+    "coverage_union column": (
+        lambda: coverage_union([[8e9], [8.01e9]], 5e6),
+        DomainError, "lines must be 1-D, got 2-D"),
+    "coverage_union empty 2-D": (
+        lambda: coverage_union(np.zeros((0, 2)), 5e6),
+        DomainError, "lines must be 1-D, got 2-D"),
     "channel_table reference_field": (
         lambda: channel_table(-36.5, [1e-5, -1.0]),
         DomainError, "reference_field must be > 0, got -1.0"),
@@ -223,19 +230,22 @@ FAILURES = {
         "channel: noise_floor (5848.728353180034 dBm) must be below peak_power (-36.5 dBm), "
         "both finite"),
     "stimulus 2-D": (
-        lambda: evaluate_channels(PLAN, CH, [[8.13e9]], 1e-5),
+        lambda: stitched_response(PLAN, CH, [[8.13e9]], 1e-5),
         DomainError, "stimulus needs a non-empty 1-D array of frequencies"),
+    "stimulus signal frequency": (
+        lambda: stitched_response(PLAN, CH, math.nan, 1e-5),
+        DomainError, "signal frequency must be finite and > 0, got nan"),
     "stimulus field": (
-        lambda: evaluate_channels(PLAN, CH, 8.13e9, -1.0),
+        lambda: stitched_response(PLAN, CH, 8.13e9, -1.0),
         DomainError, "field must be finite and >= 0, got -1.0"),
     "plan no entries": (
-        lambda: evaluate_channels(EMPTY_PLAN, CH, 8.13e9, 1e-5),
+        lambda: stitched_response(EMPTY_PLAN, CH, 8.13e9, 1e-5),
         PlannerError, "plan has no entries"),
     "plan channel count": (
-        lambda: evaluate_channels(PLAN, CH[:-1], 8.13e9, 1e-5),
+        lambda: stitched_response(PLAN, CH[:-1], 8.13e9, 1e-5),
         PlannerError, "got 20 channel responses for 21 plan entries"),
     "plan unsorted": (
-        lambda: evaluate_channels(SHUFFLED, CH, 8.13e9, 1e-5),
+        lambda: stitched_response(SHUFFLED, CH, 8.13e9, 1e-5),
         PlannerError, "plan entries must be ordered by ascending line frequency"),
     "LadderSystem finite": (
         lambda: LadderSystem(1.0, 1.0, math.nan),

@@ -16,7 +16,6 @@ from starkcomb import (
     build_channels,
     calibrate_noise_floor,
     channel_table,
-    evaluate_channels,
     far_field_strength,
     load_config,
     min_detectable_field,
@@ -355,18 +354,10 @@ class TestStitchedResponse:
         sweep = np.linspace(8.025e9, 8.235e9, 85)
         field = config.channel_defaults.reference_field
         spectrum = stitched_response(plan21, channels21, sweep, field)
+        lines = plan21.entries.line_frequency
         for row in spectrum:
-            per_channel = evaluate_channels(
-                plan21,
-                channels21,
-                row.signal_frequency,
-                config.channel_defaults.reference_field,
-            )
-            assert math.isclose(
-                row.beat_power,
-                max(r.beat_power for r in per_channel),
-                abs_tol=0.01,
-            )
+            per_channel = beat_power(channels21, field, row.signal_frequency - lines)
+            assert math.isclose(row.beat_power, per_channel.max(), abs_tol=0.01)
 
     def test_out_of_band_rows_flagged(self, plan21, channels21):
         tones = [8.022e9, 8.03e9, 8.238e9]
@@ -376,25 +367,21 @@ class TestStitchedResponse:
     def test_single_tone_isolated_when_small(self, plan21, channels21):
         # A tone just above its own channel's threshold but below every
         # neighbor's stays confined to one channel.
-        line = plan21.entries[10].line_frequency
+        lines = plan21.entries.line_frequency
         field = 2.0 * min_detectable_field(channels21[10], 0.0)
-        rows = evaluate_channels(plan21, channels21, line, field)
-        above = [row.channel_index for row in rows if row.above_noise]
-        assert above == [10]
+        above = field >= min_detectable_field(channels21, lines[10] - lines)
+        assert np.flatnonzero(above).tolist() == [10]
 
     def test_tiny_tone_nowhere_above_noise(self, plan21, channels21):
-        line = plan21.entries[10].line_frequency
+        lines = plan21.entries.line_frequency
         neighbor_threshold = min(
             min_detectable_field(channels21[9], -10e6),
             min_detectable_field(channels21[11], 10e6),
         )
-        rows = evaluate_channels(
-            plan21, channels21, line, neighbor_threshold / 10.0
-        )
-        above = [row.channel_index for row in rows if row.above_noise]
-        assert above == [] or above == [10]
-        assert all(row.channel_index != 9 and row.channel_index != 11
-                   for row in rows if row.above_noise)
+        field = neighbor_threshold / 10.0
+        above = np.flatnonzero(field >= min_detectable_field(channels21, lines[10] - lines))
+        assert above.tolist() == [] or above.tolist() == [10]
+        assert 9 not in above and 11 not in above
 
     def test_stitching_ripple_is_exactly_three_db(self, plan21, config, channels21):
         # Channels meet at their half-power points, so the stitched band

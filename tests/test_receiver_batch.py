@@ -23,7 +23,6 @@ from starkcomb import (
     build_channels,
     channel_table,
     default_config,
-    evaluate_channels,
     load_config,
     min_detectable_field,
     run_scenario,
@@ -200,14 +199,20 @@ def test_stitched_response_matches_per_point_loop(data, receiver):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data(), receiver=receivers())
-def test_evaluate_channels_matches_per_channel_rows(data, receiver):
+def test_one_tone_on_every_channel_matches_per_channel_rows(data, receiver):
+    # The isolation reading: one tone on every channel, each at its own detuning.
     plan, channels = receiver
     frequency, field = data.draw(stimuli(plan, channels))[0]
+    delta_f = frequency - plan.entries.line_frequency
+    power = beat_power(channels, field, delta_f)
+    above = (field > 0) & (field >= min_detectable_field(channels, delta_f))
     expected = [
         _row(channel, e.line_index, frequency, frequency - e.line_frequency, field)
         for channel, e in zip(channels, plan.entries)
     ]
-    assert_rows_match(evaluate_channels(plan, channels, frequency, field), expected)
+    assert delta_f.tolist() == [row[2] for row in expected]
+    assert np.abs(power - [row[3] for row in expected]).max() <= 1e-12
+    assert above.tolist() == [row[4] for row in expected]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -243,8 +248,6 @@ def test_block_edges_match_per_point_loop(monkeypatch, plan21, channels21, size)
     fields = np.geomspace(1e-9, 1e-2, size)
     fields[::3] = 0.0
     whole = stitched_response(plan21, channels, frequencies, fields)
-    plan = CellArrayPlan(entries=plan21.entries[:size], min_spacing=1.0, feasible=True)
-    one_tone = evaluate_channels(plan, channels[:size], 8.1e9, 1e-5)
     monkeypatch.setattr(starkcomb.receiver, "_BLOCK", SMALL_BLOCK)
     rows = stitched_response(plan21, channels, frequencies, fields)
     assert_rows_match(rows, reference_response(plan21, channels, frequencies, fields))
@@ -255,13 +258,6 @@ def test_block_edges_match_per_point_loop(monkeypatch, plan21, channels21, size)
     assert rows.beat_power.tobytes() == np.asarray(power, dtype=float).tobytes()
     minimum = min_detectable_field(channel, rows.delta_f)
     assert rows.above_noise.tolist() == ((fields > 0) & (fields >= minimum)).tolist()
-    expected = [
-        _row(channel, e.line_index, 8.1e9, 8.1e9 - e.line_frequency, 1e-5)
-        for channel, e in zip(channels[:size], plan.entries)
-    ]
-    blocked = evaluate_channels(plan, channels[:size], 8.1e9, 1e-5)
-    assert_rows_match(blocked, expected)
-    assert blocked.tobytes() == one_tone.tobytes()
 
 
 @pytest.mark.parametrize("first, text", [("off line", "nan"), ("on line", "inf")])
@@ -494,16 +490,13 @@ def test_spectrum_rows_are_records(plan21, channels21):
 
 def test_spectrum_rows_are_read_only(plan21, channels21):
     sweep = np.linspace(8.02e9, 8.24e9, 11)
-    for rows in (
-        stitched_response(plan21, channels21, sweep, 1e-5),
-        evaluate_channels(plan21, channels21, 8.13e9, 1e-5),
-    ):
-        before = rows.beat_power.tolist()
-        with pytest.raises(ValueError, match="read-only"):
-            rows.beat_power[0] = 99.0
-        with pytest.raises(ValueError, match="read-only"):
-            rows[0] = rows[1]
-        assert rows.beat_power.tolist() == before
+    rows = stitched_response(plan21, channels21, sweep, 1e-5)
+    before = rows.beat_power.tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        rows.beat_power[0] = 99.0
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0] = rows[1]
+    assert rows.beat_power.tolist() == before
 
 
 def test_tone_list_from_arrays_equals_pairs(plan21, channels21):
@@ -551,14 +544,13 @@ def test_non_finite_stimulus_rejected(build, plan21, channels21):
     [
         (math.nan, 1e-5, "signal frequency"),
         (8.13e9, math.nan, "field"),
-        ([8.1e9, 8.2e9], 1e-5, "^a single tone needs one frequency, got 2$"),
         (8.1e9, [1e-5, 2e-5], "got 2 fields for 1 frequencies$"),
     ],
-    ids=["nan frequency", "nan field", "two frequencies", "two fields"],
+    ids=["nan frequency", "nan field", "two fields"],
 )
 def test_non_finite_single_tone_rejected(plan21, channels21, frequency, field, message):
     with pytest.raises(DomainError, match=message):
-        evaluate_channels(plan21, channels21, frequency, field)
+        stitched_response(plan21, channels21, frequency, field)
 
 
 def test_unsorted_plan_rejected(plan21, channels21):
@@ -590,7 +582,7 @@ def test_stimulus_leaves_the_callers_arrays_writable_and_unchanged(plan21, chann
     before = [a.copy() for a in callers]
     stitched_response(plan21, channels21, frequencies, fields)
     stitched_response(plan21, channels21, frequencies[::2], fields[3])
-    evaluate_channels(plan21, channels21, tone, tone_field)
+    stitched_response(plan21, channels21, tone, tone_field)
     viewed, broadcast = starkcomb.receiver._stimulus(frequencies, fields)
     assert np.shares_memory(viewed, frequencies) and np.shares_memory(broadcast, fields)
     assert not viewed.flags.writeable and not broadcast.flags.writeable
@@ -622,9 +614,9 @@ def test_stimulus_views_give_the_rows_of_full_copies(plan21, channels21, stimulu
     rows = stitched_response(plan21, channels21, frequencies, fields)
     expected = stitched_response(plan21, channels21, *copied)
     assert rows.dtype == expected.dtype and rows.tobytes() == expected.tobytes()
-    expected = evaluate_channels(plan21, channels21, copied[0][:1].copy(), copied[1][:1].copy())
+    expected = stitched_response(plan21, channels21, copied[0][:1].copy(), copied[1][:1].copy())
     tone = np.atleast_1d(frequencies)[:1], np.atleast_1d(fields)[:1]
-    assert evaluate_channels(plan21, channels21, *tone).tobytes() == expected.tobytes()
+    assert stitched_response(plan21, channels21, *tone).tobytes() == expected.tobytes()
 
 
 def test_scalar_field_is_not_expanded():
