@@ -30,9 +30,11 @@ real coordinates to real coordinates, so it is a real matrix, and 2-norms
 :func:`steady_state` rescales each system by its largest rate, replaces the
 ground-population row (redundant under trace preservation) by the unit-trace
 row, and inverts the real square systems in batches of fixed size. The first
-column of each inverse is the steady state, mapped back to rho by
-``T^dagger``; the inverse also gives the 1-norm condition number, which flags
-non-unique steady states. Scalar calls and sweeps share this one path.
+column of each inverse is the steady state; the inverse also gives the 1-norm
+condition number, which flags non-unique steady states. Scalar calls and
+sweeps share this one path. From each batch :func:`steady_state` reads rho
+(``T^dagger x``), :func:`probe_absorption` only Im rho_ge, and
+:func:`heterodyne_gain` alone forms the ``mw_rabi`` slope.
 
 The beat note produced by mixing a weak signal with the LO is modeled
 quasi-statically: its amplitude is the derivative of the probe absorption
@@ -45,6 +47,7 @@ steady state exactly, with one matrix-vector product per system.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -170,6 +173,8 @@ _BASIS = np.einsum(
     "rk,fks->frs", _T, np.einsum("fkc,sc->fks", _liouvillian_basis(), _T.conj())
 ).real
 _MW_BASIS = _BASIS[_FIELDS.index("mw_rabi")]
+# Row 4 of T^dagger: its product with real coordinates is rho_ge = rho[0, 1].
+_RHO_GE = _T.conj()[:, 4]
 # Row 0 (d rho_gg / dt) is minus the sum of rows 1, 2 and 3 because the
 # Liouvillian preserves the trace, so the unit-trace row replaces it.
 _TRACE_ROW = np.zeros(16)
@@ -183,10 +188,12 @@ def _norm1(a: np.ndarray) -> np.ndarray:
     return np.einsum("nij->nj", np.abs(a)).max(axis=-1)
 
 
-def _solve_block(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real steady-state coordinates of a block of scaled rate sets, their
-    derivatives with respect to the scaled ``mw_rabi``, and residual norms."""
-    liouv = np.tensordot(scaled, _BASIS, axes=1)
+def _solve_block(rates: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Real steady-state coordinates of a block of rate sets, the inverses of
+    their trace-replaced matrices (each set scaled by its largest rate), their
+    residual norms, and those scales (a column)."""
+    scale = np.abs(rates).max(axis=1, keepdims=True)
+    liouv = np.tensordot(rates / scale, _BASIS, axes=1)
     matrix = liouv.copy()
     matrix[:, 0, :] = _TRACE_ROW
     try:
@@ -208,19 +215,14 @@ def _solve_block(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     residual = np.linalg.norm(np.einsum("nij,nj->ni", liouv, solution), axis=1)
     message = f"steady-state residual {{:.3e}} exceeds {_RESIDUAL_LIMIT:g}"
     require(residual <= _RESIDUAL_LIMIT, SolverError, message, residual)
-    # matrix @ x = e_0 is affine in mw_rabi and the trace row does not depend
-    # on it, so matrix @ dx = -[0; (B_mw x)[1:]].
-    drive = solution @ _MW_BASIS.T
-    drive[:, 0] = 0.0
-    slope = -(inverse @ drive[:, :, None])[:, :, 0]
-    return solution, slope, residual
+    return solution, inverse, residual, scale
 
 
 def _solve(
-    system: LadderSystem, probe_detuning: ArrayLike | None, mw_rabi: ArrayLike | None
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Sweep shape, real steady-state coordinates, their derivatives with
-    respect to ``mw_rabi`` (s/rad) and residual norms, one row per system."""
+    system: LadderSystem, probe_detuning: ArrayLike | None, mw_rabi: ArrayLike | None, read: Callable
+) -> np.ndarray:
+    """``read(x, inverse, residual, scale)`` of each block of systems, as
+    :func:`_solve_block` returns them, joined and shaped as the sweep."""
     sweep = {
         name: np.asarray(values, dtype=float)
         for name, values in (("probe_detuning", probe_detuning), ("mw_rabi", mw_rabi))
@@ -229,27 +231,13 @@ def _solve(
     for name, values in sweep.items():
         require(np.isfinite(values), DomainError, f"swept {name} must be finite")
     require(sweep.get("mw_rabi", 0.0) >= 0, DomainError, "swept mw_rabi must be >= 0")
-    shape = np.broadcast_shapes(*(values.shape for values in sweep.values()))
 
-    params = np.empty(shape + (len(_FIELDS),))
-    for i, name in enumerate(_FIELDS):
-        params[..., i] = sweep.get(name, getattr(system, name))
-    params = params.reshape(-1, len(_FIELDS))
-    scale = np.abs(params).max(axis=1, keepdims=True)
-    scaled = params / scale
-
-    solution = np.empty((len(params), 16))
-    slope = np.empty((len(params), 16))
-    residual = np.empty(len(params))
-    for lo in range(0, len(params), _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        solution[block], slope[block], residual[block] = _solve_block(scaled[block])
-    return shape, solution, slope / scale, residual
-
-
-def _density_matrix(coordinates: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Matrices ``T^dagger x`` of rows of real coordinates, of shape ``shape + (4, 4)``."""
-    return (coordinates @ _T.conj()).reshape(shape + (4, 4)).swapaxes(-1, -2)
+    columns = np.broadcast_arrays(*(sweep.get(name, getattr(system, name)) for name in _FIELDS))
+    rates = np.stack(columns, axis=-1, dtype=float).reshape(-1, len(_FIELDS))
+    # An empty sweep is one empty block, so that there is a part to join.
+    blocks = range(0, len(rates) or 1, _BLOCK)
+    table = np.concatenate([read(*_solve_block(rates[lo : lo + _BLOCK])) for lo in blocks])
+    return table.reshape(columns[0].shape + table.shape[1:])
 
 
 def steady_state(
@@ -273,10 +261,11 @@ def steady_state(
     (singular or numerically singular system, e.g. an undriven, undamped
     level) and :class:`SolverError` when a residual exceeds ``1e-9``.
     """
-    shape, solution, _, residual = _solve(system, probe_detuning, mw_rabi)
-    residual = residual.reshape(shape)
+    read = lambda x, inverse, residual, scale: np.column_stack([x, residual])
+    table = _solve(system, probe_detuning, mw_rabi, read)
+    residual = table[..., 16]
     return DensityMatrixSolution(
-        rho=_density_matrix(solution, shape),
+        rho=(table[..., :16] @ _T.conj()).reshape(table.shape[:-1] + (4, 4)).swapaxes(-1, -2),
         residual_norm=float(residual) if residual.ndim == 0 else residual,
     )
 
@@ -286,8 +275,8 @@ def _require_probe(system: LadderSystem) -> None:
     require(system.probe_rabi > 0, DomainError, message)
 
 
-def _absorption(system: LadderSystem, rho: np.ndarray) -> float | np.ndarray:
-    absorption = rho[..., 0, 1].imag * system.decay_e / system.probe_rabi
+def _absorption(system: LadderSystem, imag_ge: np.ndarray) -> float | np.ndarray:
+    absorption = imag_ge * system.decay_e / system.probe_rabi
     return float(absorption) if absorption.ndim == 0 else absorption
 
 
@@ -305,8 +294,8 @@ def probe_absorption(
     :func:`steady_state`; with a sweep the result is an array of its shape.
     """
     _require_probe(system)
-    rho = steady_state(system, probe_detuning=probe_detuning, mw_rabi=mw_rabi).rho
-    return _absorption(system, rho)
+    read = lambda x, inverse, residual, scale: (x @ _RHO_GE).imag
+    return _absorption(system, _solve(system, probe_detuning, mw_rabi, read))
 
 
 def at_splitting(system: LadderSystem, probe_sweep: np.ndarray) -> float:
@@ -363,5 +352,11 @@ def heterodyne_gain(
     message = "mw_rabi must be > 0 to define the heterodyne gain"
     require(np.asarray(lo, dtype=float) > 0, DomainError, message)
     _require_probe(system)
-    shape, _, slope, _ = _solve(system, None, mw_rabi)
-    return _absorption(system, _density_matrix(slope, shape))
+
+    def read(x, inverse, residual, scale):
+        drive = x @ _MW_BASIS.T
+        drive[:, 0] = 0.0
+        slope = -(inverse @ drive[:, :, None])[:, :, 0] / scale
+        return (slope @ _RHO_GE).imag
+
+    return _absorption(system, _solve(system, None, mw_rabi, read))

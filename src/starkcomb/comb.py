@@ -33,6 +33,11 @@ __all__ = [
 # the power in mW is a finite, nonzero float.
 MAX_LEVEL_DB = 10.0 * math.log10(sys.float_info.max)
 
+# The most rows a configuration may ask for: comb lines, scenario points, and
+# the linearity scenario's lines x points. It bounds the memory and time a
+# file can demand; the bundled and benchmark designs stay far below it.
+MAX_ROWS = 1_000_000
+
 
 def _equal_split_dbm(total_power: float, count: int) -> float:
     return total_power - 10.0 * math.log10(count)
@@ -65,8 +70,10 @@ class FrequencyComb:
             require(0 < value < math.inf, DomainError, message, value)
         count = self.line_count
         message = "line_count must be an integer, got {}"
-        require(isinstance(count, numbers.Integral), DomainError, message, count)
+        integral = isinstance(count, numbers.Integral) and not isinstance(count, bool)
+        require(integral, DomainError, message, count)
         require(count >= 1, DomainError, "line_count must be >= 1, got {}", count)
+        require(count <= MAX_ROWS, DomainError, f"line_count must be <= {MAX_ROWS}, got {{}}", count)
         levels = self.per_line_power
         if not levels:
             object.__setattr__(

@@ -41,7 +41,7 @@ import numpy as np
 import yaml
 
 from .bloch import LadderSystem
-from .comb import MAX_LEVEL_DB, FrequencyComb
+from .comb import MAX_LEVEL_DB, MAX_ROWS, FrequencyComb
 from .errors import ConfigError, StarkCombError
 from .field_map import FieldProfile, fit_profile
 from .receiver import calibrate_noise_floor, channel_table, far_field_strength
@@ -55,11 +55,6 @@ __all__ = [
     "default_config",
     "load_config",
 ]
-
-# The most rows a configuration may ask for: comb lines, scenario points, and
-# the linearity scenario's lines x points. It bounds the memory and time a
-# file can demand; the bundled and benchmark designs stay far below it.
-MAX_ROWS = 1_000_000
 
 _TWO_PI = 2.0 * math.pi
 

@@ -206,6 +206,31 @@ def test_gain_batch_of_one_equals_scalar_call(system):
 
 
 @property_settings
+@given(system=systems)
+def test_absorption_is_its_definition_bit_for_bit(system):
+    # probe_absorption reads Im rho_ge from one real coordinate and forms no
+    # rho; it must equal that entry of steady_state's rho exactly: for a
+    # scalar call, a probe sweep across several solver blocks, and a
+    # broadcast probe x mw_rabi sweep.
+    sweeps = [
+        {},
+        {"probe_detuning": np.linspace(-3 * GAMMA_E, 3 * GAMMA_E, 3 * bloch._BLOCK + 5)},
+        {
+            "probe_detuning": np.linspace(-GAMMA_E, GAMMA_E, 9)[:, None],
+            "mw_rabi": system.mw_rabi * np.array([0.5, 1.0, 2.0]),
+        },
+    ]
+    for sweep in sweeps:
+        rho = steady_state(system, **sweep).rho
+        expected = np.asarray(rho[..., 0, 1].imag * system.decay_e / system.probe_rabi)
+        absorption = probe_absorption(system, **sweep)
+        assert isinstance(absorption, float if expected.ndim == 0 else np.ndarray)
+        absorption = np.asarray(absorption)
+        assert absorption.shape == expected.shape
+        assert absorption.tobytes() == expected.tobytes()
+
+
+@property_settings
 @given(
     system=systems,
     lo_values=st.lists(_log_rate(-2, 1), min_size=1, max_size=150),

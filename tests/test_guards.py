@@ -53,6 +53,7 @@ from starkcomb import (
     stitched_response,
     transition_frequency_at,
 )
+from starkcomb.config import MAX_ROWS
 from starkcomb.errors import after_first_failure, require
 
 from conftest import ANCHORS, DPOL_HZ_PER_V2, FIELD_FREE_HZ
@@ -158,6 +159,16 @@ FAILURES = {
     "FrequencyComb line_count whole float": (
         lambda: FrequencyComb(8e9, 1e7, 2.0, per_line_power=(0.0, 0.0)),
         DomainError, "line_count must be an integer, got 2.0"),
+    "FrequencyComb line_count bool": (
+        lambda: FrequencyComb(8e9, 1e7, True),
+        DomainError, "line_count must be an integer, got True"),
+    # The cap is checked before the equal-split per_line_power tuple is built.
+    "FrequencyComb line_count above MAX_ROWS": (
+        lambda: FrequencyComb(8e9, 1e7, MAX_ROWS + 1),
+        DomainError, f"line_count must be <= {MAX_ROWS}, got {MAX_ROWS + 1}"),
+    "FrequencyComb line_count 10**9": (
+        lambda: FrequencyComb(8e9, 1e7, 10**9),
+        DomainError, f"line_count must be <= {MAX_ROWS}, got 1000000000"),
     "FrequencyComb per_line_power length": (
         lambda: FrequencyComb(8e9, 1e7, 3, per_line_power=(0.0, 1.0)),
         DomainError, "per_line_power has 2 entries but line_count is 3"),

@@ -420,6 +420,25 @@ def test_run_memory_does_not_grow_with_the_table(tmp_path, name):
     assert peaks[200_000] - peaks[50_000] < 8 * (rows[200_000] - rows[50_000]) + block_bytes
 
 
+def test_eit_memory_per_point_is_bounded(tmp_path):
+    # eit holds its two columns whole, and the solver keeps per point only its
+    # scaled rate row, its scale and the one coordinate that probe_absorption
+    # reads. So from 4 000 to 16 000 points (63 to 250 solver blocks) the
+    # traced peak of run_scenario grows by less than 250 B per point. A
+    # complex rho per point, or the mw_rabi slope, would add more than that.
+    # The two runs add about 0.5 s to the suite.
+    peaks = {}
+    for points in (4_000, 16_000):
+        config = _config(tmp_path, f"scenarios:\n  eit:\n    points: {points}\n")
+        tracemalloc.start()
+        try:
+            run_scenario(config, "eit", tmp_path / str(points))
+            peaks[points] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16_000] - peaks[4_000] < 250 * (16_000 - 4_000)
+
+
 # ---------------------------------------------------------------- guards
 
 
