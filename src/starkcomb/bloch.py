@@ -188,41 +188,12 @@ def _norm1(a: np.ndarray) -> np.ndarray:
     return np.einsum("nij->nj", np.abs(a)).max(axis=-1)
 
 
-def _solve_block(rates: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Real steady-state coordinates of a block of rate sets, the inverses of
-    their trace-replaced matrices (each set scaled by its largest rate), their
-    residual norms, and those scales (a column)."""
-    scale = np.abs(rates).max(axis=1, keepdims=True)
-    liouv = np.tensordot(rates / scale, _BASIS, axes=1)
-    matrix = liouv.copy()
-    matrix[:, 0, :] = _TRACE_ROW
-    try:
-        inverse = np.linalg.inv(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSystemError(
-            "steady state is not unique (singular Liouvillian); the level "
-            "structure is disconnected or undamped"
-        ) from exc
-    cond = _norm1(matrix) * _norm1(inverse)
-    require(
-        cond <= _CONDITION_LIMIT,
-        DegenerateSystemError,
-        f"steady state is not unique (condition number {{:.3e}} exceeds {_CONDITION_LIMIT:.3e}); "
-        "the level structure is disconnected or undamped",
-        cond,
-    )
-    solution = inverse[:, :, 0]
-    residual = np.linalg.norm(np.einsum("nij,nj->ni", liouv, solution), axis=1)
-    message = f"steady-state residual {{:.3e}} exceeds {_RESIDUAL_LIMIT:g}"
-    require(residual <= _RESIDUAL_LIMIT, SolverError, message, residual)
-    return solution, inverse, residual, scale
-
-
 def _solve(
     system: LadderSystem, probe_detuning: ArrayLike | None, mw_rabi: ArrayLike | None, read: Callable
 ) -> np.ndarray:
-    """``read(x, inverse, residual, scale)`` of each block of systems, as
-    :func:`_solve_block` returns them, joined and shaped as the sweep."""
+    """``read(x, inverse, residual, scale)`` of each block of systems, joined and
+    shaped as the sweep: the real steady states, the inverses of the trace-replaced
+    matrices (each system scaled by its largest rate), residuals and scales (a column)."""
     sweep = {
         name: np.asarray(values, dtype=float)
         for name, values in (("probe_detuning", probe_detuning), ("mw_rabi", mw_rabi))
@@ -231,12 +202,41 @@ def _solve(
     for name, values in sweep.items():
         require(np.isfinite(values), DomainError, f"swept {name} must be finite")
     require(sweep.get("mw_rabi", 0.0) >= 0, DomainError, "swept mw_rabi must be >= 0")
-
-    columns = np.broadcast_arrays(*(sweep.get(name, getattr(system, name)) for name in _FIELDS))
+    try:
+        columns = np.broadcast_arrays(*(sweep.get(name, getattr(system, name)) for name in _FIELDS))
+    except ValueError:
+        shapes = " and ".join(f"{name} of shape {values.shape}" for name, values in sweep.items())
+        raise DomainError(f"swept {shapes} do not broadcast together") from None
     rates = np.stack(columns, axis=-1, dtype=float).reshape(-1, len(_FIELDS))
+    parts = []
     # An empty sweep is one empty block, so that there is a part to join.
-    blocks = range(0, len(rates) or 1, _BLOCK)
-    table = np.concatenate([read(*_solve_block(rates[lo : lo + _BLOCK])) for lo in blocks])
+    for lo in range(0, len(rates) or 1, _BLOCK):
+        block = rates[lo : lo + _BLOCK]
+        scale = np.abs(block).max(axis=1, keepdims=True)
+        liouv = np.tensordot(block / scale, _BASIS, axes=1)
+        matrix = liouv.copy()
+        matrix[:, 0, :] = _TRACE_ROW
+        try:
+            inverse = np.linalg.inv(matrix)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateSystemError(
+                "steady state is not unique (singular Liouvillian); the level "
+                "structure is disconnected or undamped"
+            ) from exc
+        cond = _norm1(matrix) * _norm1(inverse)
+        require(
+            cond <= _CONDITION_LIMIT,
+            DegenerateSystemError,
+            f"steady state is not unique (condition number {{:.3e}} exceeds {_CONDITION_LIMIT:.3e}); "
+            "the level structure is disconnected or undamped",
+            cond,
+        )
+        solution = inverse[:, :, 0]
+        residual = np.linalg.norm(np.einsum("nij,nj->ni", liouv, solution), axis=1)
+        message = f"steady-state residual {{:.3e}} exceeds {_RESIDUAL_LIMIT:g}"
+        require(residual <= _RESIDUAL_LIMIT, SolverError, message, residual)
+        parts.append(read(solution, inverse, residual, scale))
+    table = np.concatenate(parts)
     return table.reshape(columns[0].shape + table.shape[1:])
 
 

@@ -115,7 +115,6 @@ def fit_profile(
     *,
     offset: float = 0.0,
     decay_exponent: float | None = None,
-    valid_range: tuple[float, float] | None = None,
 ) -> FieldProfile:
     """Fit a :class:`FieldProfile` to (position, transition frequency) anchors.
 
@@ -134,15 +133,13 @@ def fit_profile(
         Positional offset x0 (cm) of the power-law pole, default 0.
     decay_exponent : float, optional
         If given, the exponent is not fitted; a single anchor then suffices.
-    valid_range : tuple, optional
-        Evaluation range; defaults to the anchor span (a single anchor gets
-        a 1 cm range starting at its position; pass the real range instead).
 
     Returns
     -------
     FieldProfile
         Anchored at the smallest-x anchor, reproducing every anchor within
-        ``ANCHOR_TOLERANCE_HZ``.
+        ``ANCHOR_TOLERANCE_HZ``, and valid over the anchor span (from a single
+        anchor, over 1 cm from its position).
     """
     pts = sorted(anchors, key=lambda a: a[0])
     require(len(pts) > 0, UnderdeterminedError, "at least one anchor is required")
@@ -181,22 +178,14 @@ def fit_profile(
         gamma = decay_exponent
 
     x_ref = pts[0][0]
-    if valid_range is None:
-        valid_range = (pts[0][0], pts[-1][0]) if len(pts) > 1 else (x_ref, x_ref + 1.0)
-
     profile = FieldProfile(
         reference_position=x_ref,
         reference_field=float(fields[0]),
         decay_exponent=gamma,
         offset=offset,
-        valid_range=valid_range,
+        valid_range=(x_ref, pts[-1][0]) if len(pts) > 1 else (x_ref, x_ref + 1.0),
     )
-
-    # Raw power law rather than field_at: anchors may sit outside a
-    # caller-supplied valid_range.
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = fields[0] * ((x_ref + offset) / shifted) ** gamma
-    misfit = np.abs(stark_shifted_frequency(transition, e) - fs)
+    misfit = np.abs(stark_shifted_frequency(transition, field_at(profile, xs)) - fs)
     require(
         ~(misfit > ANCHOR_TOLERANCE_HZ),
         InfeasibleProfileError,

@@ -1,24 +1,25 @@
 """Scenario runners: deterministic CSV data products plus a run manifest.
 
-Each runner is a pure function of the configuration that returns its tables:
-for every CSV file name, the metadata that follows the common header, the
-column names and the rows in the blocks of ``receiver.row_blocks``.
-``SCENARIOS`` maps each scenario name to its runner and its help text. Every
-check runs when the runner is called, before the output directory is made;
-the ``response``, ``sweep2cell`` and ``linearity`` blocks are then computed
-one at a time as they are written, so no whole column of them is held.
-``run_scenario`` is the one writer. It prefixes each table with the common
-header (package version, configuration hash, scenario name), writes and
-hashes each block as it is formatted, and writes a JSON manifest listing the
-SHA-256 of the bytes it wrote for each file. The files are moved into place
-only once all of them are written, so a run that fails partway leaves no
-file of its own and an earlier run's files whole. Output bytes are a pure
-function of the configuration; timestamps are embedded only when explicitly
-requested.
+Each runner is a pure function of the configuration. It checks its inputs and
+returns its tables: for every CSV file name, the metadata after the common
+header, the column names and the rows in the blocks of ``receiver.row_blocks``.
+The ``response``, ``sweep2cell``, ``linearity`` and ``eit`` blocks are computed
+one at a time as they are written; only the one-row-per-line ``plan`` and
+``sensitivity`` tables and the fixed-size ``field_profile`` are built whole.
+``SCENARIOS`` maps each name to its runner and help text. ``run_scenario`` is
+the one writer: it makes the output directory once the checks pass, prefixes
+each table with the common header (package version, configuration hash,
+scenario name), writes and hashes each block as it is formatted, and writes a
+JSON manifest of the SHA-256 of the bytes written for each file. The files are
+moved into place once all are written, so a run that fails partway (a solver
+error or overflow in a later block, a full disk) leaves no file of its own, an
+earlier run's files whole, and no directory that it made. Output bytes are a
+pure function of the configuration; timestamps are embedded only on request.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -135,6 +136,23 @@ def _write(path: Path, chunks: Iterable[bytes]) -> str:
             file.write(chunk)
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _make_dirs(path: Path) -> list[Path]:
+    """``path.mkdir(parents=True, exist_ok=True)``; the directories it made, deepest first."""
+    try:
+        path.mkdir()
+    except FileNotFoundError:
+        if path.parent == path:
+            raise
+        made = _make_dirs(path.parent)
+        path.mkdir(exist_ok=True)
+        return [path, *made]
+    except OSError:
+        if not path.is_dir():
+            raise
+        return []
+    return [path]
 
 
 def _plan(config: ReceiverConfig, comb: FrequencyComb | None = None) -> CellArrayPlan:
@@ -275,11 +293,9 @@ def _run_eit(config: ReceiverConfig) -> Tables:
         )
         for f in dataclasses.fields(LadderSystem)
     ]
-    columns = {
-        "probe_detuning_MHz": detunings / (2.0 * math.pi * 1e6),
-        "absorption": probe_absorption(ladder, probe_detuning=detunings),
-    }
-    return {"eit.csv": _whole(meta, columns)}
+    sweeps = (detunings[block] for block in row_blocks(len(detunings)))
+    blocks = ((d / (two_pi * 1e6), probe_absorption(ladder, probe_detuning=d)) for d in sweeps)
+    return {"eit.csv": (meta, ("probe_detuning_MHz", "absorption"), blocks)}
 
 
 # Each scenario's runner, and the one line that ``starkcomb --help`` prints for it.
@@ -306,7 +322,8 @@ def run_scenario(
 
     Writes each table of the scenario as a CSV under ``out_dir``, then
     ``<name>_manifest.json`` with the SHA-256 of the bytes written for each.
-    ``out_dir`` is made only once every check has passed.
+    ``out_dir`` and its missing parents are made only once every check has
+    passed, and a failed run removes those that are still empty.
     """
     if name not in SCENARIOS:
         raise ConfigError(
@@ -314,16 +331,11 @@ def run_scenario(
         )
     tables = SCENARIOS[name][0](config)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config_sha256 = config.sha256
-    header = [
-        ("starkcomb_version", __version__),
-        ("config_sha256", config_sha256),
-        ("scenario", name),
-    ]
-    # Each file is written under a temporary name and moved into place once
-    # every file of the run is written, so a run that fails in any block or
-    # write leaves no file of its own and an earlier run's files whole.
+    made = _make_dirs(out_dir)
+    sha = config.sha256
+    header = [("starkcomb_version", __version__), ("config_sha256", sha), ("scenario", name)]
+    # Files are written under temporary names and moved into place once all are
+    # written, so a failed run leaves an earlier run's files whole.
     files = {}  # final path: temporary path
 
     def write(file_name: str, chunks: Iterable[bytes]) -> str:
@@ -336,17 +348,15 @@ def run_scenario(
             file_name: write(file_name, _format_csv(header + meta, names, blocks, timestamp))
             for file_name, (meta, names, blocks) in tables.items()
         }
-        manifest = {
-            "scenario": name,
-            "version": __version__,
-            "config_sha256": config_sha256,
-            "outputs": outputs,
-        }
+        manifest = dict(scenario=name, version=__version__, config_sha256=sha, outputs=outputs)
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         write(f"{name}_manifest.json", [text.encode()])
     except BaseException:
         for temporary in files.values():
             temporary.unlink(missing_ok=True)
+        for directory in made:  # rmdir removes only an empty directory
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         raise
     for path, temporary in files.items():
         temporary.replace(path)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -119,6 +120,18 @@ class TestSteadyState:
         ):
             with pytest.raises(DomainError):
                 steady_state(PAPER_LIKE, **sweep)
+
+    @pytest.mark.parametrize("solve", [steady_state, probe_absorption])
+    def test_sweeps_that_do_not_broadcast_rejected(self, solve):
+        # A named error that gives both shapes, raised before any system is solved.
+        message = "swept probe_detuning of shape (3,) and mw_rabi of shape (2,) do not broadcast"
+        with mock.patch("numpy.linalg.inv") as inverse:
+            with pytest.raises(DomainError, match=re.escape(message)):
+                solve(PAPER_LIKE, probe_detuning=np.zeros(3), mw_rabi=np.full(2, GAMMA_E))
+        inverse.assert_not_called()
+        # Shapes that broadcast still sweep their product.
+        grid = solve(PAPER_LIKE, probe_detuning=np.zeros((3, 1)), mw_rabi=np.full(2, GAMMA_E))
+        assert np.shape(getattr(grid, "residual_norm", grid)) == (3, 2)
 
 
 def _random_system(rng):

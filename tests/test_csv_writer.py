@@ -311,9 +311,10 @@ def test_write_memory_does_not_grow_with_the_table(tmp_path):
 @pytest.mark.parametrize("failing", ["first.csv", "second.csv"])
 def test_a_failed_run_leaves_no_file(monkeypatch, tmp_path, failing):
     # One table's chunks fail after its first block, as a full disk or a model
-    # error in a later block would. The run leaves no file of its own in a new
-    # directory, and over an earlier run it leaves that run's files as they
-    # were, its manifest included.
+    # error in a later block would. The run leaves no directory that it made,
+    # not even an empty one, and keeps one that it did not make: an empty one
+    # stays, and over an earlier run it leaves that run's files as they were,
+    # its manifest included.
     def blocks(offset, fail):
         yield [np.arange(3) + offset]
         if fail:
@@ -331,8 +332,11 @@ def test_a_failed_run_leaves_no_file(monkeypatch, tmp_path, failing):
     run_scenario(config, "response", tmp_path / "earlier")
     before = {path.name: path.read_bytes() for path in (tmp_path / "earlier").iterdir()}
     assert sorted(before) == ["first.csv", "response_manifest.json", "second.csv"]
-    for out, files in (("new", {}), ("earlier", before)):
+    (tmp_path / "empty").mkdir()
+    for out in ("new", "new/deeper", "empty", "earlier"):
         runner(10, fail=True)
         with pytest.raises(OSError, match="No space left on device"):
             run_scenario(config, "response", tmp_path / out)
-        assert {path.name: path.read_bytes() for path in (tmp_path / out).iterdir()} == files
+    assert not (tmp_path / "new").exists()
+    assert list((tmp_path / "empty").iterdir()) == []
+    assert {path.name: path.read_bytes() for path in (tmp_path / "earlier").iterdir()} == before

@@ -1,6 +1,7 @@
 """Closed-form cell placement against the plain-bisection oracle."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,13 +32,10 @@ def profiles(draw):
     if draw(st.booleans()):
         f_bottom = FIELD_FREE_HZ + (f_top - FIELD_FREE_HZ) * draw(st.floats(0.05, 0.8))
         return fit_profile([(x_lo, f_top), (x_hi, f_bottom)], TRANSITION, offset=offset)
-    return fit_profile(
-        [(x_lo, f_top)],
-        TRANSITION,
-        offset=offset,
-        decay_exponent=draw(st.floats(0.1, 3.0)),
-        valid_range=(x_lo, x_hi),
+    profile = fit_profile(
+        [(x_lo, f_top)], TRANSITION, offset=offset, decay_exponent=draw(st.floats(0.1, 3.0))
     )
+    return replace(profile, valid_range=(x_lo, x_hi))
 
 
 def _inset(draw, endpoint, tol, band):

@@ -420,23 +420,48 @@ def test_run_memory_does_not_grow_with_the_table(tmp_path, name):
     assert peaks[200_000] - peaks[50_000] < 8 * (rows[200_000] - rows[50_000]) + block_bytes
 
 
+def _peak(config, name, out):
+    """The traced (tracemalloc) peak of one run_scenario call, in bytes."""
+    tracemalloc.start()
+    try:
+        run_scenario(config, name, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_eit_memory_per_point_is_bounded(tmp_path):
-    # eit holds its two columns whole, and the solver keeps per point only its
-    # scaled rate row, its scale and the one coordinate that probe_absorption
-    # reads. So from 4 000 to 16 000 points (63 to 250 solver blocks) the
-    # traced peak of run_scenario grows by less than 250 B per point. A
-    # complex rho per point, or the mw_rabi slope, would add more than that.
-    # The two runs add about 0.5 s to the suite.
+    # eit streams its solver blocks into the CSV writer, so no column, rate row
+    # or solution of the whole sweep is held: from 10 000 to 40 000 points (2
+    # to 5 writer blocks, 157 to 625 solver blocks) the traced peak of
+    # run_scenario grows by less than 16 B per point. It measured -1 B per
+    # point; holding the two columns whole, as before, measured 98. The two
+    # runs take about 0.9 s on a 2-vCPU VM.
     peaks = {}
-    for points in (4_000, 16_000):
+    for points in (10_000, 40_000):
         config = _config(tmp_path, f"scenarios:\n  eit:\n    points: {points}\n")
-        tracemalloc.start()
-        try:
-            run_scenario(config, "eit", tmp_path / str(points))
-            peaks[points] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[16_000] - peaks[4_000] < 250 * (16_000 - 4_000)
+        peaks[points] = _peak(config, "eit", tmp_path / str(points))
+    assert peaks[40_000] - peaks[10_000] < 16 * (40_000 - 10_000)
+
+
+@pytest.mark.parametrize(
+    "name, lines, per_line",
+    # Measured growth: plan 103 B and sensitivity 177 B per line. The runs
+    # take about 0.8 s (plan) and 0.15 s (sensitivity) on a 2-vCPU VM.
+    [("plan", (10_000, 30_000), 128), ("sensitivity", (20_000, 80_000), 256)],
+)
+def test_per_line_memory_is_bounded(tmp_path, name, lines, per_line):
+    # plan and sensitivity hold their per-line tables whole (the plan, its
+    # channels and their columns) and write their CSV a block at a time, so
+    # the traced peak of run_scenario grows by a bounded number of bytes per
+    # line. Each bound leaves a quarter (plan) or a half (sensitivity) of the
+    # measured growth as headroom.
+    peaks = {}
+    for count in lines:
+        text = f"comb:\n  line_count: {count}\n  line_spacing_mhz: 0.002\nplanner:\n  min_gap_cm: 0\n"
+        peaks[count] = _peak(_config(tmp_path, text), name, tmp_path / str(count))
+    low, high = lines
+    assert peaks[high] - peaks[low] < per_line * (high - low)
 
 
 # ---------------------------------------------------------------- guards

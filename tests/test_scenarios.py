@@ -268,7 +268,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "error: beat signal power must be below +inf dBm, got inf\n"
         assert captured.out == ""
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         assert main(["linearity", "--out", str(out)]) == 0
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         assert sorted(before) == ["linearity.csv", "linearity_manifest.json"]
@@ -286,7 +286,9 @@ class TestCli:
         cfg.write_text("comb:\n  line_count: 41\n")  # lines outside the band
         assert main(["plan", "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
-    def test_degenerate_ladder_exits_4(self, tmp_path):
+    def test_degenerate_ladder_exits_4(self, tmp_path, capsys):
+        # eit streams its solver blocks, so the solver fails after the output
+        # directories are made; the run removes them again.
         cfg = tmp_path / "degenerate.yaml"
         cfg.write_text(
             "ladder:\n"
@@ -296,7 +298,22 @@ class TestCli:
             "  decay_r2_khz: 0.0\n"
             "  dephasing_khz: 0.0\n"
         )
+        out = tmp_path / "out" / "eit"
+        assert main(["eit", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "steady state is not unique" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
         assert main(["eit", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["degenerate.yaml"]
+
+    def test_overflow_in_the_first_block_leaves_no_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "huge_field.yaml"
+        cfg.write_text("scenarios:\n  response:\n    field_v_cm: 1.0e+306\n")
+        out = tmp_path / "out"
+        assert main(["response", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: beat signal power must be below +inf dBm, got inf\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "yaml_text, codes",
