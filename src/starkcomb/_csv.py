@@ -1,45 +1,45 @@
-"""Vectorized CSV rows: the bytes of one printf conversion per cell, from numpy.
+"""CSV text: the header and rows of every table that ``run_scenario`` writes.
 
-``vectorized_rows`` prints 1-D bool, int and float columns as
-``scenarios._printf_rows`` does: floats as ``'%.10g' % float(v)``, ints as
-``'%d'``, bools as ``true``/``false``. Each cell is a fixed-width run of
-little-endian uint64 words whose unused bytes are NUL, and its last byte
-holds the comma or newline after it. The rows of one call are one
-word-major table, one row of words per word of a cell, which each column's
-kernel fills in place; its transpose is the rows, and deleting their NULs
-lays them out. ``scenarios`` passes a large table one block of rows at a
-time, so that the word table stays in the CPU cache. Cells the arithmetic
-below cannot print exactly (0, inf, nan, a rounding tie, a float exponent
-outside -13..31, an int outside 0..10**8 - 1) are printed by printf into
-their run.
-
-``scenarios`` imports this module on its first large block, so that smaller
-runs do not pay for building its tables.
+Every column is bool, int or float, and ``_column_text`` is the one rule for
+its cells: ``true``/``false``, ``'%d'``, ``'%.10g' % float(v)``, and the empty
+cell for a NaN (as ``pandas.to_csv`` writes a missing value). A block of fewer
+than ``_VECTORIZED_MIN_CELLS`` cells is printed one ``%`` per row, a larger one
+by ``vectorized_rows`` with the same bytes. There each cell is a fixed-width
+run of little-endian uint64 words whose unused bytes are NUL, and its last byte
+holds the comma or newline after it. A block is one word-major table, one row
+per word of a cell, which each column's kernel fills in place; its transpose is
+the rows, and deleting their NULs lays them out. Cells the arithmetic below
+cannot print exactly (0, inf, nan, a rounding tie, a float exponent outside
+-13..31, an int outside 0..10**8 - 1) are printed by ``_column_text`` into
+their run. ``run_scenario`` imports this module when called, and the kernels
+build their tables on the first large block, so that a run of small tables
+never builds them.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+from datetime import datetime, timezone
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """For 0..9999: words of the four ASCII digits, first in the low byte,
-    zero-padded and with leading zeros NUL (0 all NUL); and the trailing
-    zero digits of the padded four (4 for 0)."""
+    zero-padded and with leading zeros NUL (0 all NUL); the trailing zero
+    digits of the padded four (4 for 0); and the low four digits of a number
+    n, stripped at n (but "0" for 0) and padded at n + 10**4."""
     digits = np.indices((10,) * 4).reshape(4, -1)  # column n holds n's digits
     zero = digits == 0
     chars = (digits + ord("0")) << np.array([[0], [8], [16], [24]])
     padded = chars.sum(axis=0).astype(np.uint64)
     stripped = np.where(np.logical_and.accumulate(zero), 0, chars).sum(axis=0).astype(np.uint64)
-    return padded, stripped, np.logical_and.accumulate(zero[::-1]).sum(axis=0)
+    low = np.concatenate([stripped, padded])
+    low[0] = ord("0") << 24
+    return padded, stripped, np.logical_and.accumulate(zero[::-1]).sum(axis=0), low
 
-
-_DIGITS4, _LEAD4, _TRAILING4 = _digit_tables()
-# The low four digits of a number: stripped below 10**4 (but "0" for 0),
-# padded at index + 10**4.
-_LOW4 = np.concatenate([_LEAD4, _DIGITS4])
-_LOW4[0] = ord("0") << 24
 
 _TRUE, _FALSE = np.frombuffer(b"true\0\0\0\0false\0\0\0", "<u8").astype(np.uint64)
 
@@ -53,6 +53,7 @@ _MULTIPLY = np.concatenate([np.ones(22), _POW10])
 _DIVIDE = np.concatenate([_POW10[::-1], np.ones(22)])
 
 
+@functools.cache
 def _float_layout() -> tuple[np.ndarray, np.ndarray]:
     """The mask and constant words of each '%.10g' cell shape.
 
@@ -87,9 +88,6 @@ def _float_layout() -> tuple[np.ndarray, np.ndarray]:
     return tuple(t.view("<u8").T.astype(np.uint64, order="C") for t in (mask, const))
 
 
-_FLOAT_MASK, _FLOAT_CONST = _float_layout()
-
-
 def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The integer nearest a / 10**(x - 9), and whether the quotient sits on a tie.
 
@@ -106,6 +104,8 @@ def _scaled(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _float_words(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    digits4, _, trailing4, _ = _digit_tables()
+    mask, const = _float_layout()
     values = values.astype(np.float64, copy=False)
     with np.errstate(all="ignore"):
         a = np.abs(values)
@@ -128,40 +128,41 @@ def _float_words(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     rest = m - high * 100_000_000
     middle = rest // 10_000
     low = rest - middle * 10_000
-    trailing = _TRAILING4.take(low)
+    trailing = trailing4.take(low)
     zero = np.flatnonzero(low == 0)  # few, often none: the last four digits are 0
     if zero.size:
-        more = _TRAILING4.take(middle[zero])
-        more += (middle[zero] == 0) * _TRAILING4.take(high[zero])
+        more = trailing4.take(middle[zero])
+        more += (middle[zero] == 0) * trailing4.take(high[zero])
         trailing[zero] += more
     # Cells left to printf may have any shape; the takes below clip it.
     shape = (np.where(values < 0, _X_MAX - _X_MIN + 1, 0) + x - _X_MIN) * 10 + trailing
     # The digit words, built in their rows of ``out`` (the later rows serve as
     # scratch first), then masked and completed by their shape's columns.
-    _DIGITS4.take(low, out=out[3], mode="clip")
+    digits4.take(low, out=out[3], mode="clip")
     np.left_shift(out[3], 32, out=out[1])
-    _DIGITS4.take(middle, out=out[2], mode="clip")
+    digits4.take(middle, out=out[2], mode="clip")
     out[1] |= out[2]  # digits 2..9
-    _DIGITS4.take(high, out=out[0], mode="clip")
+    digits4.take(high, out=out[0], mode="clip")
     out[0] <<= 32  # digits 0 and 1 in the last two bytes
     np.right_shift(out[0], 48, out=out[3])
     np.left_shift(out[1], 16, out=out[2])
     out[2] |= out[3]  # digits 1..7 after byte 0
     np.right_shift(out[1], 48, out=out[3])  # digits 8 and 9
-    out &= _FLOAT_MASK.take(shape, axis=1, mode="clip")
-    out |= _FLOAT_CONST.take(shape, axis=1, mode="clip")
+    out &= mask.take(shape, axis=1, mode="clip")
+    out |= const.take(shape, axis=1, mode="clip")
     return np.flatnonzero(printf)
 
 
 def _int_words(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    _, lead4, _, low4 = _digit_tables()
     values = values.astype(np.uint64 if values.dtype.kind == "u" else np.int64, copy=False)
     printf = (values < 0) | (values >= 100_000_000)
     v = np.where(printf, values.dtype.type(0), values).astype(np.int64)
     high = v // 10_000
     low = v - high * 10_000
-    _LOW4.take(np.where(high > 0, low + 10_000, low), out=out[0], mode="clip")
+    low4.take(np.where(high > 0, low + 10_000, low), out=out[0], mode="clip")
     out[0] <<= 32
-    _LEAD4.take(high, out=out[1], mode="clip")  # an int cell has two words or more
+    lead4.take(high, out=out[1], mode="clip")  # an int cell has two words or more
     out[0] |= out[1]
     out[1:] = 0
     return np.flatnonzero(printf)
@@ -201,9 +202,68 @@ def vectorized_rows(columns: Sequence[np.ndarray]) -> bytes:
         cell = table[start:end]
         fallback = _COLUMN_WORDS[values.dtype.kind](values, cell)
         if fallback.size:  # ints or floats: bools never fall back
-            conversion = "%.10g" if values.dtype.kind == "f" else "%d"
-            texts = [conversion % v for v in values[fallback].tolist()]
-            words = np.array(texts, f"S{8 * width}").view("<u8").reshape(-1, width)
-            cell[:, fallback] = words.T
+            conversion, cells = _column_text(values[fallback])
+            texts = np.array([conversion % v for v in cells], f"S{8 * width}")
+            cell[:, fallback] = texts.view("<u8").reshape(-1, width).T
         cell[-1] |= np.uint64(ord("\n" if end == len(table) else ",") << 56)
     return table.T.tobytes().translate(None, b"\0")
+
+
+def _column_text(values: np.ndarray) -> tuple[str, list]:
+    """The printf conversion of a bool, int or float column and the Python
+    values it takes; '%.10g' % x prints a Python float as format(x, '.10g')."""
+    if values.dtype.kind == "b":
+        return "%s", np.where(values, "true", "false").tolist()
+    if values.dtype.kind in "iu":
+        return "%d", values.tolist()
+    if np.isnan(values).any():
+        return "%s", ["%.10g" % v if v == v else "" for v in values.tolist()]
+    return "%.10g", values.tolist()
+
+
+def _printf_rows(columns: Sequence[np.ndarray]) -> bytes:
+    """The CSV rows of equal-length columns, one printf conversion per cell."""
+    conversions, values = zip(*map(_column_text, columns))
+    row = ",".join(conversions) + "\n"
+    return "".join(map(row.__mod__, zip(*values))).encode()
+
+
+# Blocks of at least this many cells (rows x columns) are printed by
+# vectorized_rows; below it _printf_rows is the faster (crossover measured on
+# a 2-vCPU 2.0 GHz Xeon VM).
+_VECTORIZED_MIN_CELLS = 2048
+
+
+def _vectorizable(columns: Sequence[np.ndarray]) -> bool:
+    rows = len(columns[0])
+    return rows * len(columns) >= _VECTORIZED_MIN_CELLS and all(
+        c.ndim == 1 and len(c) == rows and c.dtype.kind in "biuf" and c.dtype.itemsize <= 8
+        for c in columns
+    )
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".10g")
+    return str(value)
+
+
+def _format_csv(
+    meta: Sequence[tuple[str, object]],
+    names: Sequence[str],
+    blocks: Iterable[Sequence],
+    timestamp: bool,
+) -> Iterator[bytes]:
+    """The encoded CSV of a table given in blocks of equal-length columns
+    (arrays or sequences): its header, then the rows of each block as the
+    block is taken."""
+    lines = [f"# {key}: {_fmt(value)}" for key, value in meta]
+    if timestamp:
+        lines.append(f"# generated_at: {datetime.now(timezone.utc).isoformat()}")
+    lines.append(",".join(names))
+    yield ("\n".join(lines) + "\n").encode()
+    for columns in blocks:
+        arrays = [np.asarray(values) for values in columns]
+        yield (vectorized_rows if _vectorizable(arrays) else _printf_rows)(arrays)

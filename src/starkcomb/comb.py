@@ -83,11 +83,11 @@ class FrequencyComb:
             object.__setattr__(self, "per_line_power", tuple(levels))
             message = f"per_line_power has {len(levels)} entries but line_count is {count}"
             require(len(levels) == count, DomainError, message)
-            # Checked before the power sum, which they could overflow or
-            # underflow to log10(0); the text lists every level.
-            message = f"per_line_power must be within +/-{MAX_LEVEL_DB:.1f} dBm, got "
-            message += ", ".join(map(str, levels))
-            require(np.abs(levels) < MAX_LEVEL_DB, DomainError, message)
+            # Checked before the power sum, which they could overflow or underflow
+            # to log10(0); the text, which lists every level, is built on failure.
+            if not np.all(np.abs(levels) < MAX_LEVEL_DB):
+                message = f"per_line_power must be within +/-{MAX_LEVEL_DB:.1f} dBm, got "
+                raise DomainError(message + ", ".join(map(str, levels)))
             object.__setattr__(self, "total_power", _power_sum_dbm(self.per_line_power))
         message = f"total_power must be within +/-{MAX_LEVEL_DB:.1f} dBm, got {{}}"
         require(abs(self.total_power) < MAX_LEVEL_DB, DomainError, message, self.total_power)

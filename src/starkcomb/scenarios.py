@@ -2,14 +2,15 @@
 
 Each runner is a pure function of the configuration. It checks its inputs and
 returns its tables: for every CSV file name, the metadata after the common
-header, the column names and the rows in the blocks of ``receiver.row_blocks``.
-The ``response``, ``sweep2cell``, ``linearity`` and ``eit`` blocks are computed
-one at a time as they are written; only the one-row-per-line ``plan`` and
+header, the column names and the rows in the blocks of ``receiver.row_blocks``,
+one bool, int or float array per column (NaN for a missing value). The
+``response``, ``sweep2cell``, ``linearity`` and ``eit`` blocks are computed one
+at a time as they are written; only the one-row-per-line ``plan`` and
 ``sensitivity`` tables and the fixed-size ``field_profile`` are built whole.
 ``SCENARIOS`` maps each name to its runner and help text. ``run_scenario`` is
 the one writer: it makes the output directory once the checks pass, prefixes
 each table with the common header (package version, configuration hash,
-scenario name), writes and hashes each block as it is formatted, and writes a
+scenario name), writes and hashes each block as ``_csv`` prints it, and writes a
 JSON manifest of the SHA-256 of the bytes written for each file. The files are
 moved into place once all are written, so a run that fails partway (a solver
 error or overflow in a later block, a full disk) leaves no file of its own, an
@@ -24,7 +25,6 @@ import dataclasses
 import hashlib
 import json
 import math
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -57,74 +57,6 @@ def _whole(meta: list[tuple[str, object]], columns: dict[str, object]) -> Table:
     arrays = [np.asarray(values) for values in columns.values()]
     blocks = ([a[block] for a in arrays] for block in row_blocks(len(arrays[0])))
     return meta, list(columns), blocks
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
-
-
-def _text_column(values: np.ndarray) -> tuple[str, list]:
-    # One printf conversion and the Python values for one CSV column;
-    # '%.10g' % x prints a Python float exactly as format(x, '.10g').
-    if values.dtype.kind == "b":
-        return "%s", np.where(values, "true", "false").tolist()
-    if values.dtype.kind in "iu":
-        return "%d", values.tolist()
-    if values.dtype.kind == "f":
-        return "%.10g", values.tolist()
-    return "%s", [_fmt(v) for v in values.tolist()]
-
-
-def _printf_rows(columns: Sequence[np.ndarray]) -> bytes:
-    """The CSV rows of equal-length columns, one printf conversion per cell."""
-    conversions, values = zip(*map(_text_column, columns))
-    row = ",".join(conversions) + "\n"
-    return "".join(map(row.__mod__, zip(*values))).encode()
-
-
-# Tables of at least this many cells (rows x columns), all in 1-D bool, int or
-# float columns, are printed by _vectorized_csv with the same bytes; below it
-# _printf_rows is the faster (crossover measured on a 2-vCPU 2.0 GHz Xeon VM).
-_VECTORIZED_MIN_CELLS = 2048
-
-
-def _vectorizable(columns: Sequence[np.ndarray]) -> bool:
-    rows = len(columns[0])
-    return rows * len(columns) >= _VECTORIZED_MIN_CELLS and all(
-        c.ndim == 1 and len(c) == rows and c.dtype.kind in "biuf" and c.dtype.itemsize <= 8
-        for c in columns
-    )
-
-
-def _format_csv(
-    meta: Sequence[tuple[str, object]],
-    names: Sequence[str],
-    blocks: Iterable[Sequence],
-    timestamp: bool,
-) -> Iterator[bytes]:
-    """The encoded CSV of a table given in blocks of equal-length columns
-    (arrays or sequences): its header, then the rows of each block as the
-    block is taken."""
-    lines = [f"# {key}: {_fmt(value)}" for key, value in meta]
-    if timestamp:
-        lines.append(f"# generated_at: {datetime.now(timezone.utc).isoformat()}")
-    lines.append(",".join(names))
-    yield ("\n".join(lines) + "\n").encode()
-    for columns in blocks:
-        arrays = [np.asarray(values) for values in columns]
-        if _vectorizable(arrays):
-            # Imported here, so that runs without a large block skip its set-up.
-            from ._vectorized_csv import vectorized_rows
-
-            yield vectorized_rows(arrays)
-        else:
-            yield _printf_rows(arrays)
 
 
 def _write(path: Path, chunks: Iterable[bytes]) -> str:
@@ -199,7 +131,7 @@ def _run_plan(config: ReceiverConfig) -> Tables:
         "line_GHz": plan.entries.line_frequency / 1e9,
         "position_cm": plan.entries.position,
         "lo_power_dBm": plan.entries.lo_power,
-        "spacing_to_next_cm": np.append(-np.diff(plan.entries.position), None),
+        "spacing_to_next_cm": np.append(-np.diff(plan.entries.position), math.nan),
     }
     lo, hi = config.profile.valid_range
     xs = np.linspace(lo, hi, 241)
@@ -329,6 +261,8 @@ def run_scenario(
         raise ConfigError(
             f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
         )
+    from ._csv import _format_csv  # here, out of the start-up time of import starkcomb
+
     tables = SCENARIOS[name][0](config)
     out_dir = Path(out_dir)
     made = _make_dirs(out_dir)

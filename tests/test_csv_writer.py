@@ -1,10 +1,10 @@
 """The vectorized CSV writer prints every cell as its printf conversion does.
 
-``scenarios._format_csv`` prints tables of at least
-``_VECTORIZED_MIN_CELLS`` bool, int and float cells with numpy, and every
-other table one printf conversion per cell. The numpy path must give the same
-bytes: floats as ``'%.10g' % float(v)``, ints as ``'%d'``, bools as
-``true``/``false``. Hypothesis draws floats over every bit pattern, plus the
+``_csv._format_csv`` prints blocks of at least ``_VECTORIZED_MIN_CELLS`` bool,
+int and float cells with numpy, and every smaller block one printf conversion
+per cell. Both paths must give the same bytes: floats as ``'%.10g' % float(v)``
+or the empty cell for NaN, ints as ``'%d'``, bools as ``true``/``false``.
+Hypothesis draws floats over every bit pattern, plus the
 values where a shortcut would go wrong: 10-significant-digit rounding ties,
 ``9.9999999995 * 10**j`` carries into the next exponent, powers of ten and
 their neighbours, and the -4/-5 and 9/10 exponent switches between fixed and
@@ -15,6 +15,8 @@ import hashlib
 import json
 import math
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -28,20 +30,30 @@ from hypothesis.extra import numpy as hnp
 import starkcomb.receiver
 import starkcomb.scenarios
 from starkcomb import __version__, default_config, run_scenario
-from starkcomb._vectorized_csv import vectorized_rows
-from starkcomb.receiver import _BLOCK
-from starkcomb.scenarios import (
+from starkcomb._csv import (
     _VECTORIZED_MIN_CELLS,
     _format_csv,
     _printf_rows,
     _vectorizable,
-    _whole,
-    _write,
+    vectorized_rows,
 )
+from starkcomb.receiver import _BLOCK
+from starkcomb.scenarios import _whole, _write
 
 
 def _cells(column) -> list[str]:
     return vectorized_rows([np.asarray(column)]).decode().split("\n")[:-1]
+
+
+def _float_cell(value: float) -> str:
+    return "" if math.isnan(value) else "%.10g" % value
+
+
+def _cell(value) -> str:
+    """The text of one cell from its Python value, printf by printf."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "%d" % value if isinstance(value, int) else _float_cell(value)
 
 
 def _decimal(numerator: int, denominator: int, exponent: int) -> float:
@@ -90,13 +102,13 @@ HARD = [
 
 def test_hard_floats_match_printf():
     values = HARD + [-v for v in HARD]
-    assert _cells(np.array(values)) == ["%.10g" % v for v in values]
+    assert _cells(np.array(values)) == [_float_cell(v) for v in values]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.lists(FLOATS, min_size=1, max_size=50))
 def test_float_cells_match_printf(values):
-    assert _cells(np.array(values, dtype=np.float64)) == ["%.10g" % float(v) for v in values]
+    assert _cells(np.array(values, dtype=np.float64)) == [_float_cell(float(v)) for v in values]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -136,7 +148,7 @@ def test_special_floats_raise_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cells = _cells(np.array(values))
-    assert cells == ["0", "-0", "inf", "-inf", "nan", "4.940656458e-324", "1.797693135e+308"]
+    assert cells == ["0", "-0", "inf", "-inf", "", "4.940656458e-324", "1.797693135e+308"]
 
 
 COLUMN_KINDS = {
@@ -206,26 +218,42 @@ def test_strided_columns_match_printf(order, last):
     columns = [record["x"], record["i"], record["flag"], floats[::2], ints[::2], bools[::2], tail]
     assert all(c.strides[0] > c.itemsize for c in columns)
     assert _vectorizable(columns)
-    assert vectorized_rows(columns) == _printf_rows(columns)
+    lines = zip(*(c.tolist() for c in columns))
+    expected = "".join(",".join(map(_cell, line)) + "\n" for line in lines)
+    assert vectorized_rows(columns) == _printf_rows(columns) == expected.encode()
 
 
-def test_object_columns_and_unequal_lengths_take_printf():
+def test_unequal_lengths_and_long_doubles_take_printf():
     rows = _VECTORIZED_MIN_CELLS
     floats = np.linspace(0.0, 1.0, rows)
     assert _vectorizable([floats])
-    assert not _vectorizable([floats, np.append(floats[1:], None)])
     assert not _vectorizable([floats, floats[1:]])
     assert not _vectorizable([floats.astype(np.longdouble)])
 
 
 def test_default_tables_are_byte_identical_on_both_paths():
+    # Every runner hands the writer bool, int and float columns only.
     config = default_config()
     for runner, _ in starkcomb.scenarios.SCENARIOS.values():
         for _, _, blocks in runner(config).values():
             for columns in blocks:
                 arrays = [np.asarray(c) for c in columns]
-                if all(a.dtype.kind in "biuf" for a in arrays):
-                    assert vectorized_rows(arrays) == _printf_rows(arrays)
+                assert all(a.dtype.kind in "biuf" for a in arrays)
+                assert vectorized_rows(arrays) == _printf_rows(arrays)
+
+
+def test_small_runs_build_no_kernel_tables(tmp_path):
+    # run_scenario imports starkcomb._csv on its first call, and the kernels
+    # build their tables on the first vectorized block: the default plan
+    # (21 and 241 rows) has none.
+    code = (
+        "import sys, starkcomb; assert 'starkcomb._csv' not in sys.modules\n"
+        f"starkcomb.run_scenario(starkcomb.default_config(), 'plan', {str(tmp_path)!r})\n"
+        "from starkcomb._csv import _digit_tables, _float_layout\n"
+        "assert _digit_tables.cache_info().currsize == _float_layout.cache_info().currsize == 0\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------- streaming
@@ -259,8 +287,8 @@ def test_run_scenario_writes_and_hashes_the_chunks(monkeypatch, tmp_path, block_
     monkeypatch.setattr(starkcomb.receiver, "_BLOCK", block_rows)
     columns = _numeric_table(rows, bits=True)
     arrays = list(columns.values())
-    # A table with a None cell takes the printf path at any size.
-    spacing = {"spacing": np.append(arrays[3][1:], None)}
+    # A NaN cell is empty on either path.
+    spacing = {"spacing": np.append(arrays[3][1:], math.nan)}
     config = default_config()
     meta = [("rows", rows)]
     tables = {"numeric.csv": (meta, columns), "spacing.csv": ([], spacing)}

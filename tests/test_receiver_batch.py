@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import starkcomb._csv
 import starkcomb.receiver
 import starkcomb.scenarios
 from starkcomb import (
@@ -328,7 +329,7 @@ def _written_rows(path, names) -> bytes:
     return rows
 
 
-@pytest.mark.parametrize("cutoff", [starkcomb.scenarios._VECTORIZED_MIN_CELLS, 0])
+@pytest.mark.parametrize("cutoff", [starkcomb._csv._VECTORIZED_MIN_CELLS, 0])
 # A sweep has at least two points.
 @pytest.mark.parametrize(
     "size", [2, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 2]
@@ -344,7 +345,7 @@ def test_streamed_sweep_equals_the_collected_table(monkeypatch, tmp_path, name, 
 
     blocks = starkcomb.scenarios.response_blocks
     monkeypatch.setattr(starkcomb.scenarios, "response_blocks", spy)
-    monkeypatch.setattr(starkcomb.scenarios, "_VECTORIZED_MIN_CELLS", cutoff)
+    monkeypatch.setattr(starkcomb._csv, "_VECTORIZED_MIN_CELLS", cutoff)
     monkeypatch.setattr(starkcomb.receiver, "_BLOCK", SMALL_BLOCK)
     csv, _ = run_scenario(config, name, tmp_path / "out")
     monkeypatch.undo()
@@ -359,7 +360,7 @@ def test_streamed_sweep_equals_the_collected_table(monkeypatch, tmp_path, name, 
         rows.above_noise,
     ]
     names = starkcomb.scenarios._SWEEP_COLUMNS
-    assert _written_rows(csv, names) == starkcomb.scenarios._printf_rows(columns)
+    assert _written_rows(csv, names) == starkcomb._csv._printf_rows(columns)
 
 
 # (comb lines, points per line, at least two): rows 2, block - 1, block,
@@ -368,14 +369,14 @@ def test_streamed_sweep_equals_the_collected_table(monkeypatch, tmp_path, name, 
 LINEARITY_GRIDS = [(1, 2), (1, 4), (1, 5), (1, 6), (1, 17), (2, 2), (3, 2), (9, 2), (2, 6)]
 
 
-@pytest.mark.parametrize("cutoff", [starkcomb.scenarios._VECTORIZED_MIN_CELLS, 0])
+@pytest.mark.parametrize("cutoff", [starkcomb._csv._VECTORIZED_MIN_CELLS, 0])
 @pytest.mark.parametrize("lines, points", LINEARITY_GRIDS)
 def test_streamed_linearity_equals_the_collected_table(
     monkeypatch, tmp_path, lines, points, cutoff
 ):
     text = f"comb:\n  line_count: {lines}\nscenarios:\n  linearity:\n    points: {points}\n"
     config = _config(tmp_path, text)
-    monkeypatch.setattr(starkcomb.scenarios, "_VECTORIZED_MIN_CELLS", cutoff)
+    monkeypatch.setattr(starkcomb._csv, "_VECTORIZED_MIN_CELLS", cutoff)
     monkeypatch.setattr(starkcomb.receiver, "_BLOCK", SMALL_BLOCK)
     csv, _ = run_scenario(config, "linearity", tmp_path / "out")
     monkeypatch.undo()
@@ -394,7 +395,7 @@ def test_streamed_linearity_equals_the_collected_table(
         beat_power(channels[:, None], fields, delta).ravel(),
     ]
     names = ["channel_index", "line_GHz", "field_V_per_cm", "beat_dBm"]
-    assert _written_rows(csv, names) == starkcomb.scenarios._printf_rows(columns)
+    assert _written_rows(csv, names) == starkcomb._csv._printf_rows(columns)
 
 
 @pytest.mark.parametrize("name", ["response", "linearity"])
@@ -446,8 +447,8 @@ def test_eit_memory_per_point_is_bounded(tmp_path):
 
 @pytest.mark.parametrize(
     "name, lines, per_line",
-    # Measured growth: plan 103 B and sensitivity 177 B per line. The runs
-    # take about 0.8 s (plan) and 0.15 s (sensitivity) on a 2-vCPU VM.
+    # Measured growth: plan 71 B and sensitivity 177 B per line. The runs
+    # take about 0.05 s (plan) and 0.15 s (sensitivity) on a 2-vCPU VM.
     [("plan", (10_000, 30_000), 128), ("sensitivity", (20_000, 80_000), 256)],
 )
 def test_per_line_memory_is_bounded(tmp_path, name, lines, per_line):
@@ -478,12 +479,28 @@ def test_default_outputs_are_byte_identical(tmp_path):
         assert json.loads(manifest.read_text())["outputs"] == got, name
 
 
+def test_plan_across_writer_blocks_is_byte_identical(tmp_path):
+    # 9001 lines are two vectorized blocks of plan.csv, 8192 and 809 rows; the
+    # second ends in the NaN spacing of the last line, an empty cell.
+    config = _config(tmp_path, "comb:\n  line_count: 9001\n  line_spacing_mhz: 0.02\n")
+    (_, names, blocks), _ = starkcomb.scenarios.SCENARIOS["plan"][0](config).values()
+    blocks = [[np.asarray(c) for c in block] for block in blocks]
+    assert [len(block[0]) for block in blocks] == [8192, 809]
+    assert all(map(starkcomb._csv._vectorizable, blocks))
+    csv, _, _ = run_scenario(config, "plan", tmp_path / "out")
+    digest = "f07985ed3ff288f677049645ec1cd8753333ce8f2679aa331465e639a7a7c199"
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+    rows = _written_rows(csv, names)
+    assert rows.endswith(b",\n") and rows.count(b",\n") == 1
+    assert rows == starkcomb._csv._printf_rows([np.concatenate(c) for c in zip(*blocks)])
+
+
 def test_default_pins_cover_both_csv_paths():
     # The pins above hold the vectorized CSV writer to the printf one only
     # while default tables take each path, so a change of the cutoff that
     # moves a default table across it must show here.
     config = default_config()
-    cutoff = starkcomb.scenarios._VECTORIZED_MIN_CELLS
+    cutoff = starkcomb._csv._VECTORIZED_MIN_CELLS
     vectorized, kinds = set(), set()
     for name in DEFAULT_SHA256:
         runner, _ = starkcomb.scenarios.SCENARIOS[name]
@@ -492,7 +509,7 @@ def test_default_pins_cover_both_csv_paths():
                 arrays = [np.asarray(c) for c in columns]
                 numeric = all(a.dtype.kind in "biuf" for a in arrays)
                 large = len(arrays[0]) * len(arrays) >= cutoff
-                assert starkcomb.scenarios._vectorizable(arrays) == (numeric and large)
+                assert starkcomb._csv._vectorizable(arrays) == (numeric and large)
                 if numeric and large:
                     vectorized.add(file_name)
                     kinds.update(a.dtype.kind for a in arrays)
