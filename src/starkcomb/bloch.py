@@ -53,7 +53,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import DegenerateSystemError, DomainError, RegimeError, SolverError, require
+from .errors import DegenerateSystemError, DomainError, RegimeError, SolverError, is_number, require
 
 __all__ = [
     "LadderSystem",
@@ -90,7 +90,7 @@ class LadderSystem:
     def __post_init__(self) -> None:
         names = [f.name for f in fields(self)]
         values = [getattr(self, name) for name in names]
-        require(np.isfinite(values), DomainError, "{} must be finite, got {}", names, values)
+        require([*map(is_number, values)], DomainError, "{} must be finite, got {}", names, values)
         rates = ("probe_rabi", "coupling_rabi", "mw_rabi", "decay_r1", "decay_r2", "dephasing")
         values = [getattr(self, name) for name in rates]
         require(np.greater_equal(values, 0), DomainError, "{} must be >= 0, got {}", rates, values)

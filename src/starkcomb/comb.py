@@ -9,13 +9,12 @@ frequency, and the power-law field profile gives the position for that field.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, PlannerError, require
+from .errors import CoverageError, DomainError, PlannerError, is_number, require
 from .field_map import FieldProfile, position_at, transition_frequency_at
 from .stark import RydbergTransition, field_for_frequency
 
@@ -39,14 +38,6 @@ MAX_LEVEL_DB = 10.0 * math.log10(sys.float_info.max)
 MAX_ROWS = 1_000_000
 
 
-def _equal_split_dbm(total_power: float, count: int) -> float:
-    return total_power - 10.0 * math.log10(count)
-
-
-def _power_sum_dbm(levels: tuple[float, ...]) -> float:
-    return 10.0 * math.log10(sum(10.0 ** (p / 10.0) for p in levels))
-
-
 @dataclass(frozen=True)
 class FrequencyComb:
     """Equally spaced microwave local-oscillator lines.
@@ -67,19 +58,15 @@ class FrequencyComb:
         for name in ("center_frequency", "line_spacing"):
             value = getattr(self, name)
             message = f"{name} must be finite and > 0, got {{}}"
-            require(0 < value < math.inf, DomainError, message, value)
+            require(is_number(value) and value > 0, DomainError, message, value)
         count = self.line_count
         message = "line_count must be an integer, got {}"
-        integral = isinstance(count, numbers.Integral) and not isinstance(count, bool)
+        integral = isinstance(count, (int, np.integer)) and not isinstance(count, bool)
         require(integral, DomainError, message, count)
         require(count >= 1, DomainError, "line_count must be >= 1, got {}", count)
         require(count <= MAX_ROWS, DomainError, f"line_count must be <= {MAX_ROWS}, got {{}}", count)
-        levels = self.per_line_power
-        if not levels:
-            object.__setattr__(
-                self, "per_line_power", (_equal_split_dbm(self.total_power, count),) * count
-            )
-        else:
+        levels, total = self.per_line_power, self.total_power
+        if levels:
             object.__setattr__(self, "per_line_power", tuple(levels))
             message = f"per_line_power has {len(levels)} entries but line_count is {count}"
             require(len(levels) == count, DomainError, message)
@@ -88,9 +75,12 @@ class FrequencyComb:
             if not np.all(np.abs(levels) < MAX_LEVEL_DB):
                 message = f"per_line_power must be within +/-{MAX_LEVEL_DB:.1f} dBm, got "
                 raise DomainError(message + ", ".join(map(str, levels)))
-            object.__setattr__(self, "total_power", _power_sum_dbm(self.per_line_power))
+            total = 10.0 * math.log10(sum(10.0 ** (p / 10.0) for p in self.per_line_power))
+            object.__setattr__(self, "total_power", total)
         message = f"total_power must be within +/-{MAX_LEVEL_DB:.1f} dBm, got {{}}"
-        require(abs(self.total_power) < MAX_LEVEL_DB, DomainError, message, self.total_power)
+        require(is_number(total) and abs(total) < MAX_LEVEL_DB, DomainError, message, total)
+        if not levels:  # an equal split
+            object.__setattr__(self, "per_line_power", (total - 10.0 * math.log10(count),) * count)
 
 
 def comb_lines(comb: FrequencyComb) -> np.ndarray:
@@ -146,6 +136,9 @@ def place_cells(
         infeasible (not rejected) when violated; pass the physical cell
         diameter to enforce real geometry.
     """
+    require(is_number(tol), DomainError, "tol must be finite, got {}", tol)
+    message = "min_gap must be finite and >= 0, got {}"
+    require(is_number(min_gap) and min_gap >= 0, DomainError, message, min_gap)
     lo, hi = profile.valid_range
     # Scalar calls, so that the snaps below see the band ends any caller sees.
     f_lo = transition_frequency_at(profile, transition, lo)
@@ -220,7 +213,7 @@ def coverage_union(lines, half_width: float) -> list[tuple[float, float]]:
     or array; ``half_width`` must be finite and > 0.
     """
     message = "half_width must be finite and > 0, got {}"
-    require(0 < half_width < math.inf, DomainError, message, half_width)
+    require(is_number(half_width) and half_width > 0, DomainError, message, half_width)
     lines = np.asarray(lines, dtype=float)
     require(lines.ndim == 1, DomainError, f"lines must be 1-D, got {lines.ndim}-D")
     require(lines.size > 0, DomainError, "coverage requires at least one line")

@@ -42,7 +42,7 @@ import yaml
 
 from .bloch import LadderSystem
 from .comb import MAX_LEVEL_DB, MAX_ROWS, FrequencyComb
-from .errors import ConfigError, StarkCombError
+from .errors import ConfigError, StarkCombError, is_number
 from .field_map import FieldProfile, fit_profile
 from .receiver import calibrate_noise_floor, channel_table, far_field_strength
 from .stark import RydbergTransition
@@ -92,16 +92,6 @@ class ReceiverConfig:
     def sha256(self) -> str:
         canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _is_number(value) -> bool:
-    """A finite int or float (booleans excluded)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 # The most characters of a value, or of a loader's message, that an error text
@@ -166,15 +156,15 @@ def _numbers(constraint: str, test, length: int | None = None):
     # A list of finite numbers, each passing ``test``, as a tuple of floats.
     def is_list(value) -> bool:
         return isinstance(value, list) and length in (None, len(value)) and all(
-            _is_number(v) and test(v) for v in value
+            is_number(v) and test(v) for v in value
         )
 
     return _leaf(constraint, is_list, lambda value: tuple(map(float, value)))
 
 
-_number = _leaf("a finite number, got {value}", _is_number, float)
+_number = _leaf("a finite number, got {value}", is_number, float)
 _integer = _leaf(
-    "an integer, got {value}", lambda value: isinstance(value, int) and _is_number(value), int
+    "an integer, got {value}", lambda value: isinstance(value, int) and is_number(value), int
 )
 # Only a string or null (the empty label); the type alone is shown, never the value.
 _label = _optional(_leaf("a string, got {kind}", lambda value: isinstance(value, str), str), "")

@@ -1,19 +1,31 @@
-"""Exception hierarchy for the starkcomb package, and its one input guard."""
+"""Exception hierarchy, the one input guard, and the one scalar rule of starkcomb."""
+
+import math
+import sys
 
 import numpy as np
+
+
+def is_number(value) -> bool:
+    """A finite int or float, numpy scalars included; never a bool, nor an int beyond floats."""
+    if isinstance(value, (int, np.integer)):  # compared exactly, even beyond the float range
+        return not isinstance(value, bool) and -sys.float_info.max <= value <= sys.float_info.max
+    return isinstance(value, (float, np.floating)) and math.isfinite(value)  # as a float64
 
 
 def require(ok, error: type, message: str, *columns) -> None:
     """Raise ``error`` unless every element of ``ok`` is true (NaN compares false).
 
     The text is ``message`` formatted with each column's element at the first
-    false element of ``ok`` in C order. A column has the size of ``ok``, is
-    read only on failure, and keeps the Python type of its elements, so an
-    int given in a list prints as an int.
+    false element of ``ok`` in C order; a column has the size of ``ok``, or is
+    formatted whole where ``ok`` is a scalar. Columns are read only on failure
+    and keep the Python type of their elements, so an int in a list prints as an int.
     """
     if ok is True or ok is np.True_:  # a scalar pass, the common case
         return
     ok = np.asarray(ok, dtype=bool)
+    if ok.ndim == 0 and not ok:
+        raise error(message.format(*columns))
     if not ok.all():
         k = np.argmin(ok.ravel())
         raise error(message.format(*(np.asarray(c, dtype=object).ravel()[k] for c in columns)))
@@ -25,8 +37,8 @@ def after_first_failure(ok) -> np.ndarray:
     ``require(a | after_first_failure(ok), ...)`` checks ``a`` only up to the
     first failure of ``ok``, so that element's own test picks the error.
     """
-    failed = ~np.ravel(ok)
-    return (np.cumsum(failed) > failed).reshape(np.shape(ok))
+    failed = ~np.asarray(ok)  # array methods, which make no Python call
+    return (failed.cumsum() > failed.ravel()).reshape(failed.shape)
 
 
 class StarkCombError(Exception):

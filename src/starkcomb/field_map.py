@@ -28,6 +28,7 @@ from .errors import (
     ProfileRangeError,
     UnderdeterminedError,
     after_first_failure,
+    is_number,
     require,
 )
 from .stark import RydbergTransition, field_for_frequency, stark_shifted_frequency
@@ -54,19 +55,22 @@ class FieldProfile:
 
     def __post_init__(self) -> None:
         lo, hi = self.valid_range
+        offset = self.offset
+        names = "reference_position", "reference_field", "decay_exponent", "offset", "x_min", "x_max"
+        values = (self.reference_position, self.reference_field, self.decay_exponent, offset, lo, hi)
+        # A non-number is named first; a NaN or infinite float fails a bound below.
+        finite = list(map(is_number, values))
+        floats = [ok or isinstance(v, (float, np.floating)) for ok, v in zip(finite, values)]
+        require(floats, DomainError, "{} must be finite, got {}", names, values)
         message = f"valid_range must satisfy x_min < x_max, got {self.valid_range}"
         require(lo < hi, InfeasibleProfileError, message)
         for name in ("reference_field", "decay_exponent"):
             value = getattr(self, name)
             require(value > 0, InfeasibleProfileError, f"{name} must be > 0, got {{}}", value)
-        offset = self.offset
         require(offset >= 0, InfeasibleProfileError, "offset must be >= 0, got {}", offset)
         message = "x_min + offset must be > 0, got {}"
         require(lo + offset > 0, InfeasibleProfileError, message, lo + offset)
-        names = ("reference_position", "reference_field", "decay_exponent", "offset")
-        values = [getattr(self, name) for name in names] + [lo, hi]
-        message = "{} must be finite, got {}"
-        require(np.isfinite(values), DomainError, message, names + ("x_min", "x_max"), values)
+        require(finite, DomainError, "{} must be finite, got {}", names, values)
 
 
 def field_at(profile: FieldProfile, x: ArrayLike) -> float | np.ndarray:
@@ -143,7 +147,7 @@ def fit_profile(
     """
     pts = sorted(anchors, key=lambda a: a[0])
     require(len(pts) > 0, UnderdeterminedError, "at least one anchor is required")
-    if not (np.isfinite(pts).all() and pts[0][0] + offset > 0):
+    if not (np.isfinite(pts).all() and is_number(offset) and pts[0][0] + offset > 0):
         raise InfeasibleProfileError(
             f"anchors must be finite with position + offset > 0, got {pts} "
             f"and offset {offset} cm"

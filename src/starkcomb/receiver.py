@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .comb import CellArrayPlan, nearest_line_index
-from .errors import DomainError, PlannerError, require
+from .errors import DomainError, PlannerError, is_number, require
 
 __all__ = [
     "ChannelRow",
@@ -114,6 +114,11 @@ def rolloff(channel, delta_f):
 
     A NaN ``delta_f`` is a DomainError; ``delta_f = +/-inf`` gives 0.
     """
+    with np.errstate(over="ignore"):  # far off line x * x overflows: the response is 0
+        return _rolloff(_terms(channel, delta_f), delta_f)
+
+
+def _rolloff(channel, delta_f):
     require(~np.isnan(delta_f), DomainError, "delta_f must not be NaN, got {}", delta_f)
     x = np.abs(delta_f) / channel.half_width_3db
     exponent = 2 * channel.rolloff_order
@@ -122,8 +127,13 @@ def rolloff(channel, delta_f):
     return 1.0 / (1.0 + np.where(exponent == 2, x * x, np.power(x, exponent)))
 
 
-def _terms(channels) -> SimpleNamespace:
-    # The channel columns and the terms that depend on the channel alone.
+def _terms(channels, *arrays) -> SimpleNamespace:
+    # The channel columns and channel-only terms, after the beat functions' one shape check.
+    try:
+        np.broadcast(channels, *arrays)
+    except ValueError:
+        shapes = [np.shape(a) for a in (channels, *arrays)]
+        raise DomainError(f"channel and argument shapes {shapes} do not broadcast") from None
     with np.errstate(divide="ignore", over="ignore"):
         return SimpleNamespace(
             peak_power=channels.peak_power,
@@ -146,7 +156,7 @@ def _beat(channel, field, delta_f):
     positive = np.where(field > 0, field, channel.reference_field)
     floor = channel.noise_floor
     with np.errstate(divide="ignore", over="ignore"):
-        rolloff_db = 10.0 * np.log10(rolloff(channel, delta_f))
+        rolloff_db = 10.0 * np.log10(_rolloff(channel, delta_f))
         lead = channel.peak_power + 20.0 * np.log10(positive / channel.reference_field)
         signal = lead + rolloff_db + channel.scale_db
         message = "beat signal power must be below +inf dBm, got {}"
@@ -170,7 +180,7 @@ def beat_signal_power(channel, field, delta_f):
     A power of +inf dBm (``field / reference_field`` overflows) is a DomainError.
     """
     field = _finite("field", field, positive=True)
-    return _beat(_terms(channel), field, delta_f)[0][()]
+    return _beat(_terms(channel, field, delta_f), field, delta_f)[0][()]
 
 
 def beat_power(channel, field, delta_f):
@@ -179,12 +189,12 @@ def beat_power(channel, field, delta_f):
     A zero field returns the noise floor exactly.
     """
     field = _finite("field", field)
-    return _beat(_terms(channel), field, delta_f)[1][()]
+    return _beat(_terms(channel, field, delta_f), field, delta_f)[1][()]
 
 
 def min_detectable_field(channel, delta_f=0.0):
     """Field (V/cm) whose beat signal power equals the noise floor."""
-    terms = _terms(channel)
+    terms = _terms(channel, delta_f)
     return _beat(terms, terms.reference_field, delta_f)[2][()]
 
 
@@ -214,11 +224,11 @@ def far_field_strength(
     in W, antenna ``gain`` dimensionless, and ``perturbation`` the cell
     perturbation factor. Divide by 100 for V/cm.
     """
-    for name, value, positive in (
-        ("power", power, False), ("gain", gain, True), ("distance", distance, True),
-        ("perturbation", perturbation, True),
-    ):
-        _finite(name, value, positive)
+    named = dict(power=power, gain=gain, distance=distance, perturbation=perturbation)
+    for name, value in named.items():
+        bound = ">=" if name == "power" else ">"
+        ok = is_number(value) and (value >= 0 if name == "power" else value > 0)
+        require(ok, DomainError, f"{name} must be finite and {bound} 0, got {{}}", value)
     strength = perturbation * math.sqrt(30.0 * power * gain) / distance
     message = "field strength must be below +inf V/m, got {}"
     require(strength < math.inf, DomainError, message, strength)

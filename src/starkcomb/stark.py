@@ -14,7 +14,6 @@ Both maps are elementwise: a scalar gives a float; errors name the first failing
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .errors import (
     DomainError,
     UnreachableFrequencyError,
     after_first_failure,
+    is_number,
     require,
 )
 
@@ -55,10 +55,10 @@ class RydbergTransition:
     def __post_init__(self) -> None:
         f0, dpol = self.field_free_frequency, self.differential_polarizability
         message = "field_free_frequency must be finite and > 0, got {}"
-        require(0 < f0 < math.inf, DomainError, message, f0)
+        require(is_number(f0) and f0 > 0, DomainError, message, f0)
         message = "differential_polarizability must be finite and >= 0 "
         message += "(upward-shifting state pairs only), got {}"
-        require(0 <= dpol < math.inf, DomainError, message, dpol)
+        require(is_number(dpol) and dpol >= 0, DomainError, message, dpol)
 
 
 def stark_shifted_frequency(
@@ -66,10 +66,12 @@ def stark_shifted_frequency(
 ) -> float | np.ndarray:
     """Transition frequency in Hz at RF field strength ``field`` (V/cm)."""
     field = np.asarray(field, dtype=float)
-    require(field >= 0, DomainError, "field must be >= 0, got {}", field)
     dpol = transition.differential_polarizability
     with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
         f = transition.field_free_frequency + dpol * field * field
+    later = after_first_failure((field >= 0) & np.isfinite(f))
+    require((field >= 0) | later, DomainError, "field must be >= 0, got {}", field)
+    require(np.isfinite(f), DomainError, "field {} V/cm gives non-finite frequency {} Hz", field, f)
     return float(f) if f.ndim == 0 else f
 
 
@@ -88,9 +90,10 @@ def field_for_frequency(
         field = np.sqrt(offset / dpol) if dpol else offset
     reached = offset >= 0
     tunable = (offset == 0) | (dpol > 0)  # dpol == 0 cannot tune
-    later = after_first_failure(reached & tunable)
+    later = after_first_failure(reached & tunable & np.isfinite(field))
     message = f"target {{}} Hz is not at or above the field-free frequency {f0} Hz"
     require(reached | later, UnreachableFrequencyError, message, target)
     message = "differential_polarizability is zero; transition cannot be tuned"
-    require(tunable, DegenerateTransitionError, message)
+    require(tunable | later, DegenerateTransitionError, message)
+    require(np.isfinite(field), DomainError, "target {} Hz needs an infinite field", target)
     return float(field) if field.ndim == 0 else field
