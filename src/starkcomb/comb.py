@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, PlannerError, is_number, require
+from .errors import CoverageError, DomainError, PlannerError, _shown, as_floats, is_number, require
 from .field_map import FieldProfile, position_at, transition_frequency_at
 from .stark import RydbergTransition, field_for_frequency
 
@@ -43,15 +43,15 @@ class FrequencyComb:
     """Equally spaced microwave local-oscillator lines.
 
     Line k sits at ``center_frequency + (k - (line_count - 1)/2) * line_spacing``
-    for k = 0 .. line_count - 1. ``per_line_power`` defaults to an equal split
-    of ``total_power``; individually optimized line strengths can be supplied
-    instead, in which case ``total_power`` is their power sum.
+    for k = 0 .. line_count - 1. ``per_line_power`` defaults (``None``) to an
+    equal split of ``total_power``; individually optimized line strengths can be
+    supplied instead, one per line, in which case ``total_power`` is their power sum.
     """
 
     center_frequency: float
     line_spacing: float
     line_count: int
-    per_line_power: tuple[float, ...] = field(default=())
+    per_line_power: tuple[float, ...] | None = None
     total_power: float = 0.0
 
     def __post_init__(self) -> None:
@@ -66,20 +66,22 @@ class FrequencyComb:
         require(count >= 1, DomainError, "line_count must be >= 1, got {}", count)
         require(count <= MAX_ROWS, DomainError, f"line_count must be <= {MAX_ROWS}, got {{}}", count)
         levels, total = self.per_line_power, self.total_power
-        if levels:
-            object.__setattr__(self, "per_line_power", tuple(levels))
-            message = f"per_line_power has {len(levels)} entries but line_count is {count}"
-            require(len(levels) == count, DomainError, message)
+        if levels is not None:
+            power = as_floats(levels, "per_line_power must be a 1-D sequence of numbers", (-1,))
+            message = f"per_line_power has {power.size} entries but line_count is {count}"
+            require(power.size == count, DomainError, message)
             # Checked before the power sum, which they could overflow or underflow
-            # to log10(0); the text, which lists every level, is built on failure.
-            if not np.all(np.abs(levels) < MAX_LEVEL_DB):
-                message = f"per_line_power must be within +/-{MAX_LEVEL_DB:.1f} dBm, got "
-                raise DomainError(message + ", ".join(map(str, levels)))
-            total = 10.0 * math.log10(sum(10.0 ** (p / 10.0) for p in self.per_line_power))
+            # to log10(0); the levels are written out only on failure.
+            ok = bool((np.abs(power) < MAX_LEVEL_DB).all())
+            message = f"per_line_power must be within +/-{MAX_LEVEL_DB:.1f} dBm, got {{}}"
+            require(ok, DomainError, message, ok or _shown(levels, lambda v: ", ".join(map(str, v))))
+            with np.errstate(over="ignore"):  # a sum beyond the float range is inf, named below
+                total = 10.0 * math.log10((10.0 ** (power / 10.0)).cumsum()[-1])  # left to right
+            object.__setattr__(self, "per_line_power", tuple(map(float, levels)))  # no float copied
             object.__setattr__(self, "total_power", total)
         message = f"total_power must be within +/-{MAX_LEVEL_DB:.1f} dBm, got {{}}"
         require(is_number(total) and abs(total) < MAX_LEVEL_DB, DomainError, message, total)
-        if not levels:  # an equal split
+        if levels is None:  # an equal split
             object.__setattr__(self, "per_line_power", (total - 10.0 * math.log10(count),) * count)
 
 
@@ -190,6 +192,7 @@ def nearest_line_index(lines, frequencies) -> np.ndarray:
     of ``|frequency - lines|`` over all lines, evaluated in floating point.
     """
     lines = np.asarray(lines, dtype=float)
+    require(lines.size > 0, DomainError, "routing requires at least one line")
     frequencies = np.asarray(frequencies, dtype=float)
     # Start at the first line at or above the frequency and step down while
     # the line below is no farther: distances to lower lines never grow
@@ -214,7 +217,7 @@ def coverage_union(lines, half_width: float) -> list[tuple[float, float]]:
     """
     message = "half_width must be finite and > 0, got {}"
     require(is_number(half_width) and half_width > 0, DomainError, message, half_width)
-    lines = np.asarray(lines, dtype=float)
+    lines = as_floats(lines, "lines must be numbers")
     require(lines.ndim == 1, DomainError, f"lines must be 1-D, got {lines.ndim}-D")
     require(lines.size > 0, DomainError, "coverage requires at least one line")
     require(np.isfinite(lines), DomainError, "lines must be finite, got {}", lines)

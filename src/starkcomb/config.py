@@ -19,11 +19,10 @@ function, ``_parse``. It uses libyaml when PyYAML was built with it (the same
 mappings, several times faster) and PyYAML's Python parser otherwise, rejects
 a text nested deeper than ``_MAX_DEPTH`` levels or with a merge key before
 building it, and turns every loader failure into a ConfigError of one line.
-Error texts show a value through ``_shown``, which cuts it after ``_SHOWN``
-characters or names a larger value by its type, so no file can make an error
-text longer than a few hundred characters. The bundled defaults
-are parsed once per process and never handed out: the default configuration
-is the walk of an empty file.
+Error texts show a value, or a loader's message, within the display budget of
+:mod:`starkcomb.errors`, so no file can make an error text longer than a few
+hundred characters. The bundled defaults are parsed once per process and
+never handed out: the default configuration is the walk of an empty file.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import yaml
 
 from .bloch import LadderSystem
 from .comb import MAX_LEVEL_DB, MAX_ROWS, FrequencyComb
-from .errors import ConfigError, StarkCombError, is_number
+from .errors import ConfigError, StarkCombError, _shown, is_number
 from .field_map import FieldProfile, fit_profile
 from .receiver import calibrate_noise_floor, channel_table, far_field_strength
 from .stark import RydbergTransition
@@ -92,41 +91,6 @@ class ReceiverConfig:
     def sha256(self) -> str:
         canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-# The most characters of a value, or of a loader's message, that an error text
-# shows; 10**400 (401 digits) is shown whole.
-_SHOWN = 500
-
-
-def _cut(text: str) -> str:
-    return text if len(text) <= _SHOWN else text[:_SHOWN] + "..."
-
-
-def _shown(value) -> str:
-    """``repr(value)``, cut after ``_SHOWN`` characters.
-
-    A value too large to write out is named by its type instead: aliases in a
-    file can make a list of billions of items, and an int too long to print."""
-    todo, size = [value], 0
-    while todo and size <= _SHOWN:  # about the characters of the repr, up to the budget
-        item = todo.pop()
-        if isinstance(item, dict):
-            todo.extend(item.items())
-        elif isinstance(item, (list, tuple, set)):
-            todo.extend(item)
-        elif isinstance(item, (str, bytes)):
-            size += len(item)
-        elif isinstance(item, int):
-            size += item.bit_length() // 3  # at least its decimal digits
-        size += 1
-    if size <= _SHOWN:
-        return _cut(repr(value))
-    if isinstance(value, (str, bytes)):
-        return _cut(repr(value[: _SHOWN + 1]))
-    if isinstance(value, int):
-        return f"<int of {value.bit_length()} bits>"
-    return f"<{type(value).__name__} too large to show>"
 
 
 # Leaf checks: each takes the raw value (None when the key is absent or null)
@@ -318,8 +282,7 @@ def _walk(node: dict, default: dict, table: dict = _SCHEMA, prefix: str = "") ->
     checked and converted, by model argument; sections nest. ``prefix`` ends in a dot."""
     for key in node:
         if key not in table:
-            name = _shown(key) if isinstance(key, int) else str(key)  # an int may be huge
-            raise ConfigError(f"unknown configuration key {_shown(prefix + name)}")
+            raise ConfigError(f"unknown configuration key {_shown(prefix + _shown(key, str))}")
     merged, out = {}, {}
     for key, spec in table.items():
         where = prefix + key
@@ -396,7 +359,7 @@ def _problem(exc: Exception) -> str:
         text = str(exc)
     else:  # PyYAML's own slip, e.g. a KeyError on the tagged scalar ``!!bool x``
         text = f"{type(exc).__name__}: {exc}"
-    return _cut(" ".join(text.split()))
+    return _shown(" ".join(text.split()), str)
 
 
 def _parse(text: str, source: str):

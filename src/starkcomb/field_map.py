@@ -17,7 +17,6 @@ The maps are elementwise: a scalar gives a float; errors name the first failing 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -28,6 +27,7 @@ from .errors import (
     ProfileRangeError,
     UnderdeterminedError,
     after_first_failure,
+    as_floats,
     is_number,
     require,
 )
@@ -54,6 +54,7 @@ class FieldProfile:
     valid_range: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
+        as_floats(self.valid_range, "valid_range must be a pair (x_min, x_max)", (2,))
         lo, hi = self.valid_range
         offset = self.offset
         names = "reference_position", "reference_field", "decay_exponent", "offset", "x_min", "x_max"
@@ -62,8 +63,8 @@ class FieldProfile:
         finite = list(map(is_number, values))
         floats = [ok or isinstance(v, (float, np.floating)) for ok, v in zip(finite, values)]
         require(floats, DomainError, "{} must be finite, got {}", names, values)
-        message = f"valid_range must satisfy x_min < x_max, got {self.valid_range}"
-        require(lo < hi, InfeasibleProfileError, message)
+        message = "valid_range must satisfy x_min < x_max, got {}"
+        require(lo < hi, InfeasibleProfileError, message, self.valid_range)
         for name in ("reference_field", "decay_exponent"):
             value = getattr(self, name)
             require(value > 0, InfeasibleProfileError, f"{name} must be > 0, got {{}}", value)
@@ -114,7 +115,7 @@ def transition_frequency_at(
 
 
 def fit_profile(
-    anchors: Sequence[tuple[float, float]],
+    anchors: ArrayLike,
     transition: RydbergTransition,
     *,
     offset: float = 0.0,
@@ -145,15 +146,15 @@ def fit_profile(
         ``ANCHOR_TOLERANCE_HZ``, and valid over the anchor span (from a single
         anchor, over 1 cm from its position).
     """
-    pts = sorted(anchors, key=lambda a: a[0])
+    pts = as_floats(anchors, "anchors must be a sequence of (position, frequency) pairs", (-1, 2))
     require(len(pts) > 0, UnderdeterminedError, "at least one anchor is required")
-    if not (np.isfinite(pts).all() and is_number(offset) and pts[0][0] + offset > 0):
-        raise InfeasibleProfileError(
-            f"anchors must be finite with position + offset > 0, got {pts} "
-            f"and offset {offset} cm"
-        )
-    xs, fs = np.array(pts, dtype=float).T
-    given_x, given_f = zip(*pts)  # as given, for the texts
+    order = pts[:, 0].argsort(kind="stable")
+    given = np.asarray(anchors, dtype=object)[order]  # sorted by position as given, for the texts
+    xs, fs = pts[order].T
+    x_ref, x_end = xs[[0, -1]].tolist()
+    message = "anchors must be finite with position + offset > 0, got {} and offset {} cm"
+    ok = np.isfinite(pts).all() and is_number(offset) and x_ref + offset > 0
+    require(ok, InfeasibleProfileError, message, [*map(tuple, given)], offset)
     # Positions compared with the offset, as the fit sees them: a huge offset
     # rounds distinct positions together.
     with np.errstate(over="ignore"):
@@ -168,7 +169,7 @@ def fit_profile(
         InfeasibleProfileError,
         "anchor frequencies must decrease strictly with position: "
         "f({} cm) = {} Hz, f({} cm) = {} Hz",
-        given_x[:-1], given_f[:-1], given_x[1:], given_f[1:],
+        given[:-1, 0], given[:-1, 1], given[1:, 0], given[1:, 1],
     )
 
     fields = field_for_frequency(transition, fs)
@@ -181,13 +182,12 @@ def fit_profile(
     else:
         gamma = decay_exponent
 
-    x_ref = pts[0][0]
     profile = FieldProfile(
         reference_position=x_ref,
         reference_field=float(fields[0]),
         decay_exponent=gamma,
         offset=offset,
-        valid_range=(x_ref, pts[-1][0]) if len(pts) > 1 else (x_ref, x_ref + 1.0),
+        valid_range=(x_ref, x_end) if len(pts) > 1 else (x_ref, x_ref + 1.0),
     )
     misfit = np.abs(stark_shifted_frequency(transition, field_at(profile, xs)) - fs)
     require(
@@ -195,7 +195,7 @@ def fit_profile(
         InfeasibleProfileError,
         f"power-law profile misses anchor at x = {{}} cm by {{:.3g}} Hz (> {ANCHOR_TOLERANCE_HZ:g} "
         "Hz); anchors are not consistent with a single monotone decay",
-        given_x,
+        given[:, 0],
         misfit,
     )
     return profile

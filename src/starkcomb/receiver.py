@@ -82,7 +82,7 @@ def channel_table(
     Scalar or 1-D arguments broadcast to one shape; all-scalar arguments give
     a 0-d table, which is one channel. Every element is checked (NaN fails).
     """
-    columns = np.broadcast_arrays(
+    columns = _broadcast(
         peak_power, reference_field, half_width_3db, rolloff_order, noise_floor, gain_scale
     )
     peak, reference, half_width, order, floor, gain = columns
@@ -127,13 +127,18 @@ def _rolloff(channel, delta_f):
     return 1.0 / (1.0 + np.where(exponent == 2, x * x, np.power(x, exponent)))
 
 
-def _terms(channels, *arrays) -> SimpleNamespace:
-    # The channel columns and channel-only terms, after the beat functions' one shape check.
+def _broadcast(*arrays):
+    # The channel table's and the beat functions' one shape check.
     try:
-        np.broadcast(channels, *arrays)
+        return np.broadcast_arrays(*arrays)
     except ValueError:
-        shapes = [np.shape(a) for a in (channels, *arrays)]
+        shapes = [np.shape(a) for a in arrays]
         raise DomainError(f"channel and argument shapes {shapes} do not broadcast") from None
+
+
+def _terms(channels, *arrays) -> SimpleNamespace:
+    # The channel columns and channel-only terms, once the arrays broadcast with the channels.
+    _broadcast(channels, *arrays)
     with np.errstate(divide="ignore", over="ignore"):
         return SimpleNamespace(
             peak_power=channels.peak_power,

@@ -34,7 +34,7 @@ from . import __version__
 from .bloch import LadderSystem, probe_absorption
 from .comb import CellArrayPlan, FrequencyComb, place_cells
 from .config import MAX_ROWS, ReceiverConfig, build_channels
-from .errors import ConfigError, InfeasiblePlanError
+from .errors import ConfigError, InfeasiblePlanError, _shown, require
 from .field_map import field_at
 # stitched_response is not called here, but bench/tracer.py wraps it at this
 # module and bench/tests/test_bench.py reads it here.
@@ -95,11 +95,8 @@ def _plan(config: ReceiverConfig, comb: FrequencyComb | None = None) -> CellArra
         tol=config.placement_tolerance,
         min_gap=config.min_gap,
     )
-    if not plan.feasible:
-        raise InfeasiblePlanError(
-            f"minimum cell spacing {plan.min_spacing:.4g} cm is below the "
-            f"required gap {config.min_gap:.4g} cm"
-        )
+    message = "minimum cell spacing {:.4g} cm is below the required gap {:.4g} cm"
+    require(plan.feasible, InfeasiblePlanError, message, plan.min_spacing, config.min_gap)
     return plan
 
 
@@ -155,10 +152,8 @@ def _run_linearity(config: ReceiverConfig) -> Tables:
     params = config.scenarios["linearity"]
     points = params["points"]
     rows = len(plan.entries) * points
-    if rows > MAX_ROWS:
-        raise ConfigError(
-            f"comb.line_count x scenarios.linearity.points must be <= {MAX_ROWS}, got {rows}"
-        )
+    message = f"comb.line_count x scenarios.linearity.points must be <= {MAX_ROWS}, got {{}}"
+    require(rows <= MAX_ROWS, ConfigError, message, rows)
     fields = np.logspace(
         math.log10(params["min_field"]), math.log10(params["max_field"]), points
     )
@@ -257,10 +252,8 @@ def run_scenario(
     ``out_dir`` and its missing parents are made only once every check has
     passed, and a failed run removes those that are still empty.
     """
-    if name not in SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
-        )
+    message = f"unknown scenario {{}}; expected one of {', '.join(SCENARIO_NAMES)}"
+    require(name in SCENARIOS, ConfigError, message, _shown(name))
     from ._csv import _format_csv  # here, out of the start-up time of import starkcomb
 
     tables = SCENARIOS[name][0](config)

@@ -29,7 +29,8 @@ from hypothesis import strategies as st
 
 from starkcomb import ConfigError
 from starkcomb.cli import main
-from starkcomb.config import _MAX_DEPTH, _SHOWN, _parse, _shown
+from starkcomb.config import _MAX_DEPTH, _parse
+from starkcomb.errors import _SHOWN, _shown
 
 from conftest import bundled_defaults, yaml_loader
 

@@ -1,12 +1,15 @@
-"""The one input guard, ``errors.require``, and the one scalar rule,
-``errors.is_number``, at every site that calls them.
+"""The input contract of ``errors``, at every site that calls it: the one
+guard, ``require``, the scalar rule, ``is_number``, the sequence rule,
+``as_floats``, and the display budget of every error text.
 
 Each failing input in ``FAILURES`` names the exact error type and text of its
 site, so the texts are part of the contract: the first rows are the texts the
 sites gave before the guard was shared, the later ones those of the scalar
-rule and of the checks added with it. The input-contract property at the end
-swaps odd values into every number and array parameter of the public
-callables, one table row at a time.
+rule, of the sequence rule and of the checks added with them. The oversized
+rows, and the budget test after them, give values that would take megabytes
+to write out. The input-contract property at the end swaps odd values into
+every number, array and sequence parameter of the public callables, one table
+row at a time.
 """
 
 import dataclasses
@@ -65,6 +68,7 @@ from starkcomb import (
 )
 from starkcomb.config import MAX_ROWS
 from starkcomb.errors import after_first_failure, is_number, require
+from starkcomb.comb import nearest_line_index
 from starkcomb.receiver import response_blocks
 
 from conftest import ANCHORS, DPOL_HZ_PER_V2, FIELD_FREE_HZ
@@ -397,6 +401,57 @@ FAILURES = {
     "min_detectable_field shapes": (
         lambda: min_detectable_field(CH, np.zeros(20)),
         DomainError, "channel and argument shapes [(21,), (20,)] do not broadcast"),
+    # A value over the display budget is named by its type or bit count (rows
+    # marked "oversized"; written out whole, the first two texts took 8 000 047
+    # and 2 598 157 characters, and the two ints exceeded Python's int-to-str limit).
+    "FrequencyComb per_line_power oversized": (
+        lambda: FrequencyComb(8e9, 1e3, 10**6, per_line_power=(4000.0,) * 10**6),
+        DomainError, "per_line_power must be within +/-3082.5 dBm, got <tuple too large to show>"),
+    "fit_profile anchors oversized": (
+        lambda: fit_profile([(2.0 + 1e-5 * k, 8.23e9 - k) for k in range(100_000)]
+                            + [(math.nan, 8.0e9)], T),
+        InfeasibleProfileError,
+        "anchors must be finite with position + offset > 0, got <list too large to show> and "
+        "offset 0.0 cm"),
+    "FrequencyComb line_count oversized": (
+        lambda: FrequencyComb(8e9, 1e7, 10**5000),
+        DomainError, "line_count must be <= 1000000, got <int of 16610 bits>"),
+    "RydbergTransition field_free_frequency oversized": (
+        lambda: RydbergTransition(-(10**5000), 1.0),
+        DomainError, "field_free_frequency must be finite and > 0, got <int of 16610 bits>"),
+    # A sequence parameter passes errors.as_floats: a value numpy cannot read as
+    # numbers of the parameter's shape is named. None alone means "not given".
+    "FrequencyComb per_line_power empty": (
+        lambda: FrequencyComb(8.13e9, 1e7, 21, per_line_power=[]),
+        DomainError, "per_line_power has 0 entries but line_count is 21"),
+    "FrequencyComb per_line_power array": (
+        lambda: FrequencyComb(8e9, 1e7, 2, per_line_power=np.array([1.0, 5000.0])),
+        DomainError, "per_line_power must be within +/-3082.5 dBm, got 1.0, 5000.0"),
+    "FrequencyComb per_line_power float": (
+        lambda: FrequencyComb(8e9, 1e7, 2, per_line_power=1.0),
+        DomainError, "per_line_power must be a 1-D sequence of numbers, got 1.0"),
+    "FrequencyComb per_line_power nested": (
+        lambda: FrequencyComb(8e9, 1e7, 2, per_line_power=((0.0,), (1.0,))),
+        DomainError, "per_line_power must be a 1-D sequence of numbers, got ((0.0,), (1.0,))"),
+    "fit_profile anchors float": (
+        lambda: fit_profile(math.nan, T),
+        DomainError, "anchors must be a sequence of (position, frequency) pairs, got nan"),
+    "fit_profile anchors flat": (
+        lambda: fit_profile([2.0, 8.2e9], T),
+        DomainError,
+        "anchors must be a sequence of (position, frequency) pairs, got [2.0, 8200000000.0]"),
+    "FieldProfile valid_range float": (
+        lambda: FieldProfile(2.0, 10.0, 0.5, 0.0, math.nan),
+        DomainError, "valid_range must be a pair (x_min, x_max), got nan"),
+    "coverage_union lines string": (
+        lambda: coverage_union("x", 5e6),
+        DomainError, "lines must be numbers, got x"),
+    "nearest_line_index no lines": (
+        lambda: nearest_line_index([], [1.0]),
+        DomainError, "routing requires at least one line"),
+    "channel_table shapes": (
+        lambda: channel_table([1.0, 2.0], [1e-3] * 3),
+        DomainError, "channel and argument shapes [(2,), (3,), (), (), (), ()] do not broadcast"),
 }
 
 
@@ -422,6 +477,22 @@ EMPTY = {
     "one line": lambda: place_cells(P, T, FrequencyComb(8.13e9, 10e6, 1)),
     "one anchor": lambda: fit_profile([(2.0, 8.23e9)], T, decay_exponent=0.53),
 }
+
+
+# Beyond the oversized rows, a 10**7-character string for a scalar field and
+# a 10**6-tuple for another, which the texts of the scalar rule show.
+OVERSIZED = {
+    **{name: FAILURES[name][0] for name in FAILURES if name.endswith("oversized")},
+    "FrequencyComb center_frequency string": lambda: FrequencyComb("x" * 10**7, 1e7, 3),
+    "LadderSystem coupling_rabi tuple": lambda: LadderSystem(1.0, (1.0,) * 10**6, 0.0),
+}
+
+
+@pytest.mark.parametrize("call", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_error_text_stays_within_the_display_budget(call):
+    with pytest.raises(StarkCombError) as info:
+        call()
+    assert len(str(info.value)) <= 600
 
 
 @pytest.mark.parametrize("call", EMPTY.values(), ids=EMPTY.keys())
@@ -463,6 +534,13 @@ def test_require_shows_each_column_whole_for_a_scalar():
         require(False, DomainError, "got {} and {}", np.array([1.0, 2.0]), "x")
     with pytest.raises(DomainError, match=r"^got 3$"):
         require(np.array(False), DomainError, "got {}", np.array(3))
+
+
+def test_require_shows_each_value_within_the_budget():
+    # A number keeps its format spec; a string is cut, an int too long to print is named.
+    with pytest.raises(DomainError) as info:
+        require(False, DomainError, "{:.3e} {} {}", 5, "y" * 10**6, 10**5000)
+    assert str(info.value) == "5.000e+00 " + "y" * 500 + "... <int of 16610 bits>"
 
 
 def test_is_number():
@@ -566,13 +644,16 @@ def test_nan_detuning_is_named():
 # parameter is converted by numpy (``np.asarray(value, dtype=float)`` or a
 # broadcast), element by element: a string or None that numpy cannot convert
 # raises numpy's own TypeError or ValueError, and that is the contract for
-# non-numeric types there. Not drawn: the parameters that take model objects
-# (transition, profile, comb, plan, channels, system) or sequences of pairs
-# (anchors, valid_range as a whole), FrequencyComb's per_line_power (a tuple
-# of levels), and the helpers of a pass that the package does not export
-# (nearest_line_index, row_blocks), which take a plan's checked lines and size.
+# non-numeric types there. A SEQUENCE parameter (FrequencyComb's
+# per_line_power, fit_profile's anchors, FieldProfile's valid_range as a whole,
+# coverage_union's lines) passes errors.as_floats, so no bare TypeError or
+# ValueError escapes it, whatever the value; nested and ragged lists are drawn
+# for these rows as well. Not drawn: the parameters that take model objects
+# (transition, profile, comb, plan, channels, system), and the helpers of a
+# pass that the package does not export (nearest_line_index, row_blocks),
+# which take a plan's checked lines and size.
 
-NUMBER, OPTIONAL, ARRAY = "number", "optional", "array"
+NUMBER, OPTIONAL, ARRAY, SEQUENCE = "number", "optional", "array", "sequence"
 WEAK_LO = LadderSystem(0.1 * GAMMA, GAMMA, 0.5 * GAMMA)  # a positive LO Rabi rate
 LADDER = {f.name: getattr(S, f.name) for f in dataclasses.fields(S)}
 CHANNEL = dict(peak_power=-36.5, reference_field=1e-5, half_width_3db=5e6, rolloff_order=2,
@@ -597,6 +678,9 @@ def _rows():
         "field_at x": (lambda v: field_at(P, v), 3.0, ARRAY),
         "position_at field": (lambda v: position_at(P, v), field_at(P, 3.0), ARRAY),
         "transition_frequency_at x": (lambda v: transition_frequency_at(P, T, v), 3.0, ARRAY),
+        "FieldProfile valid_range": (
+            lambda v: FieldProfile(**PROFILE, valid_range=v), (2.0, 8.0), SEQUENCE),
+        "fit_profile anchors": (lambda v: fit_profile(v, T), ANCHORS, SEQUENCE),
         "fit_profile offset": (lambda v: fit_profile(ANCHORS, T, offset=v), 0.0, NUMBER),
         "fit_profile decay_exponent": (
             lambda v: fit_profile(ANCHORS[:1], T, decay_exponent=v), 0.53, OPTIONAL),
@@ -605,9 +689,11 @@ def _rows():
         "FrequencyComb line_count": (lambda v: FrequencyComb(8.13e9, 1e7, v), 3, NUMBER),
         "FrequencyComb total_power": (
             lambda v: FrequencyComb(8.13e9, 1e7, 3, total_power=v), 11.0, NUMBER),
+        "FrequencyComb per_line_power": (
+            lambda v: FrequencyComb(8.13e9, 1e7, 3, per_line_power=v), (0.0, 1.0, 2.0), SEQUENCE),
         "place_cells tol": (lambda v: place_cells(P, T, COMB, tol=v), 1e3, NUMBER),
         "place_cells min_gap": (lambda v: place_cells(P, T, COMB, min_gap=v), 0.0, NUMBER),
-        "coverage_union lines": (lambda v: coverage_union(v, 5e6), [8.0e9, 8.01e9], ARRAY),
+        "coverage_union lines": (lambda v: coverage_union(v, 5e6), [8.0e9, 8.01e9], SEQUENCE),
         "coverage_union half_width": (lambda v: coverage_union([8.0e9], v), 5e6, NUMBER),
         "rolloff delta_f": (lambda v: rolloff(CH, v), 1e6, ARRAY),
         "beat_signal_power field": (lambda v: beat_signal_power(CH, v, 0.0), 1e-5, ARRAY),
@@ -702,6 +788,26 @@ def test_valid_inputs_give_finite_results(name):
 @given(value=st.one_of(st.sampled_from(ODD_SCALARS), ODD_ARRAYS))
 @_each_odd_scalar
 def test_odd_input_is_named_or_returns_finite(name, value):
+    _check_odd_input(name, value)
+
+
+# Lists and tuples nested up to 6 items deep, ragged or not, of odd scalars and
+# valid anchor values: 25 drawn values per sequence row.
+NESTED = st.recursive(
+    st.sampled_from(ODD_SCALARS + (2.0, 5.0, 8.13e9)),
+    lambda items: st.lists(items, max_size=3) | st.tuples(items, items),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("name", [name for name, row in INPUTS.items() if row[2] == SEQUENCE])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(value=NESTED)
+def test_odd_sequence_is_named_or_returns_finite(name, value):
+    _check_odd_input(name, value)
+
+
+def _check_odd_input(name, value):
     call, _, kind = INPUTS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -714,5 +820,5 @@ def test_odd_input_is_named_or_returns_finite(name, value):
                 return  # numpy's own conversion of a non-number
             raise
     number = type(value) in (int, float) and math.isfinite(value)  # the rule, restated
-    assert kind == ARRAY or number or (kind == OPTIONAL and value is None), value
+    assert kind in (ARRAY, SEQUENCE) or number or (kind == OPTIONAL and value is None), value
     assert _all_finite(result, LIMITS.get(name, math.nan)), result
